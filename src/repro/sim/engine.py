@@ -140,6 +140,14 @@ class CandidateEntry:
         self.seg_len = seg_len
         self.max_links = int(seg_len.max()) + 2
 
+    # pickle the constructor inputs only: a stream checkpoint holds one entry
+    # per resolved router pair, and the derived fields would add an array each
+    def __getstate__(self):
+        return self.bank, self.lengths, self.seg_start, self.seg_len
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
+
 
 class CandidateBank:
     """Pooled candidate-path store for one routing scheme over one link space.
@@ -228,16 +236,26 @@ def _segment_max(values: np.ndarray, pool: np.ndarray, starts: np.ndarray,
 class _SurvivorView:
     """Surviving-candidate view of one router pair under the current failed set."""
 
-    __slots__ = ("survivors", "count", "sstart", "slen", "lengths", "lengths_float")
+    __slots__ = ("entry", "survivors", "count", "sstart", "slen", "lengths",
+                 "lengths_float")
 
     def __init__(self, entry: CandidateEntry, survivors: np.ndarray) -> None:
         """Precompute the survivor-indexed segment arrays of ``entry``."""
+        self.entry = entry
         self.survivors = survivors            # ascending candidate indices
         self.count = int(survivors.size)
         self.sstart = entry.seg_start[survivors]
         self.slen = entry.seg_len[survivors]
         self.lengths = [entry.lengths[int(i)] for i in survivors]
         self.lengths_float = entry.lengths_float[survivors]
+
+    # pickle the constructor inputs only; views never outlive a move of their
+    # entry's segments (reclaim_bank drops them all), so the rest rederives
+    def __getstate__(self):
+        return self.entry, self.survivors
+
+    def __setstate__(self, state) -> None:
+        self.__init__(*state)
 
 
 class _FaultRuntime:
@@ -341,6 +359,25 @@ class _FaultRuntime:
 
 
 # ------------------------------------------------------------------ engine core
+#: Slot-indexed flow arrays of :class:`EngineCore` as (name, dtype, fill value);
+#: construction, growth and compaction all allocate from this one table.
+_SLOT_ARRAYS: Tuple[Tuple[str, type, object], ...] = (
+    *((name, np.int64, 0) for name in (
+        "fid", "src", "dst", "src_router", "dst_router", "inj_link", "ej_link",
+        "num_switches", "congestion_events", "path_index", "num_candidates",
+        "cand_start", "cand_len")),
+    *((name, np.float64, 0.0) for name in (
+        "start", "size", "remaining", "rate", "bytes_since_switch")),
+    ("currently_congested", np.bool_, False),
+)
+
+#: Slot arrays that exist only under a fault schedule (-1 hops: not on a detour).
+_FAULT_SLOT_ARRAYS: Tuple[Tuple[str, type, object], ...] = (
+    ("stalled", np.bool_, False), ("on_detour", np.bool_, False),
+    ("record_hops", np.int64, -1),
+)
+
+
 class EngineCore:
     """Mutable state plus per-event operations of one vectorized simulation run.
 
@@ -385,25 +422,10 @@ class EngineCore:
         self.capacity = capacity
         self.count = 0          # flows ingested so far
         self.admit_idx = 0      # next slot to admit at its arrival event
-        self.fid = np.zeros(capacity, dtype=np.int64)
-        self.start = np.zeros(capacity)
-        self.src = np.zeros(capacity, dtype=np.int64)
-        self.dst = np.zeros(capacity, dtype=np.int64)
-        self.size = np.zeros(capacity)
-        self.src_router = np.zeros(capacity, dtype=np.int64)
-        self.dst_router = np.zeros(capacity, dtype=np.int64)
-        self.inj_link = np.zeros(capacity, dtype=np.int64)
-        self.ej_link = np.zeros(capacity, dtype=np.int64)
-        self.remaining = np.zeros(capacity)
-        self.rate = np.zeros(capacity)
-        self.bytes_since_switch = np.zeros(capacity)
-        self.num_switches = np.zeros(capacity, dtype=np.int64)
-        self.congestion_events = np.zeros(capacity, dtype=np.int64)
-        self.currently_congested = np.zeros(capacity, dtype=bool)
-        self.path_index = np.zeros(capacity, dtype=np.int64)
-        self.num_candidates = np.zeros(capacity, dtype=np.int64)
-        self.cand_start = np.zeros(capacity, dtype=np.int64)
-        self.cand_len = np.zeros(capacity, dtype=np.int64)
+        self.faults_on = config.faults is not None
+        self.stalled = self.on_detour = self.record_hops = None
+        for name, dtype, fill in self._slot_arrays():
+            setattr(self, name, np.full(capacity, fill, dtype=dtype))
         self.entries: List[Optional[CandidateEntry]] = [None] * capacity
 
         self.active = np.empty(0, dtype=np.int64)   # arrival positions, ascending
@@ -415,58 +437,39 @@ class EngineCore:
                                     self.capacities, self.line_rate)
 
         # ---- fault state (mirrors the reference spec; see repro.sim.faults)
-        self.faults_on = config.faults is not None
         self.fault_epochs = config.faults.resolve(sim.topology) if self.faults_on else []
         self.fault_idx = 0
         self.fault_count = 0
         self.reroutes = 0
         self.stall_count = 0
         self.order_dirty = False
-        if self.faults_on:
-            self.stalled = np.zeros(capacity, dtype=bool)
-            self.on_detour = np.zeros(capacity, dtype=bool)
-            self.record_hops = np.full(capacity, -1, dtype=np.int64)  # detour hops
-            self.faultrt: Optional[_FaultRuntime] = _FaultRuntime(
-                sim.topology, self.links, self.bank)
-        else:
-            self.stalled = self.on_detour = self.record_hops = None
-            self.faultrt = None
+        self.faultrt: Optional[_FaultRuntime] = _FaultRuntime(
+            sim.topology, self.links, self.bank) if self.faults_on else None
 
     # -------------------------------------------------------------- ingestion
     def set_mapping(self, mapping: Optional[Sequence[int]]) -> None:
         """Install the optional endpoint remap applied to every ingested flow."""
         self._remap = None if mapping is None else np.asarray(mapping, dtype=np.int64)
 
+    def _slot_arrays(self) -> Tuple[Tuple[str, type, object], ...]:
+        """The slot-array schema of this run (fault-only arrays under faults)."""
+        return _SLOT_ARRAYS + _FAULT_SLOT_ARRAYS if self.faults_on else _SLOT_ARRAYS
+
+    def _resize_slots(self, rows, capacity: int) -> None:
+        """Reallocate every slot array at ``capacity`` slots, holding the old
+        ``rows`` (a slice or an index array) as a dense prefix."""
+        for name, dtype, fill in self._slot_arrays():
+            kept = getattr(self, name)[rows]
+            arr = np.full(capacity, fill, dtype=dtype)
+            arr[:kept.size] = kept
+            setattr(self, name, arr)
+
     def ensure_capacity(self, need: int) -> None:
         """Grow every slot-indexed array to hold ``need`` slots (amortized doubling)."""
         if need <= self.capacity:
             return
         new = max(need, 2 * self.capacity, 64)
-        count = self.count
-        for name in ("fid", "src", "dst", "src_router", "dst_router", "inj_link",
-                     "ej_link", "num_switches", "congestion_events", "path_index",
-                     "num_candidates", "cand_start", "cand_len"):
-            old = getattr(self, name)
-            arr = np.zeros(new, dtype=np.int64)
-            arr[:count] = old[:count]
-            setattr(self, name, arr)
-        for name in ("start", "size", "remaining", "rate", "bytes_since_switch"):
-            old = getattr(self, name)
-            arr = np.zeros(new)
-            arr[:count] = old[:count]
-            setattr(self, name, arr)
-        congested = np.zeros(new, dtype=bool)
-        congested[:count] = self.currently_congested[:count]
-        self.currently_congested = congested
-        if self.faults_on:
-            for name in ("stalled", "on_detour"):
-                old = getattr(self, name)
-                arr = np.zeros(new, dtype=bool)
-                arr[:count] = old[:count]
-                setattr(self, name, arr)
-            hops = np.full(new, -1, dtype=np.int64)
-            hops[:count] = self.record_hops[:count]
-            self.record_hops = hops
+        self._resize_slots(slice(0, self.count), new)
         self.entries.extend([None] * (new - len(self.entries)))
         self.alloc.state.grow(new)
         self.capacity = new
@@ -963,30 +966,7 @@ class EngineCore:
                 segs.append(None)   # stalled: no live allocation until revived
             else:
                 segs.append((state.flow_links(a).copy(), int(state.seg_cap[a])))
-        for name in ("fid", "src", "dst", "src_router", "dst_router", "inj_link",
-                     "ej_link", "num_switches", "congestion_events", "path_index",
-                     "num_candidates", "cand_start", "cand_len"):
-            old = getattr(self, name)
-            arr = np.zeros(capacity, dtype=np.int64)
-            arr[:count] = old[keep]
-            setattr(self, name, arr)
-        for name in ("start", "size", "remaining", "rate", "bytes_since_switch"):
-            old = getattr(self, name)
-            arr = np.zeros(capacity)
-            arr[:count] = old[keep]
-            setattr(self, name, arr)
-        congested = np.zeros(capacity, dtype=bool)
-        congested[:count] = self.currently_congested[keep]
-        self.currently_congested = congested
-        if self.faults_on:
-            for name in ("stalled", "on_detour"):
-                old = getattr(self, name)
-                arr = np.zeros(capacity, dtype=bool)
-                arr[:count] = old[keep]
-                setattr(self, name, arr)
-            hops = np.full(capacity, -1, dtype=np.int64)
-            hops[:count] = self.record_hops[keep]
-            self.record_hops = hops
+        self._resize_slots(keep, capacity)
         entries = [self.entries[int(s)] for s in keep]
         entries.extend([None] * (capacity - count))
         self.entries = entries

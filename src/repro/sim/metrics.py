@@ -5,8 +5,8 @@ bounded-memory streaming estimators the streaming service layer
 (:mod:`repro.sim.stream`) feeds one completion at a time: :class:`P2Quantile`
 (the P² algorithm — five markers, no sample storage) and
 :class:`ReservoirSample` (uniform fixed-size sample, exact percentiles while
-under capacity).  Both expose ``state_dict``/``load_state`` so a stream
-checkpoint restores them bit-identically.
+under capacity).  Both are plain picklable objects, so a stream checkpoint
+restores them bit-identically.
 """
 
 from __future__ import annotations
@@ -153,8 +153,7 @@ class P2Quantile:
     observations seed the markers, every later observation shifts marker
     positions and adjusts heights by a piecewise-parabolic fit.  All state is a
     handful of floats, entirely determined by the observation sequence — no RNG
-    — so a checkpointed estimator resumes bit-identically via
-    :meth:`state_dict`/:meth:`load_state`.  Below five observations
+    — so a pickled estimator resumes bit-identically.  Below five observations
     :meth:`value` falls back to the exact percentile of the buffer.
     """
 
@@ -231,21 +230,6 @@ class P2Quantile:
             return float(np.quantile(np.array(self._heights), self.q))
         return self._heights[2]
 
-    def state_dict(self) -> Dict[str, object]:
-        """All estimator state as plain floats (checkpoint payload)."""
-        return {"q": self.q, "count": self.count, "heights": list(self._heights),
-                "pos": list(self._pos), "desired": list(self._desired),
-                "inc": list(self._inc)}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore from a :meth:`state_dict` payload (bit-identical resume)."""
-        self.q = float(state["q"])
-        self.count = int(state["count"])
-        self._heights = [float(v) for v in state["heights"]]
-        self._pos = [float(v) for v in state["pos"]]
-        self._desired = [float(v) for v in state["desired"]]
-        self._inc = [float(v) for v in state["inc"]]
-
 
 class ReservoirSample:
     """Uniform fixed-size sample of a stream (Vitter's algorithm R).
@@ -254,8 +238,9 @@ class ReservoirSample:
     whole stream, so :meth:`percentile` is exact — the per-window FCT reservoirs
     of the streaming service are sized to cover a window's completions and only
     degrade to sampling under overload.  Replacement draws come from the caller's
-    ``rng`` (one bounded-integer draw per observation past capacity), so a
-    checkpoint that also saves the generator state resumes bit-identically.
+    ``rng`` (one bounded-integer draw per observation past capacity), which is
+    pickled along with the sample, so a pickled reservoir resumes
+    bit-identically.
     """
 
     def __init__(self, capacity: int, rng: np.random.Generator) -> None:
@@ -288,17 +273,6 @@ class ReservoirSample:
         if not self.items:
             return float("nan")
         return float(np.mean(self.items))
-
-    def state_dict(self) -> Dict[str, object]:
-        """Sample contents and counters (checkpoint payload; RNG saved by caller)."""
-        return {"capacity": self.capacity, "items": list(self.items),
-                "seen": self.seen}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Restore from a :meth:`state_dict` payload."""
-        self.capacity = int(state["capacity"])
-        self.items = [float(v) for v in state["items"]]
-        self.seen = int(state["seen"])
 
 
 def speedup_over_baseline(result: SimulationResult, baseline: SimulationResult,

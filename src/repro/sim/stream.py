@@ -32,45 +32,73 @@ steady-state p50/p90/p99.  Per-window link utilisation and wall-clock event
 rates ride along in :class:`WindowStats` (the wall-clock fields are
 informational and never enter scenario rows).
 
-:meth:`~StreamSimulator.checkpoint` serializes the *full* mutable run state —
-slot arrays, allocation state (both allocators), candidate-bank pool and
-entries, selector RNG stream, fault runtime (failed set, survivor views,
-dirty-region counters), window/estimator state and the metrics RNG — as a
-version-tagged dict of plain values and numpy arrays.
-:meth:`~StreamSimulator.restore` rebuilds it into a freshly constructed
-simulator (the caller re-supplies the immutable stack: topology, routing,
-selector, transport, config — validated against the checkpoint), after which
-the run continues bit-identically to one that was never interrupted, including
+:meth:`~StreamSimulator.checkpoint` snapshots the *full* mutable run state —
+engine core, allocation state and allocator, private candidate bank, fault
+runtime, window/estimator state and the metrics RNG — as one pickle of the
+simulator's attributes, so a field added to any of these classes is
+checkpointed with no edit here.  Inside the pickle, the stack the caller
+passes again on restore (topology, routing, selector, transport, config, link
+space, capacities) is written as named references, not copied.  The snapshot
+carries a SHA-256 checksum and a digest of the source that wrote it.
+:meth:`~StreamSimulator.restore` loads it into a freshly constructed simulator
+over the same stack (validated against the checkpoint), after which the run
+continues bit-identically to one that was never interrupted, including
 selector RNG draws, fault bookkeeping counters and compaction points.
 """
 
 from __future__ import annotations
 
+import hashlib
+import importlib
+import io
+import pickle
 import time
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
+from pathlib import Path
 from typing import Callable, Deque, Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
 from repro.core.loadbalance import PathSelector
 from repro.core.transport import TransportModel
-from repro.sim.engine import CandidateBank, CandidateEntry, EngineCore, FlowEngine, \
-    _SurvivorView
+from repro.sim.engine import CandidateBank, EngineCore, FlowEngine
 from repro.sim.metrics import FlowRecord, P2Quantile, ReservoirSample
 from repro.sim.simconfig import FlowSimConfig, StreamConfig
 from repro.topologies.base import Topology
 
 #: Checkpoint format version written by :meth:`StreamSimulator.checkpoint`.
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 #: Steady-state FCT percentiles tracked by the P² estimators.
 STEADY_PERCENTILES = (50, 90, 99)
 
-_INT64_FIELDS = ("fid", "src", "dst", "src_router", "dst_router", "inj_link",
-                 "ej_link", "num_switches", "congestion_events", "path_index",
-                 "num_candidates", "cand_start", "cand_len")
-_FLOAT_FIELDS = ("start", "size", "remaining", "rate", "bytes_since_switch")
+#: Simulator attributes a checkpoint leaves out: the engine and the stream
+#: config (the caller re-supplies both), the record sink and the wall clock.
+_NOT_CHECKPOINTED = frozenset({"engine", "stream_config", "_record_sink",
+                               "_window_wall"})
+
+#: Keys of a checkpoint dict.
+_CHECKPOINT_KEYS = frozenset({"version", "code", "stack", "state", "sha256",
+                              "selector_rng"})
+
+#: Modules defining the classes a checkpoint pickles.
+_STATE_MODULES = ("repro.sim.engine", "repro.sim.allocstate", "repro.sim.bottleneck",
+                  "repro.sim.metrics", "repro.sim.stream")
+
+
+@lru_cache(maxsize=None)
+def _code_digest() -> str:
+    """SHA-256 over the source of the modules whose objects a checkpoint pickles.
+
+    A checkpoint is valid only for the code that wrote it: :meth:`restore`
+    rejects one whose digest differs, so layout changes need no version bump.
+    """
+    digest = hashlib.sha256()
+    for name in _STATE_MODULES:
+        digest.update(Path(importlib.import_module(name).__file__).read_bytes())
+    return digest.hexdigest()
 
 
 @dataclass
@@ -410,194 +438,25 @@ class StreamSimulator:
         return self.core.alloc.link_util
 
     # ------------------------------------------------------- checkpoint/restore
-    def checkpoint(self) -> Dict[str, object]:
-        """Serialize the full mutable run state as a version-tagged dict.
+    def _stack_objects(self) -> Dict[str, object]:
+        """The objects a checkpoint names instead of copying.
 
-        The payload holds plain Python values and numpy arrays (picklable as a
-        unit): slot arrays, active set, allocation state, candidate-bank pool
-        and entry segments (in insertion order), selector and metrics RNG
-        states, fault runtime (failed set, registered pairs, survivor views,
-        counters) and all window/estimator/peak accounting.  The immutable
-        stack (topology, routing, selector, transport, configs) is *not*
-        serialized — :meth:`restore` validates the caller re-supplied the same
-        one via the ``stack`` descriptor.
+        They are the stack the caller passes again when restoring (plus the
+        objects the core derives from it), so the restoring simulator supplies
+        its own under the same names.
         """
         core = self.core
-        n = core.count
-        arrays: Dict[str, np.ndarray] = {
-            name: getattr(core, name)[:n].copy()
-            for name in _INT64_FIELDS + _FLOAT_FIELDS}
-        chk: Dict[str, object] = {
-            "version": CHECKPOINT_VERSION,
-            "stack": {
-                "topology": core.topology.name,
-                "num_endpoints": core.links.num_endpoints,
-                "num_links": core.num_links,
-                "routing": getattr(core.routing, "name",
-                                   type(core.routing).__name__),
-                "selector": type(core.selector).__name__,
-                "transport": core.transport.name,
-                "allocator": core.alloc.name,
-                "config": core.config,
-                "stream_config": self.stream_config,
-            },
-            "core": {
-                "count": n,
-                "admit_idx": int(core.admit_idx),
-                "now": float(core.now),
-                "events": int(core.events),
-                "active": core.active.copy(),
-                "arrays": arrays,
-                "congested": core.currently_congested[:n].copy(),
-                "fault_idx": int(core.fault_idx),
-                "fault_count": int(core.fault_count),
-                "reroutes": int(core.reroutes),
-                "stall_count": int(core.stall_count),
-                "order_dirty": bool(core.order_dirty),
-            },
-            "bank": self._checkpoint_bank(),
-            "alloc": self._checkpoint_alloc(),
-            "selector": self._checkpoint_selector(),
-            "faults": self._checkpoint_faults(),
-            "metrics": self._checkpoint_metrics(),
-            "records": list(self.records),
-        }
-        if core.faults_on:
-            chk["core"]["stalled"] = core.stalled[:n].copy()          # type: ignore[index]
-            chk["core"]["on_detour"] = core.on_detour[:n].copy()      # type: ignore[index]
-            chk["core"]["record_hops"] = core.record_hops[:n].copy()  # type: ignore[index]
-        return chk
+        return {"topology": core.topology, "adjacency": core.topology.adjacency(),
+                "routing": core.routing, "selector": core.selector,
+                "transport": core.transport, "config": core.config,
+                "links": core.links, "capacities": core.capacities,
+                "sink": core.sink}
 
-    def _checkpoint_bank(self) -> Dict[str, object]:
-        """Bank pool prefix and entry segments, preserving insertion order."""
-        bank = self.core.bank
-        return {
-            "pool": bank.pool[:bank.used].copy(),
-            "used": int(bank.used),
-            "entries": [(key, list(entry.lengths), entry.seg_start.copy(),
-                         entry.seg_len.copy())
-                        for key, entry in bank.entries.items()],
-        }
-
-    def _checkpoint_alloc(self) -> Dict[str, object]:
-        """Allocation state (+ the refiltering allocator's tracker when in use)."""
-        alloc = self.core.alloc
-        state = alloc.state
-        n = self.core.count
-        out: Dict[str, object] = {
-            "link_util": alloc.link_util.copy(),
-            "pool_links": state.pool_links[:state.used].copy(),
-            "pool_slots": state.pool_slots[:state.used].copy(),
-            "used": int(state.used),
-            "live": int(state.live),
-            "active_caps": int(state.active_caps),
-            "seg_start": state.seg_start[:n].copy(),
-            "seg_cap": state.seg_cap[:n].copy(),
-            "seg_len": state.seg_len[:n].copy(),
-            "active_mask": state.active_mask[:n].copy(),
-            "compactions": int(state.compactions),
-            "counters": dict(alloc.counters),
-        }
-        if alloc.name == "bottleneck":
-            alloc._grow_slots(n)
-            out["bottleneck"] = {
-                "link_load": alloc.link_load.copy(),
-                "sat_mask": alloc.sat_mask.copy(),
-                "link_level": alloc.link_level.copy(),
-                "level_rates": alloc.level_rates.copy(),
-                "flow_level": alloc.flow_level[:n].copy(),
-                "rates": alloc._rates[:n].copy(),
-                "members": [(link, list(slots))
-                            for link, slots in alloc.link_members.items()],
-                "dirty": sorted(alloc._dirty_slots),
-                "seeds": sorted(alloc._seed_links),
-                "ops": int(alloc._ops),
-                "needs_rebuild": bool(alloc._needs_rebuild),
-            }
-        if alloc.name == "incremental":
-            out["incremental"] = {
-                "parent": alloc._parent.copy(),
-                "members": [(root, list(slots))
-                            for root, slots in alloc._members.items()],
-                "comp_links": [(root, list(links))
-                               for root, links in alloc._comp_links.items()],
-                "link_seen": alloc._link_seen.copy(),
-                "dirty": sorted(alloc._dirty),
-                "ops": int(alloc._ops),
-                "needs_full": bool(alloc._needs_full),
-            }
-        return out
-
-    def _checkpoint_selector(self) -> Dict[str, object]:
-        """Selector RNG stream state (selectors without RNG have none)."""
-        selector = self.core.selector
-        out: Dict[str, object] = {"type": type(selector).__name__}
-        rng = getattr(selector, "_rng", None)
-        if rng is not None:
-            out["rng_state"] = rng.bit_generator.state
-        return out
-
-    def _checkpoint_faults(self) -> Optional[Dict[str, object]]:
-        """Fault runtime: failed set, registered pairs, views, counters."""
-        rt = self.core.faultrt
-        if rt is None:
-            return None
-        return {
-            "failed_edges": sorted(rt.failed_edges),
-            "registered": sorted(rt.registered),
-            "views": [(key, view.survivors.copy())
-                      for key, view in rt.views.items()],
-            "refilters": int(rt.refilters),
-            "reuses": int(rt.reuses),
-            "invalidated": int(rt.invalidated),
-        }
-
-    def _checkpoint_metrics(self) -> Dict[str, object]:
-        """Window accounting, steady-state estimators and lifetime counters."""
-        return {
-            "rng_state": self._metrics_rng.bit_generator.state,
-            "window_index": self._window_index,
-            "window_arrivals": self._window_arrivals,
-            "window_completions": self._window_completions,
-            "window_events": self._window_events,
-            "window_fct_sum": self._window_fct_sum,
-            "reservoir": self._window_reservoir.state_dict(),
-            "p2": {p: est.state_dict() for p, est in self._p2.items()},
-            "steady_count": self._steady_count,
-            "steady_fct_sum": self._steady_fct_sum,
-            "total_arrivals": self._total_arrivals,
-            "total_completions": self._total_completions,
-            "next_flow_id": self._next_flow_id,
-            "admit_snapshot": self._admit_snapshot,
-            "windows": list(self.windows),
-            "windows_emitted": self.windows_emitted,
-            "windows_skipped": self.windows_skipped,
-            "peak_active": self.peak_active,
-            "peak_slots": self.peak_slots,
-            "peak_pool": self.peak_pool,
-            "peak_bank": self.peak_bank,
-            "slot_compactions": self.slot_compactions,
-            "bank_reclaimed": self.bank_reclaimed,
-        }
-
-    def restore(self, chk: Dict[str, object]) -> None:
-        """Rebuild a :meth:`checkpoint` into this freshly constructed simulator.
-
-        The caller constructs the simulator with the *same* immutable stack the
-        checkpoint was taken under (topology, routing, selector, transport,
-        configs, allocator) — mismatches raise ``ValueError`` — and the same
-        ``record_sink`` choice.  After restoring, the run continues
-        bit-identically to one that was never interrupted.
-        """
-        if chk.get("version") != CHECKPOINT_VERSION:
-            raise ValueError(
-                f"unsupported checkpoint version {chk.get('version')!r} "
-                f"(this build writes version {CHECKPOINT_VERSION})")
+    def _stack_descriptor(self) -> Dict[str, object]:
+        """What :meth:`restore` checks the re-supplied stack against."""
         core = self.core
-        if core.events or core.count:
-            raise ValueError("restore requires a freshly constructed simulator")
-        stack = chk["stack"]
-        mine = {
+        remap = core._remap
+        return {
             "topology": core.topology.name,
             "num_endpoints": core.links.num_endpoints,
             "num_links": core.num_links,
@@ -607,176 +466,83 @@ class StreamSimulator:
             "allocator": core.alloc.name,
             "config": core.config,
             "stream_config": self.stream_config,
+            "mapping": None if remap is None
+            else hashlib.sha256(remap.tobytes()).hexdigest(),
         }
-        for key, value in mine.items():
-            if stack[key] != value:
+
+    def checkpoint(self) -> Dict[str, object]:
+        """Snapshot the full mutable run state as a version-tagged dict.
+
+        ``state`` is one pickle of every simulator attribute except the
+        engine, the stream config, the record sink and the wall clock; the
+        stack objects (:meth:`_stack_objects`) inside it are named references,
+        not copies.  Beside it travel the selector's RNG state (the selector
+        is part of the stack), the stack descriptor :meth:`restore` validates,
+        a SHA-256 of ``state`` and the digest of the code that wrote it.
+        """
+        stack = self._stack_objects()     # alive while ids identify its objects
+        names = {id(obj): name for name, obj in stack.items()}
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, protocol=pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = lambda obj: names.get(id(obj))
+        pickler.dump({name: value for name, value in vars(self).items()
+                      if name not in _NOT_CHECKPOINTED})
+        state = buf.getvalue()
+        rng = getattr(self.core.selector, "_rng", None)
+        return {
+            "version": CHECKPOINT_VERSION,
+            "code": _code_digest(),
+            "stack": self._stack_descriptor(),
+            "state": state,
+            "sha256": hashlib.sha256(state).hexdigest(),
+            "selector_rng": None if rng is None else rng.bit_generator.state,
+        }
+
+    def restore(self, chk: Dict[str, object]) -> None:
+        """Load a :meth:`checkpoint` into this freshly constructed simulator.
+
+        The caller constructs the simulator with the *same* stack the
+        checkpoint was taken under (topology, routing, selector, transport,
+        configs, allocator, mapping) and the same ``record_sink`` choice.  A
+        checkpoint of another version, with missing keys, written by other
+        code, with a corrupt ``state`` or taken under another stack raises a
+        one-line ``ValueError`` before any state changes.  ``state`` is
+        unpickled, so only restore checkpoints you wrote.  After restoring, the
+        run continues bit-identically to one that was never interrupted.
+        """
+        version = chk.get("version") if isinstance(chk, dict) else None
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version!r} "
+                             f"(this build writes version {CHECKPOINT_VERSION})")
+        missing = sorted(_CHECKPOINT_KEYS - chk.keys())
+        if missing:
+            raise ValueError(f"checkpoint is missing {', '.join(missing)}")
+        if chk["code"] != _code_digest():
+            raise ValueError("checkpoint was written by different code "
+                             "(source digest mismatch)")
+        state = chk["state"]
+        if not isinstance(state, bytes) \
+                or hashlib.sha256(state).hexdigest() != chk["sha256"]:
+            raise ValueError("checkpoint state is corrupt (SHA-256 mismatch)")
+        core = self.core
+        if core.events or core.count:
+            raise ValueError("restore requires a freshly constructed simulator")
+        saved = chk["stack"]
+        for key, value in self._stack_descriptor().items():
+            if saved.get(key) != value:
                 raise ValueError(
                     f"checkpoint stack mismatch on {key!r}: "
-                    f"saved {stack[key]!r}, constructed {value!r}")
-        self._restore_bank(chk["bank"])
-        self._restore_core(chk["core"])
-        self._restore_alloc(chk["alloc"])
-        self._restore_faults(chk["faults"])
-        rng_state = chk["selector"].get("rng_state")
-        if rng_state is not None:
-            core.selector._rng.bit_generator.state = rng_state
-        memo = getattr(core.selector, "_row_memo", None)
+                    f"saved {saved.get(key)!r}, constructed {value!r}")
+        unpickler = pickle.Unpickler(io.BytesIO(state))
+        unpickler.persistent_load = self._stack_objects().__getitem__
+        vars(self).update(unpickler.load())
+        self.engine.bank = self.core.bank
+        selector = self.core.selector
+        if chk["selector_rng"] is not None:
+            selector._rng.bit_generator.state = chk["selector_rng"]
+        memo = getattr(selector, "_row_memo", None)
         if memo is not None:
             memo.clear()
-        self._restore_metrics(chk["metrics"])
-        self.records = deque(chk["records"], maxlen=self.stream_config.record_ring)
-
-    def _restore_bank(self, saved: Dict[str, object]) -> None:
-        """Rebuild the private bank's pool and entries (insertion order kept)."""
-        bank = self.core.bank
-        used = int(saved["used"])
-        pool = np.zeros(max(256, used), dtype=np.int64)
-        pool[:used] = saved["pool"]
-        bank.pool = pool
-        bank.used = used
-        bank.entries.clear()
-        for key, lengths, seg_start, seg_len in saved["entries"]:
-            bank.entries[tuple(key)] = CandidateEntry(
-                bank, list(lengths),
-                np.asarray(seg_start, dtype=np.int64).copy(),
-                np.asarray(seg_len, dtype=np.int64).copy())
-
-    def _restore_core(self, saved: Dict[str, object]) -> None:
-        """Rebuild the slot arrays, active set and event counters."""
-        core = self.core
-        n = int(saved["count"])
-        core.ensure_capacity(n)
-        arrays = saved["arrays"]
-        for name in _INT64_FIELDS + _FLOAT_FIELDS:
-            getattr(core, name)[:n] = arrays[name]
-        core.currently_congested[:n] = saved["congested"]
-        core.count = n
-        core.admit_idx = int(saved["admit_idx"])
-        core.now = float(saved["now"])
-        core.events = int(saved["events"])
-        core.active = np.asarray(saved["active"], dtype=np.int64).copy()
-        core.fault_idx = int(saved["fault_idx"])
-        core.fault_count = int(saved["fault_count"])
-        core.reroutes = int(saved["reroutes"])
-        core.stall_count = int(saved["stall_count"])
-        core.order_dirty = bool(saved["order_dirty"])
-        if core.faults_on:
-            core.stalled[:n] = saved["stalled"]
-            core.on_detour[:n] = saved["on_detour"]
-            core.record_hops[:n] = saved["record_hops"]
-        bank_entries = core.bank.entries
-        for a in range(core.admit_idx):
-            core.entries[a] = bank_entries[(int(core.src_router[a]),
-                                            int(core.dst_router[a]))]
-
-    def _restore_alloc(self, saved: Dict[str, object]) -> None:
-        """Rebuild the allocation state (+ the refiltering tracker when in use)."""
-        core = self.core
-        alloc = core.alloc
-        state = alloc.state
-        n = core.count
-        used = int(saved["used"])
-        pool_links = np.zeros(max(256, used), dtype=np.int64)
-        pool_links[:used] = saved["pool_links"]
-        pool_slots = np.full(max(256, used), state.sentinel, dtype=np.int64)
-        pool_slots[:used] = saved["pool_slots"]
-        state.pool_links, state.pool_slots = pool_links, pool_slots
-        state.used = used
-        state.live = int(saved["live"])
-        state.active_caps = int(saved["active_caps"])
-        state.seg_start[:n] = saved["seg_start"]
-        state.seg_cap[:n] = saved["seg_cap"]
-        state.seg_len[:n] = saved["seg_len"]
-        state.active_mask[:n] = saved["active_mask"]
-        state.compactions = int(saved["compactions"])
-        alloc.link_util = np.asarray(saved["link_util"], dtype=np.float64).copy()
-        alloc.counters = dict(saved["counters"])   # type: ignore[arg-type]
-        bot = saved.get("bottleneck")
-        if bot is not None:
-            alloc._grow_slots(n)
-            alloc.link_load = np.asarray(bot["link_load"], dtype=np.float64).copy()
-            alloc.sat_mask = np.asarray(bot["sat_mask"], dtype=bool).copy()
-            alloc.link_level = np.asarray(bot["link_level"], dtype=np.int64).copy()
-            alloc.level_rates = np.asarray(bot["level_rates"],
-                                           dtype=np.float64).copy()
-            alloc.flow_level[:n] = bot["flow_level"]
-            alloc._rates[:n] = bot["rates"]
-            alloc.link_members = {int(link): [int(s) for s in slots]
-                                  for link, slots in bot["members"]}
-            alloc._dirty_slots = {int(s) for s in bot["dirty"]}
-            alloc._seed_links = {int(link) for link in bot["seeds"]}
-            alloc._ops = int(bot["ops"])
-            alloc._needs_rebuild = bool(bot["needs_rebuild"])
-        inc = saved.get("incremental")
-        if inc is not None:
-            alloc._parent = np.asarray(inc["parent"], dtype=np.int64).copy()
-            alloc._members = {int(root): [int(s) for s in slots]
-                              for root, slots in inc["members"]}
-            alloc._comp_links = {int(root): [int(link) for link in links]
-                                 for root, links in inc["comp_links"]}
-            alloc._link_seen = np.asarray(inc["link_seen"], dtype=bool).copy()
-            alloc._dirty = {int(root) for root in inc["dirty"]}
-            alloc._ops = int(inc["ops"])
-            alloc._needs_full = bool(inc["needs_full"])
-
-    def _restore_faults(self, saved: Optional[Dict[str, object]]) -> None:
-        """Rebuild the fault runtime: failed set, registrations, views, counters."""
-        rt = self.core.faultrt
-        if saved is None or rt is None:
-            if (saved is None) != (rt is None):
-                raise ValueError("checkpoint fault schedule does not match config")
-            return
-        bank_entries = self.core.bank.entries
-        rt.failed_edges = {tuple(edge) for edge in saved["failed_edges"]}
-        edge_index = rt.links.edge_index
-        rt.failed_links.clear()
-        rt.failed_mask[:] = False
-        for u, v in rt.failed_edges:
-            a, b = edge_index[(u, v)], edge_index[(v, u)]
-            rt.failed_links.add(a)
-            rt.failed_links.add(b)
-            rt.failed_mask[a] = rt.failed_mask[b] = True
-        for key in saved["registered"]:
-            rt._register(tuple(key), bank_entries[tuple(key)])
-        rt.views = {tuple(key): _SurvivorView(
-            bank_entries[tuple(key)],
-            np.asarray(survivors, dtype=np.int64).copy())
-            for key, survivors in saved["views"]}
-        rt.refilters = int(saved["refilters"])
-        rt.reuses = int(saved["reuses"])
-        rt.invalidated = int(saved["invalidated"])
-
-    def _restore_metrics(self, saved: Dict[str, object]) -> None:
-        """Rebuild window accounting, estimators and lifetime counters."""
-        cfg = self.stream_config
-        self._metrics_rng.bit_generator.state = saved["rng_state"]
-        self._window_index = int(saved["window_index"])
-        self._window_arrivals = int(saved["window_arrivals"])
-        self._window_completions = int(saved["window_completions"])
-        self._window_events = int(saved["window_events"])
-        self._window_fct_sum = float(saved["window_fct_sum"])
-        self._window_reservoir = ReservoirSample(cfg.reservoir, self._metrics_rng)
-        self._window_reservoir.load_state(saved["reservoir"])
-        self._p2 = {}
-        for p in STEADY_PERCENTILES:
-            est = P2Quantile(p / 100.0)
-            est.load_state(saved["p2"][p])
-            self._p2[p] = est
-        self._steady_count = int(saved["steady_count"])
-        self._steady_fct_sum = float(saved["steady_fct_sum"])
-        self._total_arrivals = int(saved["total_arrivals"])
-        self._total_completions = int(saved["total_completions"])
-        self._next_flow_id = int(saved["next_flow_id"])
-        self._admit_snapshot = int(saved["admit_snapshot"])
-        self.windows = deque(saved["windows"], maxlen=cfg.keep_windows)
-        self.windows_emitted = int(saved["windows_emitted"])
-        self.windows_skipped = int(saved["windows_skipped"])
-        self.peak_active = int(saved["peak_active"])
-        self.peak_slots = int(saved["peak_slots"])
-        self.peak_pool = int(saved["peak_pool"])
-        self.peak_bank = int(saved["peak_bank"])
-        self.slot_compactions = int(saved["slot_compactions"])
-        self.bank_reclaimed = int(saved["bank_reclaimed"])
         self._window_wall = time.perf_counter()
 
 

@@ -26,6 +26,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.core.mapping import random_mapping
 from repro.experiments.simcommon import build_stack
 from repro.sim.faults import sample_link_faults
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
@@ -282,6 +283,11 @@ def drive(sim, chunks, start=0):
     return sim.finish()
 
 
+def _flip_byte(blob, at=100):
+    """``blob`` with the bits of one byte inverted."""
+    return blob[:at] + bytes([blob[at] ^ 0xFF]) + blob[at + 1:]
+
+
 def assert_scalar_maps_equal(a, b):
     assert a.keys() == b.keys()
     for key in a:
@@ -336,6 +342,17 @@ class TestCheckpointRestore:
         sim_c.restore(chk)
         assert sim_c.now == sim_b.now
         assert sim_c.active_count == sim_b.active_count
+        # the stack is referenced, never serialized: the restored state holds
+        # the fresh simulator's own objects
+        core, engine = sim_c.core, sim_c.engine
+        assert core.topology is engine.topology
+        assert core.routing is engine.routing
+        assert core.links is engine.links
+        assert core.capacities is engine.capacities
+        assert core.alloc.capacities is engine.capacities
+        assert core.faultrt.topology is engine.topology
+        assert core.faultrt.links is engine.links
+        assert core.bank is engine.bank
         summary_c = drive(sim_c, chunks, start=self.CUT)
 
         assert_records_identical(list(sim_a.records), list(sim_c.records))
@@ -386,6 +403,38 @@ class TestCheckpointRestore:
                            config=FlowSimConfig(allocator="incremental"))
         with pytest.raises(ValueError, match="stack mismatch"):
             other.restore(chk2)
+        rng = np.random.default_rng(5)
+        mapping_a = random_mapping(topo.num_endpoints, rng)
+        mapping_b = random_mapping(topo.num_endpoints, rng)
+        chk3 = stream_sim(topo, "fatpaths", mapping=mapping_a).checkpoint()
+        for mapping in (mapping_b, None):
+            with pytest.raises(ValueError, match="stack mismatch on 'mapping'"):
+                stream_sim(topo, "fatpaths", mapping=mapping).restore(chk3)
+        stream_sim(topo, "fatpaths", mapping=mapping_a.copy()).restore(chk3)
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (lambda chk: chk.update(state=chk["state"][:len(chk["state"]) // 2]),
+         "corrupt"),
+        (lambda chk: chk.update(state=_flip_byte(chk["state"])), "corrupt"),
+        (lambda chk: chk.update(version=1), "checkpoint version"),
+        (lambda chk: chk.pop("sha256"), "missing sha256"),
+        (lambda chk: chk.update(code="0" * 64), "different code"),
+    ], ids=["truncated", "flipped-byte", "wrong-version", "missing-key",
+            "foreign-code"])
+    def test_restore_rejects_corrupt_checkpoint(self, topo, flows, corrupt, match):
+        """A bad checkpoint fails with a one-line ValueError before any state
+        of the restoring simulator changes."""
+        sim = stream_sim(topo, "fatpaths")
+        sim.push(flows[:CHUNK])
+        sim.advance(float(flows[CHUNK].start_time), inclusive=False)
+        chk = pickle.loads(pickle.dumps(sim.checkpoint()))
+        corrupt(chk)
+        fresh = stream_sim(topo, "fatpaths")
+        core = fresh.core
+        with pytest.raises(ValueError, match=match) as info:
+            fresh.restore(chk)
+        assert "\n" not in str(info.value)
+        assert fresh.core is core and core.events == 0 and core.count == 0
 
 
 # ---------------------------------------------- batch engine pool compaction
@@ -434,16 +483,14 @@ class TestP2Quantile:
         rng = np.random.default_rng(12)
         data = rng.exponential(size=500)
         a = P2Quantile(0.9)
-        b = P2Quantile(0.9)
         for v in data[:250]:
             a.add(float(v))
-        state = pickle.loads(pickle.dumps(a.state_dict()))
-        b.load_state(state)
+        b = pickle.loads(pickle.dumps(a))
         for v in data[250:]:
             a.add(float(v))
             b.add(float(v))
         assert a.value() == b.value()
-        assert a.state_dict() == b.state_dict()
+        assert vars(a) == vars(b)
 
     def test_rejects_degenerate_quantile(self):
         with pytest.raises(ValueError):
@@ -476,10 +523,13 @@ class TestReservoirSample:
         res = ReservoirSample(8, np.random.default_rng(3))
         for v in range(20):
             res.add(float(v))
-        clone = ReservoirSample(8, np.random.default_rng(99))
-        clone.load_state(pickle.loads(pickle.dumps(res.state_dict())))
+        clone = pickle.loads(pickle.dumps(res))
         assert clone.items == res.items
         assert clone.seen == res.seen
+        for v in range(20, 60):     # the pickled RNG keeps replacements aligned
+            res.add(float(v))
+            clone.add(float(v))
+        assert clone.items == res.items
 
     def test_rejects_empty_capacity(self):
         with pytest.raises(ValueError):
