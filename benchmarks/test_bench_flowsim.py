@@ -45,7 +45,9 @@ from repro.experiments.simcommon import StackCell, build_stack, simulate_stack_m
 from repro.kernels.cache import GraphKernels, PathCache, fingerprint_edges
 from repro.kernels.csr import CSRGraph
 from repro.kernels.dirtyregion import faulted_kernels
+from repro.sim.engine import FlowEngine
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
+from repro.sim.reference import FlowLevelSimulator
 from repro.traffic.flows import Flow, Workload, poisson_workload, uniform_size_workload
 from repro.traffic.patterns import incast_pattern, random_permutation
 
@@ -95,11 +97,15 @@ def fig02_workload(kgraph):
     return uniform_size_workload(pattern, 256 * KIB), mapping
 
 
+#: The two implementations, by the names the benchmark rows use.
+_SIMULATORS = {"reference": FlowLevelSimulator, "engine": FlowEngine}
+
+
 def _run(kgraph, workload, mapping, engine):
     stack = build_stack(kgraph, "fatpaths", seed=0, num_layers=4)
-    return simulate_workload(kgraph, stack.routing, workload, selector=stack.selector,
-                             transport=stack.transport, mapping=mapping, seed=0,
-                             engine=engine)
+    sim = _SIMULATORS[engine](kgraph, stack.routing, selector=stack.selector,
+                              transport=stack.transport, seed=0)
+    return sim.run(workload, mapping=mapping)
 
 
 def test_bench_flowsim_reference_scalar(benchmark, kgraph, fig02_workload):

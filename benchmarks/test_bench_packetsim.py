@@ -23,7 +23,8 @@ import time
 import pytest
 
 from repro.experiments.simcommon import build_stack
-from repro.sim.packetsim import simulate_packets
+from repro.sim.packetengine import PacketEngine
+from repro.sim.packetsim_reference import PacketLevelSimulator
 from repro.traffic.flows import Flow, Workload
 
 KIB = 1024
@@ -43,6 +44,9 @@ _PACKET_SPEEDUP_FLOOR = 2.0
 _INCAST_SHAPE = {"tiny": (32, 512 * KIB), "small": (64, 2 * MIB),
                  "medium": (64, 2 * MIB)}
 
+#: The two implementations, by the names the benchmark rows use.
+_SIMULATORS = {"reference": PacketLevelSimulator, "engine": PacketEngine}
+
 
 @pytest.fixture(scope="module")
 def incast_workload(kgraph, scale):
@@ -55,9 +59,9 @@ def incast_workload(kgraph, scale):
 
 def _run(kgraph, workload, engine):
     stack = build_stack(kgraph, "fatpaths", seed=0)
-    return simulate_packets(kgraph, stack.routing, workload,
-                            selector=stack.selector, transport=stack.transport,
-                            seed=0, engine=engine)
+    sim = _SIMULATORS[engine](kgraph, stack.routing, selector=stack.selector,
+                              transport=stack.transport, seed=0)
+    return sim.run(workload)
 
 
 def test_bench_packetsim_reference_scalar(benchmark, kgraph, incast_workload):

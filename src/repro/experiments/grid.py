@@ -26,11 +26,10 @@ whole sweep.
 from __future__ import annotations
 
 import copy
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.experiments.common import ExperimentResult, Scale, run_experiment
+from repro.experiments.common import ExperimentResult, Scale
 
 
 def splittable_families(experiment: str) -> Optional[Tuple[str, ...]]:
@@ -133,25 +132,8 @@ def split_heavy_cells(cells: Iterable[GridCell]) -> List[GridCell]:
     return out
 
 
-def _run_cell(cell: GridCell) -> GridCellResult:
-    """Execute one cell (module-level so worker processes can import it)."""
-    import time
-    import traceback
-
-    start = time.perf_counter()
-    try:
-        result = run_experiment(cell.name, scale=cell.scale, seed=cell.seed,
-                                **dict(cell.kwargs))
-        return GridCellResult(cell=cell, result=result,
-                              elapsed_seconds=time.perf_counter() - start)
-    except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return GridCellResult(cell=cell, error=f"{type(exc).__name__}: {exc}",
-                              traceback=traceback.format_exc(), outcome="failed",
-                              elapsed_seconds=time.perf_counter() - start)
-
-
 def run_experiment_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *,
-                        executor: str = "resilient", policy=None, timeout=None,
+                        policy=None, timeout=None,
                         journal: Optional[str] = None, resume: bool = False,
                         chaos=None) -> List[GridCellResult]:
     """Run all cells, serially or across ``jobs`` worker processes.
@@ -160,31 +142,15 @@ def run_experiment_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *
     ``0`` or ``1`` runs serially in-process; higher values fan cells out over a
     process pool (one path cache per worker).
 
-    The default ``executor="resilient"`` dispatches through
-    :func:`repro.experiments.resilient.run_resilient_grid`: the sweep survives
-    worker crashes and hangs, transient errors retry with backoff, and a
-    ``journal`` path (with ``resume=True``) skips already-completed cells —
-    see ``docs/resilience.md``.  ``executor="plain"`` keeps the bare
-    ``pool.map`` (one crashed worker aborts the sweep); it exists as the
-    overhead baseline for the executor benchmark and accepts none of the
-    resilience options.
+    Dispatch goes through :func:`repro.experiments.resilient.run_resilient_grid`:
+    the sweep survives worker crashes and hangs, transient errors retry with
+    backoff, and a ``journal`` path (with ``resume=True``) skips already-completed
+    cells — see ``docs/resilience.md``.
     """
-    if executor == "resilient":
-        from repro.experiments.resilient import run_resilient_grid
+    from repro.experiments.resilient import run_resilient_grid
 
-        return run_resilient_grid(cells, jobs=jobs, policy=policy, timeout=timeout,
-                                  journal=journal, resume=resume, chaos=chaos)
-    if executor != "plain":
-        raise ValueError(f"unknown executor {executor!r}; use 'resilient' or 'plain'")
-    if policy is not None or timeout is not None or journal is not None \
-            or resume or chaos is not None:
-        raise ValueError("the plain executor accepts no resilience options")
-    cell_list = list(cells)
-    if jobs is None or jobs <= 1 or len(cell_list) <= 1:
-        return [_run_cell(cell) for cell in cell_list]
-    workers = min(jobs, len(cell_list))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_cell, cell_list))
+    return run_resilient_grid(cells, jobs=jobs, policy=policy, timeout=timeout,
+                              journal=journal, resume=resume, chaos=chaos)
 
 
 def combine_cell_results(results: Iterable[GridCellResult]) -> List[ExperimentResult]:

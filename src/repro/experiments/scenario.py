@@ -215,8 +215,6 @@ class ScenarioSpec:
     notes: Tuple[str, ...] = ()
     #: Columns every result row must carry (rows may add more, e.g. histogram bins).
     base_columns: Tuple[str, ...] = ()
-    #: Simulation engine for SimSweep units ("engine" or "reference").
-    engine: str = "engine"
 
     @property
     def splittable(self) -> bool:
@@ -317,8 +315,7 @@ def run_scenario(spec: ScenarioSpec, scale: Scale | str = Scale.TINY, seed: int 
     units = spec.plan(ctx) if selected is None or selected else ()
     for unit in units:
         if isinstance(unit, SimSweep):
-            results = simulate_stack_many(unit.topology, unit.cells,
-                                          engine=spec.engine)
+            results = simulate_stack_many(unit.topology, unit.cells)
             for row in unit.aggregate(results):
                 rows.append(_check_row(spec, row))
         else:

@@ -109,11 +109,11 @@ def build_stack(topology: Topology, stack: str, seed: int = 0,
 def simulate_stack(topology: Topology, stack: Stack, workload: Workload,
                    mapping: Optional[Sequence[int]] = None,
                    config: Optional[FlowSimConfig] = None, seed: int = 0,
-                   drop_warmup: bool = False, engine: str = "engine") -> SimulationResult:
+                   drop_warmup: bool = False) -> SimulationResult:
     """Run one workload under one stack with the flow-level simulator."""
     return simulate_workload(topology, stack.routing, workload, selector=stack.selector,
                              transport=stack.transport, config=config, mapping=mapping,
-                             seed=seed, drop_warmup=drop_warmup, engine=engine)
+                             seed=seed, drop_warmup=drop_warmup)
 
 
 @dataclass
@@ -129,8 +129,8 @@ class StackCell:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-def simulate_stack_many(topology: Topology, cells: Sequence[StackCell],
-                        engine: str = "engine") -> List[SimulationResult]:
+def simulate_stack_many(topology: Topology,
+                        cells: Sequence[StackCell]) -> List[SimulationResult]:
     """Simulate many (stack, workload) cells on one topology through the batched engine.
 
     Cells run in order (identical to the equivalent sequence of
@@ -145,7 +145,7 @@ def simulate_stack_many(topology: Topology, cells: Sequence[StackCell],
                          mapping=cell.mapping, seed=cell.seed,
                          drop_warmup=cell.drop_warmup)
                  for cell in cells]
-    return simulate_many(sim_cells, engine=engine)
+    return simulate_many(sim_cells)
 
 
 def grouped_baseline_rows(cells: Sequence[StackCell],

@@ -6,20 +6,21 @@
   routed over candidate paths (FatPaths layers, ECMP paths, ...), share link bandwidth
   max-min fairly, and may switch paths at flowlet boundaries or on congestion.  It
   substitutes for the paper's htsim/OMNeT++ packet simulations (see DESIGN.md) and
-  dispatches between the two implementations below.
-* :mod:`repro.sim.engine` — the vectorized structure-of-arrays engine (default):
+  runs on the engine below.
+* :mod:`repro.sim.engine` — the vectorized structure-of-arrays engine:
   pooled incidence, batched per-event sweeps, and the :func:`~repro.sim.engine.simulate_many`
   batched multi-cell API the simulation experiments run on.
 * :mod:`repro.sim.allocstate` — the engine's persistent allocation state: the pooled
   flow/link incidence amended O(delta) per event, plus the opt-in dirty-component
   incremental allocator (``FlowSimConfig(allocator="incremental")``).
 * :mod:`repro.sim.reference` — the original scalar event loop, preserved as the
-  behavioural specification the engine is pinned against.
+  behavioural specification the engine is pinned against; tests run it by
+  constructing :class:`FlowLevelSimulator`.
 * :mod:`repro.sim.packetsim` — the packet-level simulation entry point: output queues,
   NDP-style payload trimming and receiver-driven pulls, exercising the purified
-  transport mechanics directly.  Dispatches between the vectorized
-  :mod:`repro.sim.packetengine` (default) and the scalar
-  :mod:`repro.sim.packetsim_reference` it is pinned against.
+  transport mechanics directly.  Runs the vectorized :mod:`repro.sim.packetengine`,
+  which is pinned against the scalar :mod:`repro.sim.packetsim_reference` and replays
+  a run on it when the run exceeds ``max_events``.
 * :mod:`repro.sim.stream` — the streaming service layer over the flow engine:
   open-ended arrival streams with bounded memory (periodic slot/pool/bank
   compaction), checkpoint/restore, and windowed steady-state metrics
@@ -42,7 +43,6 @@ from repro.sim.flowsim import (
 )
 from repro.sim.metrics import FlowRecord, SimulationResult, summarize_flows
 from repro.sim.packetsim import (
-    PACKET_ENGINES,
     PacketEngine,
     PacketLevelSimulator,
     PacketSimConfig,
@@ -64,7 +64,6 @@ __all__ = [
     "FlowRecord",
     "SimulationResult",
     "summarize_flows",
-    "PACKET_ENGINES",
     "PacketEngine",
     "PacketSimConfig",
     "PacketLevelSimulator",

@@ -21,9 +21,11 @@ What changes relative to the reference:
   (:func:`repro.sim.allocstate._progressive_fill`) — no per-event ``scipy.sparse``
   matrix construction.  ``FlowSimConfig(allocator="incremental")`` additionally
   enables dirty-component refiltering: only the incidence components an event
-  touched are refilled, untouched components keep their cached rates (max-min
-  exact; float accumulation order differs from the reference, hence opt-in — see
-  :mod:`repro.sim.allocstate`).
+  touched are refilled, untouched components keep their cached rates (see
+  :mod:`repro.sim.allocstate`); ``allocator="bottleneck"`` refills only the region
+  downstream of the event in the cached bottleneck structure (see
+  :mod:`repro.sim.bottleneck`).  Both are max-min exact, but their float
+  accumulation order differs from the reference, hence opt-in.
 * **Batched path-switch evaluation** — flowlet/congestion switch *eligibility* is one
   boolean mask over the active set (segmented maxima of link utilisation over each
   flow's current path), and the eligible flows go through one batched selector call
@@ -44,7 +46,9 @@ equivalence.  The argmin is a single vectorized op and is never the bottleneck.
 
 :func:`simulate_many` is the batched entry point used by the simulation experiments
 (Figures 2, 12, 14, 15, 16, 20): it runs a list of :class:`SimCell` cells in order,
-sharing link spaces and candidate banks across cells.
+sharing link spaces and candidate banks across cells.  To run the scalar reference
+instead, construct :class:`~repro.sim.reference.FlowLevelSimulator` directly, as the
+equivalence tests do.
 """
 
 from __future__ import annotations
@@ -62,13 +66,9 @@ from repro.kernels.dirtyregion import faulted_kernels
 from repro.sim.allocstate import AllocationState, _progressive_fill, make_allocator  # noqa: F401  (re-export)
 from repro.sim.faults import detour_router_path
 from repro.sim.metrics import FlowRecord, SimulationResult
-from repro.sim.reference import FlowLevelSimulator
 from repro.sim.simconfig import FlowSimConfig
 from repro.topologies.base import Topology
 from repro.traffic.flows import Workload
-
-#: Engine names accepted by the dispatching entry points.
-ENGINES = ("engine", "reference")
 
 
 # ------------------------------------------------------------------- link space
@@ -1048,13 +1048,11 @@ class FlowEngine:
         self.selector = selector if selector is not None else FlowletSelector(seed=seed)
         self.transport = transport or ndp_transport()
         self.config = config or FlowSimConfig()
-        self.rng = np.random.default_rng(seed)
         self.links = link_space_for(topology)
         self.bank = candidate_bank_for(routing, self.links)
         self.num_links = self.links.num_links
         rate_bytes = self.config.link_rate_bps / 8.0
         self.capacities = np.full(self.num_links, rate_bytes)
-        self._link_util = np.zeros(self.num_links)
 
     # -------------------------------------------------------------------- run
     def run(self, workload: Workload, mapping: Optional[Sequence[int]] = None) -> SimulationResult:
@@ -1079,7 +1077,6 @@ class FlowEngine:
         for a in core.active:
             records.append(core.drain_record(int(a)))
         records.sort(key=lambda r: r.flow_id)
-        self._link_util = core.alloc.link_util
         return SimulationResult(records=records, name=workload.name, meta=core.meta())
 
 
@@ -1100,7 +1097,7 @@ class SimCell:
     meta: Dict[str, object] = field(default_factory=dict)
 
 
-def simulate_many(cells: Sequence[SimCell], engine: str = "engine") -> List[SimulationResult]:
+def simulate_many(cells: Sequence[SimCell]) -> List[SimulationResult]:
     """Run many simulation cells in order, sharing setup across them.
 
     Cells are executed sequentially (so stateful selectors shared between cells
@@ -1111,17 +1108,11 @@ def simulate_many(cells: Sequence[SimCell], engine: str = "engine") -> List[Simu
     through the pooled :class:`CandidateBank`.  This is the entry point the
     simulation-backed experiments (Figures 2, 12, 14, 15, 16, 20) sweep their
     (stack, workload, seed) grids through.
-
-    ``engine="reference"`` runs every cell on the scalar reference simulator instead
-    (the same escape hatch :func:`repro.sim.flowsim.simulate_workload` offers).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; available: {ENGINES}")
     results: List[SimulationResult] = []
     for cell in cells:
-        sim_cls = FlowEngine if engine == "engine" else FlowLevelSimulator
-        sim = sim_cls(cell.topology, cell.routing, selector=cell.selector,
-                      transport=cell.transport, config=cell.config, seed=cell.seed)
+        sim = FlowEngine(cell.topology, cell.routing, selector=cell.selector,
+                         transport=cell.transport, config=cell.config, seed=cell.seed)
         result = sim.run(cell.workload, mapping=cell.mapping)
         if cell.drop_warmup:
             result = result.warmup_filtered()

@@ -18,19 +18,21 @@ and transport differences — at a scale a pure-Python reproduction can run.
 
 Two implementations provide these semantics:
 
-* :mod:`repro.sim.engine` — the vectorized structure-of-arrays engine (the default);
+* :mod:`repro.sim.engine` — the vectorized structure-of-arrays engine, which
+  :func:`simulate_workload` and the batched :func:`repro.sim.engine.simulate_many`
+  run;
 * :mod:`repro.sim.reference` — the original scalar event loop, preserved as the
   behavioural specification (``tests/sim/test_engine_equivalence.py`` pins the engine
-  to it record-for-record).
+  to it record-for-record).  To run it, construct :class:`FlowLevelSimulator`
+  directly.
 
-:func:`simulate_workload` dispatches between them via its ``engine`` parameter
-(``"engine"`` by default, ``"reference"`` as the escape hatch); batched sweeps should
-use :func:`repro.sim.engine.simulate_many`.  Orthogonally,
 ``FlowSimConfig(allocator=...)`` selects the engine's *rate allocator*: ``"full"``
 (default, bit-identical to the reference) refills every active flow each event over
 the persistent incidence, ``"incremental"`` refills only the incidence components
-the event touched (:mod:`repro.sim.allocstate`; engine-only — the reference rejects
-it).
+the event touched (:mod:`repro.sim.allocstate`), and ``"bottleneck"`` refills only
+the region downstream of the event in the cached bottleneck structure
+(:mod:`repro.sim.bottleneck`).  The last two are engine-only: the reference rejects
+them.
 
 Dynamic topologies: ``FlowSimConfig(faults=FaultSchedule(...))`` injects link/switch
 failure and recovery events mid-run (:mod:`repro.sim.faults`; walkthrough in
@@ -45,7 +47,7 @@ from typing import Optional, Sequence
 
 from repro.core.loadbalance import PathSelector
 from repro.core.transport import TransportModel
-from repro.sim.engine import ENGINES, FlowEngine, SimCell, simulate_many
+from repro.sim.engine import FlowEngine, SimCell, simulate_many
 from repro.sim.faults import FaultEvent, FaultSchedule, sample_link_faults
 from repro.sim.metrics import SimulationResult
 from repro.sim.reference import FlowLevelSimulator
@@ -56,7 +58,6 @@ from repro.traffic.flows import Workload
 
 __all__ = [
     "ALLOCATORS",
-    "ENGINES",
     "FaultEvent",
     "FaultSchedule",
     "FlowEngine",
@@ -76,22 +77,14 @@ def simulate_workload(topology: Topology, routing, workload: Workload,
                       transport: Optional[TransportModel] = None,
                       config: Optional[FlowSimConfig] = None,
                       mapping: Optional[Sequence[int]] = None,
-                      seed: int = 0, drop_warmup: bool = False,
-                      engine: str = "engine") -> SimulationResult:
-    """Build a simulator, run one workload, optionally drop warm-up.
+                      seed: int = 0, drop_warmup: bool = False) -> SimulationResult:
+    """Run one workload on a :class:`~repro.sim.engine.FlowEngine`, optionally drop warm-up.
 
-    ``engine`` selects the implementation: ``"engine"`` (default) runs the vectorized
-    :class:`~repro.sim.engine.FlowEngine`, ``"reference"`` the scalar
-    :class:`~repro.sim.reference.FlowLevelSimulator`.  Both produce identical records.
     ``config.allocator`` selects the engine's rate allocator (``"full"`` stays
-    record-for-record identical to the reference; ``"incremental"`` is the
-    dirty-component refiltering opt-in, rejected by ``engine="reference"``).
+    record-for-record identical to the scalar reference).
     """
-    if engine not in ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; available: {ENGINES}")
-    sim_cls = FlowEngine if engine == "engine" else FlowLevelSimulator
-    sim = sim_cls(topology, routing, selector=selector, transport=transport,
-                  config=config, seed=seed)
+    sim = FlowEngine(topology, routing, selector=selector, transport=transport,
+                     config=config, seed=seed)
     result = sim.run(workload, mapping=mapping)
     if drop_warmup:
         result = result.warmup_filtered()

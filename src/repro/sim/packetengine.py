@@ -14,22 +14,22 @@ architecture of :mod:`repro.sim.engine`:
   ``GraphKernels`` entry via ``aux``) and candidate router paths from the pooled
   :func:`repro.sim.engine.candidate_bank_for` — both shared with the flow engine
   and across runs, so repeated simulator construction stops re-resolving routing.
-* **Batched event extraction.**  Events are 5-tuples ``(time, counter, kind, a,
-  b)`` with integer kinds dispatched inline (no string compares, no per-event
-  method calls).  The fast loop (:meth:`_run_fast`) exploits that three event
-  classes are *monotone* in (time, counter) — sender hops fire at ``now + host``,
-  deliveries at ``now``, timeouts at ``now + rto`` with constant offsets over a
-  nondecreasing clock — so they live in O(1) FIFO deques instead of the heap,
-  merged with the remaining heap events (flow starts, per-link hop arrivals,
-  ACK/NACKs) by a head comparison per pop.  Dequeue events, which only ever
-  decrement a link's queue occupancy, are not scheduled at all: each link keeps a
-  FIFO of (time, counter) drains that is applied *lazily* right before the next
-  admission check reads that link's occupancy, and flushed in bulk at the end of
-  the run.  A ``max_events`` truncation is detected by the push counter crossing
-  the budget; the run then restarts under :meth:`_run_strict` — the original
-  single-heap loop, preserved verbatim as the in-engine shadow of the reference —
-  with the selector RNG rewound, because truncation semantics depend on the exact
-  pop sequence.
+* **Batched event extraction.**  Events are tuples ``(time, counter, kind, slot)``
+  with integer kinds dispatched inline (no string compares, no per-event method
+  calls).  Three event classes are *monotone* in (time, counter) — sender
+  hops fire at ``now + host``, deliveries at ``now``, timeouts at ``now + rto``
+  with constant offsets over a nondecreasing clock — so they live in O(1) FIFO
+  deques instead of the heap, merged with the remaining heap events (flow starts,
+  per-link hop arrivals, ACK/NACKs) by a head comparison per pop.  Dequeue events,
+  which only ever decrement a link's queue occupancy, are not scheduled at all:
+  each link keeps a FIFO of (time, counter) drains that is applied *lazily* right
+  before the next admission check reads that link's occupancy, and flushed in bulk
+  at the end of the run.
+* **Truncation replays on the reference.**  A ``max_events`` budget truncates the
+  reference after an exact number of *pops*, dequeues included, which the lazy
+  drains never surface.  The loop detects the push counter crossing the budget,
+  rewinds the selector RNG and the trace, and the run is replayed on the scalar
+  :class:`~repro.sim.packetsim_reference.PacketLevelSimulator` over the same stack.
 * **Selector calls through** :meth:`~repro.core.loadbalance.PathSelector.next_path_batch`
   with exact per-flow RNG replay: flowlet-boundary switches pass an all-zero load
   row (≡ the reference's ``congestion=None``) and NACK-triggered layer changes a
@@ -63,13 +63,14 @@ from repro.core.loadbalance import FlowletSelector, PathSelector
 from repro.core.transport import TransportModel, ndp_transport
 from repro.sim.engine import candidate_bank_for, link_space_for
 from repro.sim.metrics import FlowRecord, SimulationResult
+from repro.sim.packetsim_reference import PacketLevelSimulator
 from repro.sim.simconfig import PacketSimConfig
 from repro.topologies.base import Topology
 from repro.traffic.flows import Workload
 
-# Integer event kinds (heap entries are (time, counter, kind, a, b); the unique
+# Integer event kinds (entries are (time, counter, kind, slot); the unique
 # counter tie-breaks equal times, so kinds are never compared).
-_START, _HOP, _DELIVERED, _ACK, _NACK, _TIMEOUT, _DEQ = range(7)
+_START, _HOP, _DELIVERED, _ACK, _NACK, _TIMEOUT = range(6)
 
 #: Head sentinel for the fast loop's queue merge: later than any real event.
 _NEVER = (float("inf"), -1, 0, 0, 0)
@@ -91,7 +92,6 @@ class PacketEngine:
         self.selector = selector if selector is not None else FlowletSelector(seed=seed)
         self.transport = transport or ndp_transport()
         self.config = config or PacketSimConfig()
-        self.rng = np.random.default_rng(seed)
         self.links = link_space_for(topology)
         self.bank = candidate_bank_for(routing, self.links)
         #: Optional serialisation trace hook: set to a list to record
@@ -101,25 +101,27 @@ class PacketEngine:
         self.last_stats: Optional[dict] = None
         #: Post-run per-link end state (next_free/queued/trims/drops lists).
         self.final_link_state: Optional[dict] = None
-        # (n_arr, lengths_row, loads_row, n) selector batch rows per candidate entry
-        self._sel_rows: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray, int]] = {}
+        # (n_arr, lengths_row, n) selector batch rows per candidate entry
+        self._sel_rows: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
 
     # -------------------------------------------------------------------- run
     def run(self, workload: Workload) -> SimulationResult:
         """Simulate ``workload`` packet by packet; records match the scalar reference.
 
-        Runs the deque-merged fast loop; if the event budget (``max_events``) is
-        exceeded — which the fast loop cannot truncate exactly, because lazily
-        applied dequeues never surface as pops — the selector RNG is rewound to
-        this call's entry state and the run repeats under the strict single-heap
-        loop, which reproduces the reference's truncation pop-for-pop.
+        Runs the deque-merged fast loop.  If the event budget (``max_events``) is
+        exceeded, which the fast loop cannot truncate exactly because lazily
+        applied dequeues never surface as pops, the selector RNG and the trace are
+        rewound to this call's entry state and the run is replayed on the scalar
+        reference, which truncates pop for pop.
 
         Besides the :class:`~repro.sim.metrics.SimulationResult`, the run leaves
-        ``self.last_stats`` holding invariant counters the scalar loop never
-        tracked: the high-water queue occupancy over non-priority admissions
-        (``max_queued``), the number of priority enqueues past a full queue
-        (``priority_bypass``) and the per-flow in-flight high-water marks
-        (``max_in_flight``).
+        ``self.final_link_state`` (per-link ``next_free``/``queued``/``trims``/
+        ``drops`` lists) and ``self.last_stats``: invariant counters the scalar
+        loop never tracked — the high-water queue occupancy over non-priority
+        admissions (``max_queued``), the number of priority enqueues past a full
+        queue (``priority_bypass``) and the per-flow in-flight high-water marks
+        (``max_in_flight``).  A replayed run leaves ``last_stats`` as ``None``
+        and no trace entries.
         """
         rng = getattr(self.selector, "_rng", None)
         rng_state = rng.bit_generator.state if rng is not None else None
@@ -131,15 +133,21 @@ class PacketEngine:
                 rng.bit_generator.state = rng_state
             if self.trace is not None:
                 del self.trace[trace_len:]
-            return self._run_strict(workload)
+        reference = PacketLevelSimulator(self.topology, self.routing,
+                                         selector=self.selector,
+                                         transport=self.transport, config=self.config)
+        result = reference.run(workload)
+        links = reference.links
+        self.last_stats = None
+        self.final_link_state = {"next_free": [link.next_free for link in links],
+                                 "queued": [link.queued for link in links],
+                                 "trims": [link.trims for link in links],
+                                 "drops": [link.drops for link in links]}
+        return result
 
-    # -------------------------------------------------- shared setup helpers
-    def _setup(self, workload: Workload, slim: bool = False):
-        """Common SoA setup: flow state, start events and the resolved candidate pool.
-
-        ``slim=True`` pushes 4-tuple start events (time, counter, kind, flow) for
-        the fast loop; the strict loop keeps the uniform 5-tuple layout.
-        """
+    # ------------------------------------------------------------------ setup
+    def _setup(self, workload: Workload):
+        """SoA setup: flow state, start events and the resolved candidate pool."""
         cfg = self.config
         topology = self.topology
         routing = self.routing
@@ -158,7 +166,7 @@ class PacketEngine:
         f_entry = []                       # pooled CandidateEntry per flow
         f_path = [0] * nflows              # current candidate index
         f_idarr: List[np.ndarray] = []     # single-row flow-id array for batch calls
-        events: List[Tuple[float, int, int, int, int]] = []
+        events: List[Tuple[float, int, int, int]] = []
         counter = 0
         for fs, flow in enumerate(flows_list):
             rs = topology.router_of_endpoint(flow.source)
@@ -168,38 +176,12 @@ class PacketEngine:
             f_path[fs] = selector.initial_path(flow.flow_id, entry.num_candidates,
                                                path_lengths=entry.lengths)
             f_idarr.append(np.array([flow.flow_id], dtype=np.int64))
-            if slim:
-                heapq.heappush(events, (flow.start_time, counter, _START, fs))
-            else:
-                heapq.heappush(events, (flow.start_time, counter, _START, fs, 0))
+            heapq.heappush(events, (flow.start_time, counter, _START, fs))
             counter += 1
         # bind the candidate pool only now: resolving entries above may have grown
         # (reallocated) the bank's backing array
         pool = bank.pool
         return flows_list, totals, f_entry, f_path, f_idarr, events, counter, pool
-
-    def _pick_next(self, fs: int, congested: bool, f_entry, f_path, f_idarr,
-                   cur_buf: np.ndarray) -> int:
-        """One single-row ``next_path_batch`` call (RNG ≡ a scalar ``next_path``)."""
-        entry = f_entry[fs]
-        sel_rows = self._sel_rows
-        rows = sel_rows.get(id(entry))
-        if rows is None:
-            n = entry.num_candidates
-            rows = (np.array([n], dtype=np.int64),
-                    np.asarray([entry.lengths], dtype=np.float64),
-                    np.zeros((1, n)), n)
-            sel_rows[id(entry)] = rows
-        n_arr, lens_row, loads_row, _ = rows
-        cur = f_path[fs]
-        if congested:
-            loads_row[0, cur] = 1.0
-        cur_buf[0] = cur
-        new = int(self.selector.next_path_batch(f_idarr[fs], cur_buf, n_arr,
-                                                loads_row, lens_row)[0])
-        if congested:
-            loads_row[0, cur] = 0.0
-        return new
 
     # --------------------------------------------------------- the fast loop
     def _run_fast(self, workload: Workload) -> SimulationResult:
@@ -237,7 +219,7 @@ class PacketEngine:
         link_deq: List[deque] = [deque() for _ in range(num_links)]
 
         (flows_list, totals, f_entry, f_path, f_idarr,
-         events, counter, pool) = self._setup(workload, slim=True)
+         events, counter, pool) = self._setup(workload)
         nflows = len(flows_list)
         f_total: List[int] = totals.tolist()
         f_next = [0] * nflows
@@ -277,11 +259,10 @@ class PacketEngine:
             if rows is None:
                 n = entry.num_candidates
                 rows = (np.array([n], dtype=np.int64),
-                        np.asarray([entry.lengths], dtype=np.float64),
-                        np.zeros((1, n)), n)
+                        np.asarray([entry.lengths], dtype=np.float64), n)
                 sel_rows[id(entry)] = rows
             f_rows.append(rows)
-            n = rows[3]
+            n = rows[2]
             if n > max_n:
                 max_n = n
             if n not in zero_tab:
@@ -297,7 +278,7 @@ class PacketEngine:
 
         # monotone event sources: appended at nondecreasing (time, counter), so a
         # FIFO deque keeps them sorted without heap discipline.  Heap/send/deliver
-        # entries are slim 4-tuples (time, counter, kind, slot); timeouts keep a
+        # entries are 4-tuples (time, counter, kind, slot); timeouts keep a
         # 5th element (the sequence number) but are dispatched straight off their
         # own source, so the shared unpack below never sees them.
         send_q: deque = deque()      # _HOP at now + host
@@ -330,7 +311,7 @@ class PacketEngine:
                 rows = f_rows[fs]
                 cur = f_path[fs]
                 new = int(npb(f_idarr[fs], cur_tab[cur], rows[0],
-                              zero_tab[rows[3]], rows[1])[0])
+                              zero_tab[rows[2]], rows[1])[0])
                 if new != cur:
                     f_path[fs] = new
                     f_switches[fs] += 1
@@ -426,7 +407,7 @@ class PacketEngine:
                     counter += 1
                     continue
                 li = pkt[3][hop]
-                # lazily apply the drains the strict loop would have popped by
+                # lazily apply the drains the reference would have popped by
                 # now; decrements never outnumber prior enqueues, so no floor
                 ld = link_deq[li]
                 queued = link_queued[li]
@@ -507,7 +488,7 @@ class PacketEngine:
                     rows = f_rows[fs]
                     cur = f_path[fs]
                     new = int(npb(f_idarr[fs], cur_tab[cur], rows[0],
-                                  hot_tab[rows[3]][cur], rows[1])[0])
+                                  hot_tab[rows[2]][cur], rows[1])[0])
                     if new != cur:
                         f_path[fs] = new
                         f_switches[fs] += 1
@@ -527,7 +508,7 @@ class PacketEngine:
                 link_queued[li] = queued if queued > 0 else 0
 
         # the last event is never a drain (its sibling hop arrival lands strictly
-        # later), so `now` and the pop count match the strict loop's final state
+        # later), so `now` and the pop count match the reference's final state
         records = []
         for fs, flow in enumerate(flows_list):
             done = f_done[fs]
@@ -547,262 +528,5 @@ class PacketEngine:
                                 meta={"topology": topology.name,
                                       "transport": self.transport.name,
                                       "events": counter,
-                                      "total_trims": sum(link_trims),
-                                      "total_drops": sum(link_drops)})
-
-    # ------------------------------------------------------- the strict loop
-    def _run_strict(self, workload: Workload) -> SimulationResult:
-        """Single-heap event loop: every event scheduled and popped individually.
-
-        This is the engine's in-representation shadow of the reference loop — the
-        ``max_events`` fallback (its pop count truncates exactly like the
-        reference's) and the debugging baseline for :meth:`_run_fast`.
-        """
-        cfg = self.config
-        selector = self.selector
-        space = self.links
-        topology = self.topology
-
-        header_preserving = self.transport.header_preserving
-        rate_bytes = cfg.link_rate_bps / 8.0
-        full_ser = cfg.packet_bytes / rate_bytes
-        hdr_ser = cfg.header_bytes / rate_bytes
-        per_hop = cfg.per_hop_latency
-        host = cfg.host_latency
-        rto = cfg.rto
-        window = cfg.window_packets
-        queue_limit = cfg.queue_packets
-        flowlet_packets = cfg.flowlet_packets
-        inject_base = space.inject_base
-        eject_base = space.eject_base
-
-        num_links = space.num_links
-        link_free = [0.0] * num_links
-        link_queued = [0] * num_links
-        link_trims = [0] * num_links
-        link_drops = [0] * num_links
-
-        (flows_list, totals, f_entry, f_path, f_idarr,
-         events, counter, pool) = self._setup(workload)
-        nflows = len(flows_list)
-        f_total: List[int] = totals.tolist()
-        f_next = [0] * nflows
-        f_inflight = [0] * nflows
-        f_maxin = [0] * nflows
-        f_acked: List[set] = [set() for _ in range(nflows)]
-        f_flowlet = [0] * nflows
-        f_switches = [0] * nflows
-        f_trims = [0] * nflows
-        f_drops = [0] * nflows
-        f_done: List[Optional[float]] = [None] * nflows
-        f_pcache: List[dict] = [{} for _ in range(nflows)]
-
-        p_flow: List[int] = []
-        p_seq: List[int] = []
-        p_hop: List[int] = []
-        p_trim: List[bool] = []
-        p_retx: List[bool] = []
-        p_path: List[List[int]] = []
-        p_rtt: List[float] = []
-        p_deliver: List[float] = []
-
-        stats = {"max_queued": 0, "priority_bypass": 0, "max_in_flight": f_maxin}
-        cur_buf = np.zeros(1, dtype=np.int64)
-        pick_next = self._pick_next
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-
-        def full_path(fs: int, cand: int) -> Tuple[List[int], float]:
-            """Resolved full link path + return latency of one (flow, candidate)."""
-            cache = f_pcache[fs]
-            got = cache.get(cand)
-            if got is None:
-                entry = f_entry[fs]
-                s = int(entry.seg_start[cand])
-                length = int(entry.seg_len[cand])
-                flow = flows_list[fs]
-                path = ([inject_base + flow.source]
-                        + pool[s:s + length].tolist()
-                        + [eject_base + flow.destination])
-                got = (path, len(path) * per_hop + host)
-                cache[cand] = got
-            return got
-
-        def send(now: float, fs: int, seq: int, retransmit: bool) -> None:
-            """Transmit one packet (flowlet accounting first, as in the reference)."""
-            nonlocal counter
-            f_flowlet[fs] += 1
-            entry = f_entry[fs]
-            if f_flowlet[fs] > flowlet_packets and entry.num_candidates > 1:
-                new = pick_next(fs, False, f_entry, f_path, f_idarr, cur_buf)
-                if new != f_path[fs]:
-                    f_path[fs] = new
-                    f_switches[fs] += 1
-                f_flowlet[fs] = 0
-            path, rtt = full_path(fs, f_path[fs])
-            slot = len(p_flow)
-            p_flow.append(fs)
-            p_seq.append(seq)
-            p_hop.append(0)
-            p_trim.append(False)
-            p_retx.append(retransmit)
-            p_path.append(path)
-            p_rtt.append(rtt)
-            p_deliver.append(0.0)
-            infl = f_inflight[fs] + 1
-            f_inflight[fs] = infl
-            if infl > f_maxin[fs]:
-                f_maxin[fs] = infl
-            heappush(events, (now + host, counter, _HOP, slot, 0))
-            counter += 1
-            if not header_preserving and not retransmit:
-                heappush(events, (now + rto, counter, _TIMEOUT, fs, seq))
-                counter += 1
-
-        def send_new(now: float, fs: int) -> None:
-            """Transmit the next unsent sequence number, if any remain."""
-            seq = f_next[fs]
-            if seq >= f_total[fs]:
-                return
-            f_next[fs] = seq + 1
-            send(now, fs, seq, False)
-
-        # ------------------------------------------------------ the event loop
-        trace = self.trace
-        max_events = cfg.max_events
-        processed = 0
-        now = 0.0
-        while events and processed < max_events:
-            processed += 1
-            ev = heappop(events)
-            now = ev[0]
-            kind = ev[2]
-            a = ev[3]
-            if kind == _HOP:
-                path = p_path[a]
-                hop = p_hop[a]
-                if hop >= len(path):
-                    heappush(events, (now, counter, _DELIVERED, a, 0))
-                    counter += 1
-                    continue
-                li = path[hop]
-                trimmed = p_trim[a]
-                queued = link_queued[li]
-                if trimmed or (p_retx[a] and header_preserving):
-                    if queued >= queue_limit:
-                        stats["priority_bypass"] += 1
-                elif queued >= queue_limit:
-                    fs = p_flow[a]
-                    if header_preserving:
-                        # trim the payload; the header continues with priority
-                        link_trims[li] += 1
-                        f_trims[fs] += 1
-                        p_trim[a] = True
-                        trimmed = True
-                    else:
-                        # tail drop: the packet is lost, the sender's RTO recovers it
-                        link_drops[li] += 1
-                        f_drops[fs] += 1
-                        infl = f_inflight[fs]
-                        f_inflight[fs] = infl - 1 if infl > 0 else 0
-                        continue
-                else:
-                    queued_now = queued + 1
-                    if queued_now > stats["max_queued"]:
-                        stats["max_queued"] = queued_now
-                link_queued[li] = queued + 1
-                nf = link_free[li]
-                start = now if now > nf else nf
-                departure = start + (hdr_ser if trimmed else full_ser)
-                link_free[li] = departure
-                if trace is not None:
-                    trace.append((li, departure))
-                p_hop[a] = hop + 1
-                # queue occupancy decreases when serialization finishes
-                heappush(events, (departure, counter, _DEQ, li, 0))
-                counter += 1
-                heappush(events, (departure + per_hop, counter, _HOP, a, 0))
-                counter += 1
-            elif kind == _DEQ:
-                queued = link_queued[a]
-                link_queued[a] = queued - 1 if queued > 0 else 0
-                # batched drain: consecutive dequeues at the root skip the dispatcher
-                while processed < max_events and events and events[0][2] == _DEQ:
-                    ev = heappop(events)
-                    processed += 1
-                    now = ev[0]
-                    li = ev[3]
-                    queued = link_queued[li]
-                    link_queued[li] = queued - 1 if queued > 0 else 0
-            elif kind == _ACK:
-                fs = p_flow[a]
-                seq = p_seq[a]
-                acked = f_acked[fs]
-                if seq in acked:
-                    continue
-                acked.add(seq)
-                infl = f_inflight[fs]
-                infl = infl - 1 if infl > 0 else 0
-                f_inflight[fs] = infl
-                if len(acked) >= f_total[fs] and f_done[fs] is None:
-                    f_done[fs] = p_deliver[a] + host
-                    continue
-                if f_next[fs] < f_total[fs] and infl < window:
-                    send_new(now, fs)
-            elif kind == _DELIVERED:
-                if p_trim[a]:
-                    # receiver learned of the packet but not its payload: NACK
-                    heappush(events, (now + p_rtt[a], counter, _NACK, a, 0))
-                else:
-                    p_deliver[a] = now
-                    heappush(events, (now + p_rtt[a], counter, _ACK, a, 0))
-                counter += 1
-            elif kind == _NACK:
-                fs = p_flow[a]
-                seq = p_seq[a]
-                if seq in f_acked[fs]:
-                    continue
-                infl = f_inflight[fs]
-                f_inflight[fs] = infl - 1 if infl > 0 else 0
-                # FatPaths adaptivity: a trim signals congestion on the current
-                # layer; the retransmission asks the selector for another one.
-                if f_entry[fs].num_candidates > 1:
-                    new = pick_next(fs, True, f_entry, f_path, f_idarr, cur_buf)
-                    if new != f_path[fs]:
-                        f_path[fs] = new
-                        f_switches[fs] += 1
-                        f_flowlet[fs] = 0
-                send(now, fs, seq, True)
-            elif kind == _TIMEOUT:
-                fs = a
-                seq = ev[4]
-                if seq in f_acked[fs] or f_done[fs] is not None:
-                    continue
-                send(now, fs, seq, True)
-            elif kind == _START:
-                fs = a
-                total = f_total[fs]
-                for _ in range(window if window < total else total):
-                    send_new(now, fs)
-
-        # ----------------------------------------------------------- records
-        records = []
-        for fs, flow in enumerate(flows_list):
-            done = f_done[fs]
-            entry = f_entry[fs]
-            records.append(FlowRecord(
-                flow_id=flow.flow_id, source=flow.source, destination=flow.destination,
-                size_bytes=flow.size_bytes, start_time=flow.start_time,
-                completion_time=done if done is not None else now,
-                path_hops=entry.lengths[f_path[fs]],
-                num_path_switches=f_switches[fs],
-                congestion_events=f_trims[fs] + f_drops[fs]))
-        self.last_stats = stats
-        self.final_link_state = {"next_free": link_free, "queued": link_queued,
-                                 "trims": link_trims, "drops": link_drops}
-        return SimulationResult(records=records, name=workload.name,
-                                meta={"topology": topology.name,
-                                      "transport": self.transport.name,
-                                      "events": processed,
                                       "total_trims": sum(link_trims),
                                       "total_drops": sum(link_drops)})

@@ -8,19 +8,18 @@ selection with congestion-triggered layer changes.
 
 Two implementations provide these semantics:
 
-* :mod:`repro.sim.packetengine` — the vectorized structure-of-arrays engine (the
-  default), built on the flow engine's shared :class:`~repro.sim.engine.LinkSpace`
-  and pooled :class:`~repro.sim.engine.CandidateBank`;
+* :mod:`repro.sim.packetengine` — the vectorized structure-of-arrays engine, built
+  on the flow engine's shared :class:`~repro.sim.engine.LinkSpace` and pooled
+  :class:`~repro.sim.engine.CandidateBank`; :func:`simulate_packets` runs it;
 * :mod:`repro.sim.packetsim_reference` — the original scalar event loop, preserved
   verbatim as the behavioural specification
   (``tests/sim/test_packetengine_equivalence.py`` pins the engine to it
-  record-for-record, event trace included).
+  record-for-record, event trace included).  To run it, construct
+  :class:`PacketLevelSimulator` directly; the engine itself replays a run on it
+  when the run exceeds ``max_events``.
 
-:func:`simulate_packets` dispatches between them via its ``engine`` parameter
-(``"engine"`` by default, ``"reference"`` as the escape hatch), mirroring
-:func:`repro.sim.flowsim.simulate_workload`.  This module also re-exports
-:class:`PacketSimConfig` and :class:`PacketLevelSimulator` so existing imports keep
-working.
+This module also re-exports :class:`PacketSimConfig` and
+:class:`PacketLevelSimulator` so existing imports keep working.
 """
 
 from __future__ import annotations
@@ -37,32 +36,19 @@ from repro.topologies.base import Topology
 from repro.traffic.flows import Workload
 
 __all__ = [
-    "PACKET_ENGINES",
     "PacketEngine",
     "PacketLevelSimulator",
     "PacketSimConfig",
     "simulate_packets",
 ]
 
-#: Engine names accepted by :func:`simulate_packets`.
-PACKET_ENGINES = ("engine", "reference")
-
 
 def simulate_packets(topology: Topology, routing, workload: Workload,
                      selector: Optional[PathSelector] = None,
                      transport: Optional[TransportModel] = None,
                      config: Optional[PacketSimConfig] = None,
-                     seed: int = 0, engine: str = "engine") -> SimulationResult:
-    """Build a packet simulator and run one workload.
-
-    ``engine`` selects the implementation: ``"engine"`` (default) runs the vectorized
-    :class:`~repro.sim.packetengine.PacketEngine`, ``"reference"`` the scalar
-    :class:`~repro.sim.packetsim_reference.PacketLevelSimulator`.  Both produce
-    identical records, meta counters and event schedules.
-    """
-    if engine not in PACKET_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; available: {PACKET_ENGINES}")
-    sim_cls = PacketEngine if engine == "engine" else PacketLevelSimulator
-    sim = sim_cls(topology, routing, selector=selector, transport=transport,
-                  config=config, seed=seed)
+                     seed: int = 0) -> SimulationResult:
+    """Build a :class:`~repro.sim.packetengine.PacketEngine` and run one workload."""
+    sim = PacketEngine(topology, routing, selector=selector, transport=transport,
+                       config=config, seed=seed)
     return sim.run(workload)

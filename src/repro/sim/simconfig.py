@@ -7,11 +7,17 @@ config dataclasses (:class:`FlowSimConfig`, :class:`PacketSimConfig`); keeping t
 in their own module lets either implementation be imported without pulling in the
 other (mirroring how :mod:`repro.kernels` separates the scalar specifications from
 the vectorized kernels).
+
+Every config validates itself on construction and raises a one-line
+``ValueError`` naming the offending field.  Each check states what must hold
+(``0 < value < inf``), so NaN, which fails every comparison, is rejected by the
+same check as an out-of-range value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Optional
 
 from repro.sim.faults import FaultSchedule
@@ -45,10 +51,21 @@ class FlowSimConfig:
     faults: Optional[FaultSchedule] = None
 
     def __post_init__(self) -> None:
-        if self.link_rate_bps <= 0:
-            raise ValueError("link_rate_bps must be positive")
-        if self.flowlet_bytes <= 0:
+        if not 0 < self.link_rate_bps < inf:
+            raise ValueError("link_rate_bps must be positive and finite")
+        if not 0 <= self.per_hop_latency < inf:
+            raise ValueError("per_hop_latency must be >= 0 and finite")
+        if not 0 <= self.host_latency < inf:
+            raise ValueError("host_latency must be >= 0 and finite")
+        if not self.flowlet_bytes > 0:
+            # inf is allowed: it means "never switch at a flowlet boundary"
             raise ValueError("flowlet_bytes must be positive")
+        if not 0 <= self.congestion_rate_fraction <= 1:
+            raise ValueError("congestion_rate_fraction must lie in [0, 1]")
+        if not 0 < self.rate_epsilon < inf:
+            raise ValueError("rate_epsilon must be positive and finite")
+        if not self.max_events >= 1:
+            raise ValueError("max_events must be >= 1")
         if self.allocator not in ALLOCATORS:
             raise ValueError(
                 f"unknown allocator {self.allocator!r}; available: {ALLOCATORS}")
@@ -77,16 +94,16 @@ class StreamConfig:
     initial_slots: int = 1024            # initial slot-array capacity
 
     def __post_init__(self) -> None:
-        if self.window <= 0:
-            raise ValueError("window must be positive")
-        if self.warmup_windows < 0:
+        if not 0 < self.window < inf:
+            raise ValueError("window must be positive and finite")
+        if not self.warmup_windows >= 0:
             raise ValueError("warmup_windows must be >= 0")
-        if self.reservoir < 1 or self.keep_windows < 1 or self.record_ring < 1:
-            raise ValueError("reservoir, keep_windows and record_ring must be >= 1")
-        if self.compact_factor <= 0:
-            raise ValueError("compact_factor must be positive")
-        if self.min_retired < 1 or self.initial_slots < 1:
-            raise ValueError("min_retired and initial_slots must be >= 1")
+        for name in ("reservoir", "keep_windows", "record_ring",
+                     "min_retired", "initial_slots"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0 < self.compact_factor < inf:
+            raise ValueError("compact_factor must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -105,15 +122,13 @@ class PacketSimConfig:
     max_events: int = 5_000_000
 
     def __post_init__(self) -> None:
-        if self.packet_bytes <= self.header_bytes:
+        if not self.packet_bytes > self.header_bytes:
             raise ValueError("packet_bytes must exceed header_bytes")
-        if self.queue_packets < 1 or self.window_packets < 1:
-            raise ValueError("queue and window must hold at least one packet")
-        if self.link_rate_bps <= 0:
-            raise ValueError("link_rate_bps must be positive")
-        if self.rto <= 0:
-            raise ValueError("rto must be positive")
-        if self.per_hop_latency <= 0 or self.host_latency <= 0:
-            raise ValueError("per_hop_latency and host_latency must be positive")
-        if self.flowlet_packets < 1:
-            raise ValueError("flowlet_packets must hold at least one packet")
+        for name in ("queue_packets", "window_packets", "flowlet_packets"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must hold at least one packet")
+        for name in ("link_rate_bps", "rto", "per_hop_latency", "host_latency"):
+            if not 0 < getattr(self, name) < inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not self.max_events >= 1:
+            raise ValueError("max_events must be >= 1")

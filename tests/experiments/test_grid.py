@@ -107,21 +107,6 @@ class TestRunGrid:
         assert summary.num_ok == 1 and summary.num_failed == 1
         assert "FAILED" in summary.report()
 
-    def test_plain_executor_matches_resilient(self):
-        cells = make_grid(["tab05"], seeds=[0, 1])
-        plain = run_experiment_grid(cells, jobs=2, executor="plain")
-        resilient = run_experiment_grid(cells, jobs=2)
-        assert all(r.ok for r in plain)
-        for p, r in zip(plain, resilient):
-            assert p.result.rows == r.result.rows
-
-    def test_plain_executor_rejects_resilience_options(self):
-        with pytest.raises(ValueError):
-            run_experiment_grid([GridCell(name="tab05")], executor="plain",
-                                resume=True, journal="x.jsonl")
-        with pytest.raises(ValueError):
-            run_experiment_grid([GridCell(name="tab05")], executor="bogus")
-
     def test_report_aligns_labels_and_shows_attempts(self):
         cells = split_heavy_cells([GridCell(name="fig06")])[:2] \
             + [GridCell(name="tab05")]

@@ -10,9 +10,10 @@ import pytest
 from repro.core.loadbalance import EcmpSelector, FlowletSelector
 from repro.experiments.simcommon import STACKS, build_stack
 from repro.routing import EcmpRouting
-from repro.sim.engine import SimCell, simulate_many
+from repro.sim.engine import FlowEngine, SimCell, simulate_many
 from repro.sim.faults import FaultSchedule, sample_link_faults
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
+from repro.sim.reference import FlowLevelSimulator
 from repro.topologies import comparable_configurations, star
 from repro.topologies.configs import SizeClass
 from repro.traffic.flows import Flow, Workload, poisson_workload, uniform_size_workload
@@ -39,15 +40,18 @@ def assert_equivalent(reference, engine):
         assert eng.throughput == pytest.approx(ref.throughput, rel=1e-9)
 
 
+#: The scalar reference (the oracle) first, then the vectorized engine.
+SIMULATORS = (FlowLevelSimulator, FlowEngine)
+
+
 def run_both(topology, stack_name, workload, mapping=None, config=None, seed=0):
     """One workload under freshly built identical stacks on both implementations."""
     results = []
-    for engine in ("reference", "engine"):
+    for sim_cls in SIMULATORS:
         stack = build_stack(topology, stack_name, seed=seed)
-        results.append(simulate_workload(
-            topology, stack.routing, workload, selector=stack.selector,
-            transport=stack.transport, config=config, mapping=mapping, seed=seed,
-            engine=engine))
+        sim = sim_cls(topology, stack.routing, selector=stack.selector,
+                      transport=stack.transport, config=config, seed=seed)
+        results.append(sim.run(workload, mapping=mapping))
     return results
 
 
@@ -112,11 +116,10 @@ class TestEdgePaths:
                                                                    np.random.default_rng(2)),
             256 * 1024)
         results = []
-        for engine in ("reference", "engine"):
+        for sim_cls in SIMULATORS:
             routing = EcmpRouting(topo, max_paths=1, seed=0)
-            results.append(simulate_workload(topo, routing, workload,
-                                             selector=FlowletSelector(seed=0),
-                                             seed=0, engine=engine))
+            sim = sim_cls(topo, routing, selector=FlowletSelector(seed=0), seed=0)
+            results.append(sim.run(workload))
         assert_equivalent(*results)
         assert all(r.num_path_switches == 0 for r in results[1].records)
 
@@ -151,11 +154,10 @@ class TestEdgePaths:
                                                                    np.random.default_rng(8)),
             1024 * 1024)
         results = []
-        for engine in ("reference", "engine"):
+        for sim_cls in SIMULATORS:
             routing = EcmpRouting(topo, max_paths=8, seed=0)
-            results.append(simulate_workload(topo, routing, workload,
-                                             selector=EcmpSelector(seed=0),
-                                             seed=0, engine=engine))
+            sim = sim_cls(topo, routing, selector=EcmpSelector(seed=0), seed=0)
+            results.append(sim.run(workload))
         assert_equivalent(*results)
 
 
@@ -179,22 +181,6 @@ class TestSimulateMany:
         batched = simulate_many(cells)
         for seq, bat in zip(sequential, batched):
             assert_equivalent(seq, bat)
-
-    def test_reference_escape_hatch(self, topologies, workloads):
-        topo = topologies["SF"]
-        stack = build_stack(topo, "ecmp", seed=0)
-        cells = [SimCell(topology=topo, routing=stack.routing,
-                         workload=workloads["SF"]["uniform"], selector=stack.selector,
-                         transport=stack.transport, seed=0)]
-        (result,) = simulate_many(cells, engine="reference")
-        assert result.meta["engine"] == "reference"
-
-    def test_unknown_engine_rejected(self, topologies, workloads):
-        with pytest.raises(ValueError):
-            simulate_many([], engine="warp-drive")
-        with pytest.raises(ValueError):
-            simulate_workload(next(iter(topologies.values())), None,
-                              workloads["SF"]["uniform"], engine="warp-drive")
 
     def test_non_weakrefable_routing_gets_private_bank(self, topologies):
         """Routings that cannot be weak-referenced still work (private bank)."""
@@ -288,15 +274,13 @@ class TestFaultedRuns:
         schedule = sample_link_faults(topo, 0.1, 0.0004, 0.0012,
                                       np.random.default_rng(11))
         stack = build_stack(topo, "fatpaths", seed=0)
-        reference = simulate_workload(
-            topo, stack.routing, workloads["SF"]["uniform"],
-            selector=stack.selector, transport=stack.transport,
-            config=FlowSimConfig(faults=schedule), seed=0, engine="reference")
+        reference = FlowLevelSimulator(
+            topo, stack.routing, selector=stack.selector, transport=stack.transport,
+            config=FlowSimConfig(faults=schedule), seed=0).run(workloads["SF"]["uniform"])
         stack2 = build_stack(topo, "fatpaths", seed=0)
         engine = simulate_workload(
             topo, stack2.routing, workloads["SF"]["uniform"],
             selector=stack2.selector, transport=stack2.transport,
-            config=FlowSimConfig(faults=schedule, allocator="incremental"),
-            seed=0, engine="engine")
+            config=FlowSimConfig(faults=schedule, allocator="incremental"), seed=0)
         assert_equivalent(reference, engine)
         self._fault_meta_equal(reference, engine)

@@ -14,7 +14,9 @@ from repro.sim.faults import (
     detour_router_path,
     sample_link_faults,
 )
-from repro.sim.flowsim import FlowSimConfig, simulate_workload
+from repro.sim.engine import FlowEngine
+from repro.sim.flowsim import FlowSimConfig
+from repro.sim.reference import FlowLevelSimulator
 from repro.topologies import comparable_configurations
 from repro.topologies.configs import SizeClass
 from repro.traffic.flows import uniform_size_workload
@@ -142,20 +144,21 @@ class TestDetourSpec:
 
 
 class TestSimulatorFaultInvariants:
-    @pytest.mark.parametrize("engine", ["reference", "engine"])
-    def test_empty_schedule_equals_no_schedule(self, topo, workload, engine):
+    @pytest.mark.parametrize("sim_cls", [FlowLevelSimulator, FlowEngine],
+                             ids=["reference", "engine"])
+    def test_empty_schedule_equals_no_schedule(self, topo, workload, sim_cls):
         """faults=FaultSchedule() (no events) is exactly the unfaulted run."""
         records = []
         for config in (None, FlowSimConfig(faults=FaultSchedule())):
             stack = build_stack(topo, "fatpaths", seed=0)
-            records.append(simulate_workload(
-                topo, stack.routing, workload, selector=stack.selector,
-                transport=stack.transport, config=config, seed=0,
-                engine=engine).records)
+            sim = sim_cls(topo, stack.routing, selector=stack.selector,
+                          transport=stack.transport, config=config, seed=0)
+            records.append(sim.run(workload).records)
         assert records[0] == records[1]
 
-    @pytest.mark.parametrize("engine", ["reference", "engine"])
-    def test_idempotent_fail_restore_is_noop(self, topo, workload, engine):
+    @pytest.mark.parametrize("sim_cls", [FlowLevelSimulator, FlowEngine],
+                             ids=["reference", "engine"])
+    def test_idempotent_fail_restore_is_noop(self, topo, workload, sim_cls):
         """Duplicate fail/restore deltas inside an epoch are no-ops: they join
         the existing epoch (same times), mutate the failed set identically, and
         leave every record untouched.  (Events at *new* times are not no-ops —
@@ -168,10 +171,10 @@ class TestSimulatorFaultInvariants:
         records = []
         for schedule in (plain, noisy):
             stack = build_stack(topo, "fatpaths", seed=0)
-            records.append(simulate_workload(
-                topo, stack.routing, workload, selector=stack.selector,
-                transport=stack.transport, config=FlowSimConfig(faults=schedule),
-                seed=0, engine=engine).records)
+            sim = sim_cls(topo, stack.routing, selector=stack.selector,
+                          transport=stack.transport,
+                          config=FlowSimConfig(faults=schedule), seed=0)
+            records.append(sim.run(workload).records)
         assert records[0] == records[1]
 
     def test_config_rejects_non_schedule(self):

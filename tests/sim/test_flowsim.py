@@ -8,8 +8,9 @@ from repro.core.fatpaths import FatPathsRouting
 from repro.core.loadbalance import EcmpSelector, FlowletSelector
 from repro.core.transport import ndp_transport, tcp_transport
 from repro.routing import EcmpRouting
-from repro.sim.flowsim import FlowSimConfig, simulate_workload
+from repro.sim.flowsim import FlowSimConfig, StreamConfig, simulate_workload
 from repro.sim.metrics import speedup_over_baseline, summarize_flows
+from repro.sim.reference import FlowLevelSimulator
 from repro.topologies import slim_fly, star
 from repro.traffic.flows import Flow, Workload, uniform_size_workload
 from repro.traffic.patterns import off_diagonal, random_permutation
@@ -150,16 +151,47 @@ class TestMetrics:
     def test_empty_summary(self):
         assert summarize_flows([]) == {"count": 0}
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            FlowSimConfig(link_rate_bps=0)
-        with pytest.raises(ValueError):
-            FlowSimConfig(flowlet_bytes=0)
+    @pytest.mark.parametrize("cls, kwargs", [
+        (FlowSimConfig, {"link_rate_bps": 0}),
+        (FlowSimConfig, {"link_rate_bps": float("nan")}),
+        (FlowSimConfig, {"link_rate_bps": float("inf")}),
+        (FlowSimConfig, {"per_hop_latency": float("nan")}),
+        (FlowSimConfig, {"per_hop_latency": -1e-6}),
+        (FlowSimConfig, {"host_latency": -1.0}),
+        (FlowSimConfig, {"host_latency": float("inf")}),
+        (FlowSimConfig, {"flowlet_bytes": 0}),
+        (FlowSimConfig, {"flowlet_bytes": float("nan")}),
+        (FlowSimConfig, {"congestion_rate_fraction": 1.5}),
+        (FlowSimConfig, {"congestion_rate_fraction": -0.1}),
+        (FlowSimConfig, {"congestion_rate_fraction": float("nan")}),
+        (FlowSimConfig, {"rate_epsilon": 0.0}),
+        (FlowSimConfig, {"rate_epsilon": float("inf")}),
+        (FlowSimConfig, {"max_events": 0}),
+        (FlowSimConfig, {"max_events": -5}),
+        (StreamConfig, {"window": float("nan")}),
+        (StreamConfig, {"window": float("inf")}),
+        (StreamConfig, {"compact_factor": float("inf")}),
+        (StreamConfig, {"compact_factor": float("nan")}),
+    ])
+    def test_config_validation(self, cls, kwargs):
+        """Out-of-range, NaN and infinite values fail loudly, naming the field."""
+        (name,) = kwargs
+        with pytest.raises(ValueError, match=name) as info:
+            cls(**kwargs)
+        assert "\n" not in str(info.value)
+
+    def test_config_accepts_edge_values(self):
+        """Zero latencies, an infinite flowlet (never switch) and the closed
+        ends of the congestion fraction stay valid."""
+        FlowSimConfig(per_hop_latency=0.0, host_latency=0.0,
+                      flowlet_bytes=float("inf"), congestion_rate_fraction=1.0,
+                      max_events=1)
+        FlowSimConfig(congestion_rate_fraction=0.0)
 
 
 class TestEngineDispatch:
-    """simulate_workload dispatches between the vectorized engine (default) and the
-    preserved scalar reference; the full record-level pinning lives in
+    """simulate_workload runs the vectorized engine; the preserved scalar reference
+    runs when constructed directly.  The full record-level pinning lives in
     tests/sim/test_engine_equivalence.py."""
 
     def test_default_engine_is_vectorized(self, sf, sf_fatpaths):
@@ -169,18 +201,12 @@ class TestEngineDispatch:
 
     def test_reference_escape_hatch(self, sf, sf_fatpaths):
         wl = Workload([Flow(0.0, 0, 50, 1e6)])
-        result = simulate_workload(sf, sf_fatpaths, wl, seed=0, engine="reference")
+        result = FlowLevelSimulator(sf, sf_fatpaths, seed=0).run(wl)
         assert result.meta["engine"] == "reference"
 
-    def test_unknown_engine_rejected(self, sf, sf_fatpaths):
-        wl = Workload([Flow(0.0, 0, 50, 1e6)])
-        with pytest.raises(ValueError):
-            simulate_workload(sf, sf_fatpaths, wl, engine="quantum")
-
     def test_empty_workload(self, sf, sf_fatpaths):
-        for engine in ("engine", "reference"):
-            result = simulate_workload(sf, sf_fatpaths, Workload([]), seed=0, engine=engine)
-            assert len(result) == 0
+        assert len(simulate_workload(sf, sf_fatpaths, Workload([]), seed=0)) == 0
+        assert len(FlowLevelSimulator(sf, sf_fatpaths, seed=0).run(Workload([]))) == 0
 
     def test_endpoint_out_of_range_rejected(self, sf, sf_fatpaths):
         wl = Workload([Flow(0.0, 0, sf.num_endpoints + 3, 1e6)])

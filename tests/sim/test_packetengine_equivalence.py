@@ -3,7 +3,7 @@ the scalar packet simulator *record for record* — every FlowRecord field, ever
 counter and the full per-link serialisation schedule bit-identically — across every
 simcommon stack (both transports), multiple topologies, and the simulator's edge
 paths (same-router flows, single-path routings, sprayed flows, the max-events
-truncation that forces the strict fallback)."""
+truncation that the engine replays on the reference)."""
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from repro.core.loadbalance import EcmpSelector, FlowletSelector
 from repro.experiments.simcommon import STACKS, build_stack
 from repro.routing import EcmpRouting
 from repro.sim.packetengine import PacketEngine
-from repro.sim.packetsim import PACKET_ENGINES, simulate_packets
+from repro.sim.packetsim import simulate_packets
 from repro.sim.packetsim_reference import PacketLevelSimulator, _Link
 from repro.sim.simconfig import PacketSimConfig
 from repro.topologies import comparable_configurations, star
@@ -32,15 +32,32 @@ def assert_equivalent(reference, engine):
     assert reference.records == engine.records
 
 
+def assert_link_state_equal(eng_sim, ref_sim):
+    """The engine's flat post-run link arrays equal the reference's link objects."""
+    state = eng_sim.final_link_state
+    assert state["next_free"] == [link.next_free for link in ref_sim.links]
+    assert state["queued"] == [link.queued for link in ref_sim.links]
+    assert state["trims"] == [link.trims for link in ref_sim.links]
+    assert state["drops"] == [link.drops for link in ref_sim.links]
+
+
+#: The scalar reference (the oracle) first, then the vectorized engine.
+SIMULATORS = (PacketLevelSimulator, PacketEngine)
+
+
+def build_both(topology, stack_name, config=None, seed=0):
+    """Both implementations over freshly built identical stacks."""
+    sims = []
+    for sim_cls in SIMULATORS:
+        stack = build_stack(topology, stack_name, seed=seed)
+        sims.append(sim_cls(topology, stack.routing, selector=stack.selector,
+                            transport=stack.transport, config=config, seed=seed))
+    return sims
+
+
 def run_both(topology, stack_name, workload, config=None, seed=0):
     """One workload under freshly built identical stacks on both implementations."""
-    results = []
-    for engine in ("reference", "engine"):
-        stack = build_stack(topology, stack_name, seed=seed)
-        results.append(simulate_packets(
-            topology, stack.routing, workload, selector=stack.selector,
-            transport=stack.transport, config=config, seed=seed, engine=engine))
-    return results
+    return [sim.run(workload) for sim in build_both(topology, stack_name, config, seed)]
 
 
 @pytest.fixture(scope="module")
@@ -120,22 +137,10 @@ class TestSerializationTrace:
     def test_final_link_state_identical(self, topologies, workloads):
         """The engine's flat link arrays end bit-identical to the reference's
         per-link objects (occupancy drains flushed, reservations matched)."""
-        topo = topologies["SF"]
         workload = workloads["SF"]["uniform"]
-        stack = build_stack(topo, "ndp", seed=0)
-        ref_sim = PacketLevelSimulator(topo, stack.routing, selector=stack.selector,
-                                       transport=stack.transport, seed=0)
-        ref_result = ref_sim.run(workload)
-        stack2 = build_stack(topo, "ndp", seed=0)
-        eng_sim = PacketEngine(topo, stack2.routing, selector=stack2.selector,
-                               transport=stack2.transport, seed=0)
-        eng_result = eng_sim.run(workload)
-        assert_equivalent(ref_result, eng_result)
-        state = eng_sim.final_link_state
-        assert state["next_free"] == [link.next_free for link in ref_sim.links]
-        assert state["queued"] == [link.queued for link in ref_sim.links]
-        assert state["trims"] == [link.trims for link in ref_sim.links]
-        assert state["drops"] == [link.drops for link in ref_sim.links]
+        ref_sim, eng_sim = build_both(topologies["SF"], "ndp")
+        assert_equivalent(ref_sim.run(workload), eng_sim.run(workload))
+        assert_link_state_equal(eng_sim, ref_sim)
 
 
 class TestEdgePaths:
@@ -156,11 +161,10 @@ class TestEdgePaths:
                                                                    np.random.default_rng(2)),
             64 * 1024)
         results = []
-        for engine in ("reference", "engine"):
+        for sim_cls in SIMULATORS:
             routing = EcmpRouting(topo, max_paths=1, seed=0)
-            results.append(simulate_packets(topo, routing, workload,
-                                            selector=FlowletSelector(seed=0),
-                                            seed=0, engine=engine))
+            sim = sim_cls(topo, routing, selector=FlowletSelector(seed=0), seed=0)
+            results.append(sim.run(workload))
         assert_equivalent(*results)
         assert all(r.num_path_switches == 0 for r in results[1].records)
 
@@ -182,87 +186,73 @@ class TestEdgePaths:
                                                                    np.random.default_rng(8)),
             256 * 1024)
         results = []
-        for engine in ("reference", "engine"):
+        for sim_cls in SIMULATORS:
             routing = EcmpRouting(topo, max_paths=8, seed=0)
-            results.append(simulate_packets(topo, routing, workload,
-                                            selector=EcmpSelector(seed=0),
-                                            seed=0, engine=engine))
+            sim = sim_cls(topo, routing, selector=EcmpSelector(seed=0), seed=0)
+            results.append(sim.run(workload))
         assert_equivalent(*results)
 
 
 class TestMaxEventsDrain:
     """Truncation semantics depend on the exact pop sequence, which the fast loop's
     lazy dequeues cannot reproduce — these runs must detect the budget crossing,
-    rewind the selector RNG and replay under the strict single-heap loop."""
+    rewind the selector RNG and the trace, and replay on the scalar reference."""
 
     @pytest.mark.parametrize("budget", [3, 50, 500, 2000])
     @pytest.mark.parametrize("stack_name", ["fatpaths", "fatpaths_tcp", "ndp"])
     def test_truncated_runs_match(self, topologies, workloads, stack_name, budget):
         config = PacketSimConfig(max_events=budget)
-        reference, engine = run_both(topologies["SF"], stack_name,
-                                     workloads["SF"]["uniform"], config=config)
+        workload = workloads["SF"]["uniform"]
+        ref_sim, eng_sim = build_both(topologies["SF"], stack_name, config=config)
+        reference, engine = ref_sim.run(workload), eng_sim.run(workload)
         assert_equivalent(reference, engine)
+        assert_link_state_equal(eng_sim, ref_sim)
         assert reference.meta["events"] == budget
         # every flow still produces a record (open flows close at the drain time)
-        assert len(reference) == len(workloads["SF"]["uniform"])
+        assert len(reference) == len(workload)
 
-    def test_truncated_trace_is_rewound(self, topologies, workloads):
-        """The fast loop's partial trace must be discarded before the strict replay
-        so the recorded schedule has no duplicated prefix."""
+    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["N-1", "N", "N+1"])
+    @pytest.mark.parametrize("stack_name", ["fatpaths", "fatpaths_tcp", "ndp"])
+    def test_budget_boundary(self, topologies, workloads, stack_name, offset):
+        """Budgets around the untruncated run's event count N: N - 1 truncates and
+        replays on the reference (no invariant counters), N and N + 1 finish in
+        the fast loop; all three match the reference."""
         topo = topologies["SF"]
         workload = workloads["SF"]["uniform"]
+        full = run_both(topo, stack_name, workload)[1].meta["events"]
+        budget = full + offset
+        ref_sim, eng_sim = build_both(topo, stack_name,
+                                      config=PacketSimConfig(max_events=budget))
+        reference, engine = ref_sim.run(workload), eng_sim.run(workload)
+        assert_equivalent(reference, engine)
+        assert_link_state_equal(eng_sim, ref_sim)
+        assert engine.meta["events"] == min(budget, full)
+        assert (eng_sim.last_stats is None) == (offset < 0)
+
+    def test_truncated_trace_is_rewound(self, topologies, workloads):
+        """The fast loop's partial trace is discarded before the replay on the
+        reference, so the trace ends exactly as it was on entry."""
+        topo = topologies["SF"]
         stack = build_stack(topo, "fatpaths", seed=0)
         eng_sim = PacketEngine(topo, stack.routing, selector=stack.selector,
                                transport=stack.transport,
                                config=PacketSimConfig(max_events=500), seed=0)
-        eng_sim.trace = []
-        eng_sim.run(workload)
-
-        stack2 = build_stack(topo, "fatpaths", seed=0)
-        strict_sim = PacketEngine(topo, stack2.routing, selector=stack2.selector,
-                                  transport=stack2.transport,
-                                  config=PacketSimConfig(max_events=500), seed=0)
-        strict_sim.trace = []
-        strict_sim._run_strict(workload)
-        assert eng_sim.trace == strict_sim.trace
+        entry = [(0, 0.0)]
+        eng_sim.trace = list(entry)
+        eng_sim.run(workloads["SF"]["uniform"])
+        assert eng_sim.trace == entry
 
 
 class TestDispatch:
-    def test_unknown_engine_rejected(self, topologies, workloads):
-        with pytest.raises(ValueError, match="warp-drive"):
-            simulate_packets(topologies["SF"], None, workloads["SF"]["uniform"],
-                             engine="warp-drive")
-
-    def test_engine_names_exported(self):
-        assert PACKET_ENGINES == ("engine", "reference")
-
     def test_default_engine_is_vectorized(self, topologies, workloads):
-        """simulate_packets() without `engine=` runs the PacketEngine and matches
-        an explicit reference run."""
+        """simulate_packets() runs the PacketEngine and matches a reference run."""
         topo = topologies["SF"]
+        workload = workloads["SF"]["uniform"]
         stack = build_stack(topo, "ecmp", seed=0)
-        default = simulate_packets(topo, stack.routing, workloads["SF"]["uniform"],
+        default = simulate_packets(topo, stack.routing, workload,
                                    selector=stack.selector,
                                    transport=stack.transport, seed=0)
         stack2 = build_stack(topo, "ecmp", seed=0)
-        reference = simulate_packets(topo, stack2.routing,
-                                     workloads["SF"]["uniform"],
-                                     selector=stack2.selector,
-                                     transport=stack2.transport, seed=0,
-                                     engine="reference")
+        reference = PacketLevelSimulator(topo, stack2.routing, selector=stack2.selector,
+                                         transport=stack2.transport, seed=0).run(workload)
         assert_equivalent(reference, default)
-
-    def test_fast_and_strict_loops_agree(self, topologies, workloads):
-        """The engine's own strict loop (the truncation fallback) reproduces the
-        fast loop exactly on untruncated runs."""
-        topo = topologies["SF"]
-        workload = workloads["SF"]["uniform"]
-        stack = build_stack(topo, "fatpaths", seed=0)
-        fast_sim = PacketEngine(topo, stack.routing, selector=stack.selector,
-                                transport=stack.transport, seed=0)
-        fast = fast_sim.run(workload)
-        stack2 = build_stack(topo, "fatpaths", seed=0)
-        strict_sim = PacketEngine(topo, stack2.routing, selector=stack2.selector,
-                                  transport=stack2.transport, seed=0)
-        strict = strict_sim._run_strict(workload)
-        assert_equivalent(strict, fast)

@@ -103,10 +103,18 @@ class TestConfigValidation:
         {"per_hop_latency": 0.0},
         {"host_latency": -1e-6},
         {"flowlet_packets": 0},
+        {"max_events": 0},
+        {"link_rate_bps": float("nan")},
+        {"link_rate_bps": float("inf")},
+        {"per_hop_latency": float("nan")},
+        {"host_latency": float("inf")},
+        {"rto": float("nan")},
+        {"rto": float("inf")},
     ])
     def test_rejects_degenerate(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))) as info:
             PacketSimConfig(**kwargs)
+        assert "\n" not in str(info.value)
 
     def test_defaults_are_valid(self):
         cfg = PacketSimConfig()

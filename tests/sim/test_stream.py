@@ -36,6 +36,7 @@ from repro.sim.metrics import (
     ReservoirSample,
     SimulationResult,
 )
+from repro.sim.reference import FlowLevelSimulator
 from repro.sim.stream import CHECKPOINT_VERSION, StreamConfig, StreamSimulator
 from repro.topologies import comparable_configurations
 from repro.topologies.configs import SizeClass
@@ -452,10 +453,8 @@ class TestBatchPoolCompaction:
         engine = batch_run(topo, "ecmp", workload)
         assert engine.meta["pool_compactions"] > 0
         stack = build_stack(topo, "ecmp", seed=0)
-        reference = simulate_workload(topo, stack.routing, workload,
-                                      selector=stack.selector,
-                                      transport=stack.transport, seed=0,
-                                      engine="reference")
+        reference = FlowLevelSimulator(topo, stack.routing, selector=stack.selector,
+                                       transport=stack.transport, seed=0).run(workload)
         assert reference.meta["events"] == engine.meta["events"]
         assert_records_identical(reference.records, engine.records)
 
