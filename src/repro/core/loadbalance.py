@@ -135,9 +135,19 @@ class FlowletSelector(PathSelector):
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
-        # single-row fast-path memo: id(path_lengths row) -> (row object, lengths
-        # list, shortest-candidate indices); the strong reference pins the id
+        # keyed by a candidate row's real lengths (a tuple, so int and float
+        # lengths of equal value share an item): (lengths, shortest indices,
+        # pools per congested index), one item per distinct row
         self._row_memo: dict = {}
+
+    def _row(self, lengths: tuple) -> tuple:
+        """The memo item of one candidate row's lengths."""
+        got = self._row_memo.get(lengths)
+        if got is None:
+            best = min(lengths)
+            got = (lengths, [i for i, length in enumerate(lengths) if length == best], {})
+            self._row_memo[lengths] = got
+        return got
 
     def _weights(self, num_paths: int, path_lengths: Optional[Sequence[int]]) -> np.ndarray:
         if path_lengths is None or self.length_bias <= 0:
@@ -162,7 +172,11 @@ class FlowletSelector(PathSelector):
         if num_paths < 1:
             raise ValueError("need at least one candidate path")
         if self.adaptive:
-            return self._shortest_choice(num_paths, path_lengths)
+            if path_lengths is None:
+                return self._shortest_choice(num_paths, path_lengths)
+            # the draw rng.choice(shortest) makes, with the shortest set memoised
+            shortest = self._row(tuple(path_lengths[:num_paths]))[1]
+            return shortest[self._rng.integers(0, len(shortest))]
         weights = self._weights(num_paths, path_lengths)
         return int(self._rng.choice(num_paths, p=weights))
 
@@ -198,16 +212,16 @@ class FlowletSelector(PathSelector):
         if len(currents) == 1:
             return self._next_path_row(loads, path_lengths, num_paths, flow_ids,
                                        currents)
-        currents = np.asarray(currents, dtype=np.int64)
         if self.adaptive:
             acceptable = loads < self.congestion_threshold
-            any_acceptable = acceptable.any(axis=1)
             # rows with an acceptable path pick uniformly among the shortest of
             # those; fully congested rows pick uniformly among the least loaded
             masked_lengths = np.where(acceptable, path_lengths, np.inf)
-            pool = np.where(any_acceptable[:, None],
-                            masked_lengths == masked_lengths.min(axis=1)[:, None],
-                            loads == loads.min(axis=1)[:, None])
+            pool = masked_lengths == masked_lengths.min(axis=1)[:, None]
+            any_acceptable = acceptable.any(axis=1)
+            if not any_acceptable.all():
+                pool = np.where(any_acceptable[:, None], pool,
+                                loads == loads.min(axis=1)[:, None])
             draws = self._rng.integers(0, pool.sum(axis=1))
             return (pool.cumsum(axis=1) == (draws + 1)[:, None]).argmax(axis=1)
         if self.length_bias > 0:
@@ -231,47 +245,38 @@ class FlowletSelector(PathSelector):
         The packet engine re-picks paths one flow at a time, so this hot shape
         skips the row-wise numpy machinery while consuming the identical RNG
         stream: one bounded-integer draw (adaptive) or one uniform double plus the
-        sequential-cumsum CDF inversion (non-adaptive, unbiased).  Padded columns
-        (``+inf`` loads/lengths) are never acceptable and never minimal, exactly
-        as in the batched formulas.
+        sequential-cumsum CDF inversion (non-adaptive, unbiased).  Only the row's
+        first ``num_paths`` columns are read: the rest is ``+inf`` padding, never
+        acceptable and never minimal, exactly as in the batched formulas.  The
+        adaptive pools are memoised under the row's real lengths, so the memo
+        holds one item per distinct candidate row however the caller pads it.
         """
+        n = int(num_paths[0])
         if self.adaptive:
-            lrow = loads[0]
-            if not isinstance(lrow, list):
-                lrow = lrow.tolist()
+            lrow = np.asarray(loads)[0, :n].tolist()
             threshold = self.congestion_threshold
             acceptable = [load < threshold for load in lrow]
-            memo = self._row_memo
-            key = id(path_lengths)
-            got = memo.get(key)
-            if got is None or got[0] is not path_lengths:
-                lens = np.asarray(path_lengths)[0].tolist()
-                finite = [length for length in lens if length != float("inf")]
-                best = min(finite)
-                got = (path_lengths, lens,
-                       [i for i, length in enumerate(lens) if length == best], {})
-                memo[key] = got
+            got = self._row(tuple(np.asarray(path_lengths)[0, :n].tolist()))
             if False not in acceptable:
                 # every path acceptable (the flowlet-boundary call): the pool is
                 # the precomputed shortest set
-                cands = got[2]
+                cands = got[1]
             elif True in acceptable:
                 hot = acceptable.index(False)
                 if False not in acceptable[hot + 1:]:
                     # exactly one congested path (the engine's one-hot NACK
                     # signal): pool memoised per congested index
-                    pools = got[3]
+                    pools = got[2]
                     cands = pools.get(hot)
                     if cands is None:
-                        lens = got[1]
-                        best = min(length for i, length in enumerate(lens)
-                                   if i != hot and length != float("inf"))
+                        lens = got[0]
+                        best = min(length for i, length in enumerate(lens) if i != hot)
                         cands = [i for i, length in enumerate(lens)
                                  if i != hot and length == best]
                         pools[hot] = cands
                 else:
                     # prefer the shortest path among the uncongested candidates
-                    lens = got[1]
+                    lens = got[0]
                     best = min(length for length, ok in zip(lens, acceptable)
                                if ok)
                     cands = [i for i, (length, ok)
@@ -286,7 +291,6 @@ class FlowletSelector(PathSelector):
         if self.length_bias > 0:
             return PathSelector.next_path_batch(self, flow_ids, currents, num_paths,
                                                 loads, path_lengths)
-        n = int(num_paths[0])
         uniform = float(self._rng.random(1)[0])
         weight = 1.0 / n
         acc = 0.0

@@ -11,11 +11,9 @@ layers:
   **alive across events** and amended O(delta): each flow owns one fixed segment of a
   growing pool (sized for its longest candidate path, so path switches rewrite in
   place), arrivals append, completions and switch slack mark entries *dead* by
-  pointing them at a sentinel slot.  Dead entries are float-exact no-ops for both the
-  progressive fill (they carry no live load) and the link-utilisation ``bincount``
-  (their weight is exactly ``0.0``), and live entries always sit in ascending
-  arrival order — so :class:`FullAllocator`, which refills everything each event over
-  this persistent state, is **bit-identical by construction** to the former
+  pointing them at a sentinel slot.  Live entries always sit in ascending arrival
+  order, so :class:`FullAllocator`, which drops the dead entries and refills every
+  live one each event, is **bit-identical by construction** to the former
   rebuild-per-event engine (and therefore to the scalar reference simulator).
 * :class:`IncrementalAllocator` — dirty-**component** refiltering behind
   ``FlowSimConfig(allocator="incremental")``.  Connected components of the link–flow
@@ -55,31 +53,41 @@ _MIN_POOL = 256
 
 #: Slot id that marks dead pool entries.  A fixed constant above every real slot
 #: (rather than the historical ``num_flows``) so the slot arrays can :meth:`~AllocationState.grow`
-#: under the streaming driver without renumbering dead entries; ``searchsorted``
-#: relabelling still maps it past every active slot, exactly as before.
+#: under the streaming driver without renumbering dead entries.
 _DEAD_SLOT = 2 ** 62
 
 
 # ------------------------------------------------------------ progressive filling
+def _compress_links(entry_links: np.ndarray, num_links: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``np.unique(entry_links, return_inverse=True)`` for link ids below
+    ``num_links``, found by marking the touched links instead of sorting."""
+    mark = np.zeros(num_links, dtype=bool)
+    mark[entry_links] = True
+    touched = mark.nonzero()[0]
+    relabel = np.empty(num_links, dtype=np.int64)
+    relabel[touched] = np.arange(touched.size)
+    return touched, relabel[entry_links]
+
+
 def _progressive_fill(entry_links: np.ndarray, entry_flows: np.ndarray, num_flows: int,
                       capacities: np.ndarray, epsilon: float = 1e-12,
-                      unfixed: Optional[np.ndarray] = None,
                       compression: Optional[Tuple[np.ndarray, np.ndarray]] = None
                       ) -> np.ndarray:
     """Max-min fair progressive filling over a pooled (link, flow) incidence.
 
     Replicates :func:`repro.sim.fairshare.max_min_fair_rates` for the unweighted,
     no-empty-path case the simulator produces, operating on entry arrays instead of a
-    freshly built ``scipy.sparse`` matrix.  Per-link loads are exact integer counts in
-    float64 and every per-round scalar (increment, remaining capacity, saturation
-    test) evaluates the same expressions as the reference, so the resulting rates are
-    bit-identical regardless of flow ordering.
+    freshly built ``scipy.sparse`` matrix.  Per-link loads are exact integer counts and
+    every per-round scalar (increment, remaining capacity, saturation test) evaluates
+    the same expressions as the reference, so the resulting rates are bit-identical
+    regardless of flow ordering.  Two exact shortcuts keep the rounds cheap: the loads
+    are counted once and then lose each newly frozen flow's entries, and each flow
+    receives the running level of the round that froze it, the same sequential float
+    sum the reference's ``rates[unfixed] += increment`` accumulates.
 
-    ``unfixed`` optionally restricts the fill to a subset of flow indices (the
-    persistent-state callers pass the active-slot mask; entries of other flows are
-    *dead* and contribute no load).  It is copied, never mutated.  ``compression``
-    optionally passes the precomputed ``np.unique(entry_links, return_inverse=True)``
-    pair so callers that also need it (e.g. for utilisation scatter) pay it once.
+    Every flow index in ``0..num_flows-1`` is filled; pass live entries only.
+    ``compression`` optionally passes the precomputed :func:`_compress_links` pair
+    so callers that also need it (e.g. for utilisation scatter) pay it once.
     """
     rates = np.zeros(num_flows)
     if entry_links.size == 0:
@@ -89,35 +97,37 @@ def _progressive_fill(entry_links: np.ndarray, entry_flows: np.ndarray, num_flow
     # nothing (the per-link floats below are identical), it only shrinks every
     # per-round array from |links| to |touched links|
     if compression is None:
-        touched, compressed = np.unique(entry_links, return_inverse=True)
-    else:
-        touched, compressed = compression
-    remaining = capacities[touched].astype(np.float64)
+        compression = _compress_links(entry_links, capacities.shape[0])
+    touched, compressed = compression
+    remaining = capacities[touched]
     saturation_threshold = epsilon * remaining + epsilon   # constant across rounds
-    unfixed = np.ones(num_flows, dtype=bool) if unfixed is None else unfixed.copy()
+    fixed = np.zeros(num_flows, dtype=bool)
+    load = np.bincount(compressed, minlength=touched.size)
+    level = 0.0
     # every productive round permanently saturates at least one touched link (its
     # live load then stays zero), so `touched.size` bounds the round count — the
     # compressed problem can never need `capacities.shape[0]` rounds
     for _ in range(touched.size + 1):
-        if not unfixed.any():
-            break
-        live = unfixed[entry_flows]
-        load = np.bincount(compressed[live], minlength=touched.size)
         active_links = load > 0
         if not active_links.any():
             break
         increment = float((remaining[active_links] / load[active_links]).min())
         if increment <= 0:
             increment = 0.0
-        rates[unfixed] += increment
+        level += increment
         remaining = remaining - load * increment
         saturated = active_links & (remaining <= saturation_threshold)
         if not saturated.any():
             # no link saturates (should not happen with finite capacities); freeze all
             break
-        newly_fixed = np.zeros(num_flows, dtype=bool)
-        newly_fixed[entry_flows[saturated[compressed] & live]] = True
-        unfixed &= ~newly_fixed
+        # the unfixed flows crossing a saturated link freeze at this round's level
+        hit = entry_flows[saturated[compressed]]
+        frozen = np.zeros(num_flows, dtype=bool)
+        frozen[hit] = ~fixed[hit]
+        rates[frozen] = level
+        fixed |= frozen
+        load -= np.bincount(compressed[frozen[entry_flows]], minlength=touched.size)
+    rates[~fixed] = level
     return rates
 
 
@@ -150,8 +160,8 @@ class AllocationState:
         self.seg_start = np.zeros(num_flows, dtype=np.int64)
         self.seg_cap = np.zeros(num_flows, dtype=np.int64)
         self.seg_len = np.zeros(num_flows, dtype=np.int64)
-        #: ``unfixed`` initializer for slot-indexed fills (sentinel always False).
-        self.active_mask = np.zeros(num_flows + 1, dtype=bool)
+        #: Which slots hold a live segment.
+        self.active_mask = np.zeros(num_flows, dtype=bool)
 
     def grow(self, num_flows: int) -> None:
         """Extend the slot arrays to ``num_flows`` slots (streaming ingestion).
@@ -164,12 +174,12 @@ class AllocationState:
         seg_start = np.zeros(num_flows, dtype=np.int64)
         seg_cap = np.zeros(num_flows, dtype=np.int64)
         seg_len = np.zeros(num_flows, dtype=np.int64)
-        mask = np.zeros(num_flows + 1, dtype=bool)
+        mask = np.zeros(num_flows, dtype=bool)
         n = self.num_flows
         seg_start[:n] = self.seg_start
         seg_cap[:n] = self.seg_cap
         seg_len[:n] = self.seg_len
-        mask[:n] = self.active_mask[:n]
+        mask[:n] = self.active_mask
         self.seg_start, self.seg_cap, self.seg_len = seg_start, seg_cap, seg_len
         self.active_mask = mask
         self.num_flows = num_flows
@@ -188,6 +198,15 @@ class AllocationState:
         """The current full link list of one active flow (a pool view)."""
         start = int(self.seg_start[slot])
         return self.pool_links[start:start + int(self.seg_len[slot])]
+
+    def segment_entries(self, member: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """The live links of the ``member`` slots, flow-major, and each entry's
+        position in ``member``."""
+        lens = self.seg_len[member]
+        ends = lens.cumsum()
+        idx = np.arange(int(ends[-1]))
+        src = (self.seg_start[member] - ends + lens).repeat(lens) + idx
+        return self.pool_links[src], np.arange(member.size).repeat(lens)
 
     def _grow(self, need: int) -> None:
         """Ensure pool capacity ``need`` (amortized doubling)."""
@@ -235,33 +254,35 @@ class AllocationState:
         ``mid_starts``/``mid_lens`` slice the candidate bank's ``mid_pool``; every
         new path fits because segment capacities cover the longest candidate.
         """
-        slots = np.asarray(slots, dtype=np.int64)
+        if not slots.size:
+            return
         starts = self.seg_start[slots]
         caps = self.seg_cap[slots]
         old_lens = self.seg_len[slots]
         new_lens = mid_lens + 2
-        mid_total = int(mid_lens.sum())
+        mid_ends = mid_lens.cumsum()
+        mid_total = int(mid_ends[-1])
         if mid_total:
-            offsets = np.cumsum(mid_lens) - mid_lens
+            offsets = mid_ends - mid_lens
             idx = np.arange(mid_total)
-            src = np.repeat(mid_starts - offsets, mid_lens) + idx
-            dst = np.repeat(starts + 1 - offsets, mid_lens) + idx
+            src = (mid_starts - offsets).repeat(mid_lens) + idx
+            dst = (starts + 1 - offsets).repeat(mid_lens) + idx
             self.pool_links[dst] = mid_pool[src]
-            self.pool_slots[dst] = np.repeat(slots, mid_lens)
+            self.pool_slots[dst] = slots.repeat(mid_lens)
         self.pool_links[starts] = inj
         self.pool_slots[starts] = slots
         self.pool_links[starts + new_lens - 1] = ej
         self.pool_slots[starts + new_lens - 1] = slots
         slack = caps - new_lens
-        slack_total = int(slack.sum())
+        slack_ends = slack.cumsum()
+        slack_total = int(slack_ends[-1])
         if slack_total:
-            offsets = np.cumsum(slack) - slack
             idx = np.arange(slack_total)
-            dst = np.repeat(starts + new_lens - offsets, slack) + idx
+            dst = (starts + new_lens - slack_ends + slack).repeat(slack) + idx
             self.pool_links[dst] = 0
             self.pool_slots[dst] = self.sentinel
         self.seg_len[slots] = new_lens
-        self.live += int((new_lens - old_lens).sum())
+        self.live += mid_total + 2 * slots.size - int(old_lens.sum())
 
     def compact(self, order: np.ndarray) -> None:
         """Rebuild the pool tightly over ``order`` (the ascending active slots)."""
@@ -297,23 +318,20 @@ class AllocationState:
 
 def _full_fill(state: AllocationState, capacities: np.ndarray, line_rate: float,
                active: np.ndarray, rates_out: np.ndarray) -> np.ndarray:
-    """One full progressive fill over the persistent pool; returns link utilisation.
+    """One full progressive fill over the live pool entries; returns link utilisation.
 
-    Dead entries are exact no-ops: their sentinel slot maps to an always-fixed
-    local index (no load) and their utilisation weight is exactly ``0.0``, so
-    rates *and* the utilisation ``bincount`` are bit-identical to a fill over a
-    freshly gathered active incidence.  Flow slots are relabelled to positions in
-    ``active`` (ascending, so ``searchsorted`` is exact) to keep the per-round
-    flow arrays O(|active|) instead of O(total flows).
+    Dead entries are dropped once, up front, and the live entries keep their
+    ascending arrival order, so rates *and* the utilisation ``bincount`` (whose
+    per-link sums see the same live terms in the same order) are bit-identical to
+    a fill over a freshly gathered active incidence.  Flow slots are relabelled to
+    positions in ``active`` (ascending, so ``searchsorted`` is exact) to keep the
+    per-round flow arrays O(|active|) instead of O(total flows).
     """
-    entry_links, entry_slots = state.entries()
-    local = np.searchsorted(active, entry_slots)   # sentinel > every slot -> active.size
-    unfixed = np.ones(active.size + 1, dtype=bool)
-    unfixed[active.size] = False
-    fair = _progressive_fill(entry_links, local, active.size + 1, capacities,
-                             unfixed=unfixed)
+    entry_links, entry_slots = state.live_entries()
+    local = active.searchsorted(entry_slots)
+    fair = _progressive_fill(entry_links, local, active.size, capacities)
     np.minimum(fair, line_rate, out=fair)
-    rates_out[active] = fair[:active.size]
+    rates_out[active] = fair
     return np.bincount(entry_links, weights=fair[local] / capacities[entry_links],
                        minlength=capacities.shape[0])
 
@@ -559,7 +577,8 @@ class IncrementalAllocator:
             # share (exactly what one filling round computes; ``counts`` covers
             # paths that cross a link more than once), no incidence gather needed
             slot = alive[0]
-            links, counts = np.unique(state.flow_links(slot), return_counts=True)
+            links, local = _compress_links(state.flow_links(slot), self.capacities.shape[0])
+            counts = np.bincount(local)
             caps = self.capacities[links]
             fair = min(float((caps / counts).min()), self.line_rate)
             rates_out[slot] = fair
@@ -567,15 +586,8 @@ class IncrementalAllocator:
             self.link_util[links] = counts * fair / caps
             return np.asarray(alive, dtype=np.int64)
         member = np.asarray(alive, dtype=np.int64)
-        starts = state.seg_start[member]
-        lens = state.seg_len[member]
-        total = int(lens.sum())
-        offsets = np.cumsum(lens) - lens
-        idx = np.arange(total)
-        src = np.repeat(starts - offsets, lens) + idx
-        entry_links = state.pool_links[src]
-        entry_flows = np.repeat(np.arange(member.size), lens)
-        touched, compressed = np.unique(entry_links, return_inverse=True)
+        entry_links, entry_flows = state.segment_entries(member)
+        touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
         fair = _progressive_fill(entry_links, entry_flows, member.size, self.capacities,
                                  compression=(touched, compressed))
         np.minimum(fair, self.line_rate, out=fair)

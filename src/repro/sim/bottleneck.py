@@ -17,9 +17,6 @@ structure as persistent state across events:
 * ``link_load`` / ``sat_mask`` — per-link carried load and the saturated-link set of
   the current allocation, amended O(delta) per event (completions subtract their
   contribution immediately, arrivals and switches re-add after the refill);
-* ``link_level`` / ``level_rates`` — the bottleneck level (saturation round) of every
-  link and the cached per-level fair-share rates from the last structure build, the
-  quantities :func:`repro.sim.fairshare.bottleneck_levels` exposes publicly;
 * ``link_members`` — link → member-flow lists, appended on arrival/switch and
   lazily filtered through ``AllocationState.active_mask`` (pruned at rebuilds);
 * ``_rates`` — the allocator's own slot-indexed rate cache, the splice source for
@@ -54,7 +51,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.sim.allocstate import AllocationState
+from repro.sim.allocstate import AllocationState, _compress_links
 from repro.sim.fairshare import leveled_fill
 
 #: Relative slack below which a link counts as saturated for *coupling* purposes.
@@ -91,12 +88,6 @@ class BottleneckAllocator:
         self.link_load = np.zeros(num_links)
         #: Saturated-link set of the current allocation — the coupling graph edges.
         self.sat_mask = np.zeros(num_links, dtype=bool)
-        #: Bottleneck level per link from the last structure build (-1 = slack).
-        self.link_level = np.full(num_links, -1, dtype=np.int64)
-        #: Cached cumulative fair-share rate of each bottleneck level.
-        self.level_rates = np.zeros(0)
-        #: Freeze level per flow slot from the last build (-1 = unknown/slack).
-        self.flow_level = np.full(state.num_flows, -1, dtype=np.int64)
         #: Allocator-owned rate cache (slot-indexed; the engine's array is rebound
         #: under slot compaction, so a borrowed reference would go stale).
         self._rates = np.zeros(state.num_flows)
@@ -115,16 +106,12 @@ class BottleneckAllocator:
 
     # ------------------------------------------------------------- slot arrays
     def _grow_slots(self, need: int) -> None:
-        """Ensure the per-slot caches cover ``need`` slots (amortized doubling)."""
+        """Ensure the rate cache covers ``need`` slots (amortized doubling)."""
         if need <= self._rates.shape[0]:
             return
-        size = max(need, 2 * self._rates.shape[0], 64)
-        rates = np.zeros(size)
+        rates = np.zeros(max(need, 2 * self._rates.shape[0], 64))
         rates[:self._rates.shape[0]] = self._rates
         self._rates = rates
-        level = np.full(size, -1, dtype=np.int64)
-        level[:self.flow_level.shape[0]] = self.flow_level
-        self.flow_level = level
 
     # ------------------------------------------------------------ event deltas
     def add(self, slot: int, links: np.ndarray, capacity: int) -> None:
@@ -136,9 +123,7 @@ class BottleneckAllocator:
         self.state.add(slot, links, capacity)
         self._grow_slots(slot + 1)
         self._rates[slot] = 0.0
-        self.flow_level[slot] = -1
-        for link in np.unique(links):
-            link = int(link)
+        for link in set(links.tolist()):
             self.link_members.setdefault(link, []).append(slot)
             self._seed_links.add(link)
         self._dirty_slots.add(slot)
@@ -152,21 +137,27 @@ class BottleneckAllocator:
         deliberately left at its pre-event value: the downstream closure must
         see the coupling that existed when the flow still held its rate.
         """
-        links = np.unique(self.state.flow_links(slot))
-        counts = np.bincount(
-            np.searchsorted(links, self.state.flow_links(slot)),
-            minlength=links.size)
+        self._release(slot)
         self.state.remove(slot)
-        rate = float(self._rates[slot]) if slot < self._rates.shape[0] else 0.0
-        if rate and links.size:
-            self.link_load[links] -= counts * rate
-            self.link_util[links] = self.link_load[links] / self.capacities[links]
-        if slot < self._rates.shape[0]:
-            self._rates[slot] = 0.0
-            self.flow_level[slot] = -1
         self._dirty_slots.discard(slot)
-        self._seed_links.update(int(link) for link in links)
         self._ops += 1
+
+    def _release(self, slot: int) -> None:
+        """Take ``slot``'s cached rate off its links and seed them.
+
+        A path is a handful of links, so a loop over them costs less than
+        array calls; a link the path crosses twice loses ``2 * rate`` at once.
+        """
+        path = self.state.flow_links(slot).tolist()
+        links = set(path)
+        rate = float(self._rates[slot])
+        if rate:
+            load, util, caps = self.link_load, self.link_util, self.capacities
+            for link in links:
+                load[link] -= path.count(link) * rate
+                util[link] = load[link] / caps[link]
+        self._rates[slot] = 0.0
+        self._seed_links.update(links)
 
     def switch(self, slots: np.ndarray, inj: np.ndarray, ej: np.ndarray,
                mid_pool: np.ndarray, mid_starts: np.ndarray,
@@ -174,24 +165,13 @@ class BottleneckAllocator:
         """Record path switches: release old links' load, join the new links."""
         state = self.state
         slots = np.asarray(slots, dtype=np.int64)
-        for slot in slots:
-            slot = int(slot)
-            old = np.unique(state.flow_links(slot))
-            counts = np.bincount(np.searchsorted(old, state.flow_links(slot)),
-                                 minlength=old.size)
-            rate = float(self._rates[slot])
-            if rate and old.size:
-                self.link_load[old] -= counts * rate
-                self.link_util[old] = self.link_load[old] / self.capacities[old]
-            self._rates[slot] = 0.0
-            self._seed_links.update(int(link) for link in old)
+        for slot in slots.tolist():
+            self._release(slot)
             self._dirty_slots.add(slot)
             self._ops += 1
         state.replace_paths(slots, inj, ej, mid_pool, mid_starts, mid_lens)
-        for slot in slots:
-            slot = int(slot)
-            for link in np.unique(state.flow_links(slot)):
-                link = int(link)
+        for slot in slots.tolist():
+            for link in set(state.flow_links(slot).tolist()):
                 self.link_members.setdefault(link, []).append(slot)
                 self._seed_links.add(link)
 
@@ -200,8 +180,6 @@ class BottleneckAllocator:
         self.link_util[:] = 0.0
         self.link_load[:] = 0.0
         self.sat_mask[:] = False
-        self.link_level[:] = -1
-        self.level_rates = np.zeros(0)
         self.link_members.clear()
         self._dirty_slots.clear()
         self._seed_links.clear()
@@ -216,15 +194,11 @@ class BottleneckAllocator:
         """
         state.compactions += self.state.compactions
         self.state = state
-        size = max(state.num_flows, 64)
-        rates = np.zeros(size)
-        level = np.full(size, -1, dtype=np.int64)
+        rates = np.zeros(max(state.num_flows, 64))
         for old, new in old_to_new.items():
             if old < self._rates.shape[0]:
                 rates[new] = self._rates[old]
-                level[new] = self.flow_level[old]
         self._rates = rates
-        self.flow_level = level
         self.link_members = {
             link: [old_to_new[s] for s in members if s in old_to_new]
             for link, members in self.link_members.items()}
@@ -252,6 +226,7 @@ class BottleneckAllocator:
             return self._rebuild(active, rates_out)
         region = self._downstream(dirty, seeds)
         committed: Set[int] = set()
+        refilled = np.empty(0, dtype=np.int64)
         for iteration in range(_EXPANSION_CAP + 1):
             if not region:
                 break
@@ -263,21 +238,18 @@ class BottleneckAllocator:
                 return active
             if iteration:
                 self.counters["expansions"] += 1
-            expand = self._refill(region, rates_out, committed)
+            refilled, expand = self._refill(region, rates_out, committed)
             if not expand:
                 break
-            region = self._downstream(sorted(region), expand)
+            region = self._downstream(refilled.tolist(), expand)
         # seed links no commit touched (e.g. the sole flow of a link completed):
         # refresh their saturation from the maintained loads
-        leftover = [link for link in seeds if link not in committed]
-        if leftover:
-            idx = np.asarray(leftover, dtype=np.int64)
-            caps = self.capacities[idx]
-            self.sat_mask[idx] = \
-                caps - self.link_load[idx] <= _SAT_RTOL * caps + _SAT_RTOL
-        if not region:
-            return np.empty(0, dtype=np.int64)
-        return np.fromiter(sorted(region), dtype=np.int64, count=len(region))
+        caps, load = self.capacities, self.link_load
+        for link in seeds:
+            if link not in committed:
+                self.sat_mask[link] = \
+                    caps[link] - load[link] <= _SAT_RTOL * caps[link] + _SAT_RTOL
+        return refilled
 
     def _downstream(self, dirty: List[int], seeds: List[int]) -> Set[int]:
         """Close the event seed over the cached saturated-coupling structure.
@@ -306,42 +278,35 @@ class BottleneckAllocator:
                         pending_flows.append(s)
                 continue
             flow = pending_flows.pop()
-            for link in state.flow_links(flow):
-                link = int(link)
+            for link in state.flow_links(flow).tolist():
                 if sat[link] and link not in seen_links:
                     seen_links.add(link)
                     pending_links.append(link)
         return seen_flows
 
     def _refill(self, region: Set[int], rates_out: np.ndarray,
-                committed: Set[int]) -> List[int]:
+                committed: Set[int]) -> Tuple[np.ndarray, List[int]]:
         """Refill ``region`` against residual capacities; commit the result.
 
         Residual capacity of a touched link is its full capacity minus the load
         of flows *outside* the region (computed by subtracting the region's own
         cached contribution from the maintained total).  Saturated links have no
         outside flows by closure, so their full capacity is in play; slack links
-        keep their outside load reserved.  Returns the newly saturated links
-        that still carry outside members — the expansion frontier (empty when
-        the commit is final).
+        keep their outside load reserved.  Returns the refilled slots (ascending)
+        and the newly saturated links that still carry outside members — the
+        expansion frontier (empty when the commit is final).
         """
         state = self.state
         member = np.fromiter(sorted(region), dtype=np.int64, count=len(region))
-        starts = state.seg_start[member]
-        lens = state.seg_len[member]
-        total = int(lens.sum())
-        offsets = np.cumsum(lens) - lens
-        idx = np.arange(total)
-        src = np.repeat(starts - offsets, lens) + idx
-        entry_links = state.pool_links[src]
-        entry_flows = np.repeat(np.arange(member.size), lens)
-        touched, compressed = np.unique(entry_links, return_inverse=True)
-        old_entry_rates = np.repeat(self._rates[member], lens)
-        old_load = np.bincount(compressed, weights=old_entry_rates,
+        entry_links, entry_flows = state.segment_entries(member)
+        touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
+        caps = self.capacities[touched]
+        load = self.link_load[touched]
+        old_load = np.bincount(compressed, weights=self._rates[member][entry_flows],
                                minlength=touched.size)
-        residual = self.capacities[touched] - (self.link_load[touched] - old_load)
+        residual = caps - (load - old_load)
         np.maximum(residual, 0.0, out=residual)
-        fair, flow_round, link_round, levels = leveled_fill(
+        fair, link_round, levels = leveled_fill(
             entry_flows, member.size, residual, compressed, touched.size)
         np.minimum(fair, self.line_rate, out=fair)
         # commit: rates, loads, utilisation and the structure over touched links
@@ -349,14 +314,13 @@ class BottleneckAllocator:
         self._rates[member] = fair
         new_load = np.bincount(compressed, weights=fair[entry_flows],
                                minlength=touched.size)
-        self.link_load[touched] += new_load - old_load
-        self.link_util[touched] = self.link_load[touched] / self.capacities[touched]
-        was_sat = self.sat_mask[touched]
+        load += new_load - old_load
+        self.link_load[touched] = load
+        self.link_util[touched] = load / caps
         now_sat = link_round >= 0
-        newly = touched[now_sat & ~was_sat]
+        newly = touched[now_sat > self.sat_mask[touched]]
         self.sat_mask[touched] = now_sat
-        self.flow_level[member] = flow_round
-        committed.update(int(link) for link in touched)
+        committed.update(touched.tolist())
         self.counters["refills"] += 1
         self.counters["downstream_flows"] += len(region)
         self.counters["downstream_max"] = max(self.counters["downstream_max"],
@@ -367,36 +331,31 @@ class BottleneckAllocator:
         # wrong (either squeezed below or left under the new bottleneck rate)
         mask = state.active_mask
         expand: List[int] = []
-        for link in newly:
-            link = int(link)
+        for link in newly.tolist():
             alive = [s for s in self.link_members.get(link, ()) if mask[s]]
             self.link_members[link] = alive
             if any(s not in region for s in alive):
                 expand.append(link)
-        return expand
+        return member, expand
 
-    def _full_refresh(self, active: np.ndarray, rates_out: np.ndarray) -> None:
-        """One full fill over the persistent pool; refresh every per-link cache.
+    def _full_refresh(self, active: np.ndarray, rates_out: np.ndarray
+                      ) -> Tuple[np.ndarray, np.ndarray]:
+        """One full fill over the live pool entries; refresh every per-link cache.
 
-        Mirrors :func:`repro.sim.allocstate._full_fill` (same relabelling, same
-        float path) but runs the instrumented kernel so loads, the saturated
-        set and the bottleneck levels come out of the fill itself instead of
-        being re-derived against a tolerance.
+        Fills the same live entries, relabelled the same way, as
+        :func:`repro.sim.allocstate._full_fill`, but runs the instrumented
+        kernel so the saturated set comes out of the fill itself instead of
+        being re-derived against a tolerance.  Returns the live
+        ``(links, slots)`` entries it filled.
         """
-        state = self.state
-        entry_links, entry_slots = state.entries()
-        local = np.searchsorted(active, entry_slots)  # sentinel -> active.size
-        unfixed = np.ones(active.size + 1, dtype=bool)
-        unfixed[active.size] = False
-        touched, compressed = np.unique(entry_links, return_inverse=True)
-        fair, flow_round, link_round, levels = leveled_fill(
-            local, active.size + 1, self.capacities[touched], compressed,
-            touched.size, unfixed=unfixed)
+        entry_links, entry_slots = self.state.live_entries()
+        local = active.searchsorted(entry_slots)
+        touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
+        fair, link_round, _ = leveled_fill(
+            local, active.size, self.capacities[touched], compressed, touched.size)
         np.minimum(fair, self.line_rate, out=fair)
-        rates_out[active] = fair[:active.size]
-        self._rates[active] = fair[:active.size]
-        # dead entries carry exactly 0.0 weight (their local index is the fixed
-        # sentinel), so the scatters below see only live load
+        rates_out[active] = fair
+        self._rates[active] = fair
         load = np.bincount(compressed, weights=fair[local], minlength=touched.size)
         self.link_load[:] = 0.0
         self.link_load[touched] = load
@@ -404,25 +363,22 @@ class BottleneckAllocator:
         self.link_util[touched] = load / self.capacities[touched]
         self.sat_mask[:] = False
         self.sat_mask[touched] = link_round >= 0
-        self.link_level[:] = -1
-        self.link_level[touched] = link_round
-        self.level_rates = levels
-        self.flow_level[active] = flow_round[:active.size]
+        return entry_links, entry_slots
 
     def _rebuild(self, active: np.ndarray, rates_out: np.ndarray) -> np.ndarray:
         """Full fill plus an exact structure rebuild (member lists pruned)."""
-        self._full_refresh(active, rates_out)
+        links, slots = self._full_refresh(active, rates_out)
         members: Dict[int, List[int]] = {}
-        links, slots = self.state.live_entries()
         if links.size:
-            order = np.argsort(links, kind="stable")
-            glinks = links[order]
-            gslots = slots[order]
-            bounds = np.flatnonzero(np.diff(glinks)) + 1
-            for group_links, group_slots in zip(np.split(glinks, bounds),
-                                                np.split(gslots, bounds)):
-                members[int(group_links[0])] = \
-                    np.unique(group_slots).tolist()
+            # distinct (link, slot) pairs, sorted by link and then slot
+            span = int(active[-1]) + 1
+            pairs = np.unique(links * span + slots)
+            glinks = pairs // span
+            bounds = (np.flatnonzero(np.diff(glinks)) + 1).tolist()
+            gslots = (pairs % span).tolist()
+            for link, lo, hi in zip(glinks[[0] + bounds].tolist(), [0] + bounds,
+                                    bounds + [len(gslots)]):
+                members[link] = gslots[lo:hi]
         self.link_members = members
         self._ops = 0
         self._needs_rebuild = False

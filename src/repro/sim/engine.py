@@ -16,19 +16,25 @@ What changes relative to the reference:
   across runs (:class:`CandidateBank`, one per routing scheme), instead of per
   simulator instance; the per-event flow/link incidence itself is *persistent
   state* (:class:`repro.sim.allocstate.AllocationState`): amended O(delta) on
-  arrival/completion/switch, never regathered, and fed to a progressive-filling
-  allocator that works directly on the pooled entry arrays
-  (:func:`repro.sim.allocstate._progressive_fill`) — no per-event ``scipy.sparse``
-  matrix construction.  ``FlowSimConfig(allocator="incremental")`` additionally
-  enables dirty-component refiltering: only the incidence components an event
-  touched are refilled, untouched components keep their cached rates (see
+  arrival/completion/switch, never regathered.  The full refill drops the pool's
+  dead entries once per event and runs progressive filling over the live ones
+  (:func:`repro.sim.allocstate._progressive_fill`), which counts link loads once
+  and subtracts each frozen flow's entries per round — no per-event
+  ``scipy.sparse`` matrix construction.  ``FlowSimConfig(allocator="incremental")``
+  additionally enables dirty-component refiltering: only the incidence components
+  an event touched are refilled, untouched components keep their cached rates (see
   :mod:`repro.sim.allocstate`); ``allocator="bottleneck"`` refills only the region
   downstream of the event in the cached bottleneck structure (see
   :mod:`repro.sim.bottleneck`).  Both are max-min exact, but their float
   accumulation order differs from the reference, hence opt-in.
-* **Batched path-switch evaluation** — flowlet/congestion switch *eligibility* is one
-  boolean mask over the active set (segmented maxima of link utilisation over each
-  flow's current path), and the eligible flows go through one batched selector call
+* **Batched path-switch evaluation** — every resolved candidate has an id in the
+  bank's candidate table (pool offsets, hop count, and a hop-major link table
+  padded so a column maximum is the candidate's maximum).  Each event builds one
+  id grid over the multi-path flows, gathers link utilisation through the table
+  and takes one maximum over the hop axis: that sweep gives every candidate's
+  congestion, and the current path's is a gather from it.  Switch *eligibility*
+  is one boolean mask over those rows, and the eligible rows go through one
+  batched selector call
   (:meth:`~repro.core.loadbalance.PathSelector.next_path_batch`) whose vectorized
   draws consume the selector RNG exactly as per-flow calls in arrival order would —
   no per-flow Python callbacks on the hot path.
@@ -55,6 +61,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -114,39 +121,60 @@ def link_space_for(topology: Topology) -> LinkSpace:
 
 
 # --------------------------------------------------------------- candidate bank
+#: Utilisation of the candidate table's two sentinel links, read after the real
+#: links: 0.0 pads an empty candidate (a maximum over no links), +inf fills the
+#: padding candidate (id -1), so padding columns of an id grid read +inf.
+_SENTINEL_UTIL = np.array([0.0, np.inf])
+
+
 class CandidateEntry:
     """Pooled candidate paths of one (source router, target router) pair.
 
-    ``seg_start[c]:seg_start[c]+seg_len[c]`` slices the bank's pool to the link
-    indices of candidate ``c`` (router links only — injection/ejection links are
-    per-flow and added by the engine); ``lengths`` is the per-candidate hop count
-    exactly as the reference computes it (``max(1, len(path) - 1)``); ``max_links``
-    is the full-path segment capacity (longest candidate plus injection/ejection) a
-    flow on this pair reserves in the persistent allocation state, so any later
-    path switch rewrites its segment in place.
+    The pair's candidates hold the consecutive global ids ``first ..
+    first + num_candidates - 1`` of the bank's candidate table, which is the one
+    store of their pool offsets: ``seg_start``/``seg_len`` are views of it (router
+    links only — injection/ejection links are per-flow and added by the engine).
+    ``lengths`` is the per-candidate hop count exactly as the reference computes it
+    (``max(1, len(path) - 1)``); ``max_links`` is the full-path segment capacity
+    (longest candidate plus injection/ejection) a flow on this pair reserves in the
+    persistent allocation state, so any later path switch rewrites its segment in
+    place.
     """
 
-    __slots__ = ("bank", "num_candidates", "lengths", "lengths_float", "seg_start",
-                 "seg_len", "max_links")
+    __slots__ = ("bank", "first", "num_candidates", "lengths", "max_links")
 
-    def __init__(self, bank: "CandidateBank", lengths: List[int],
-                 seg_start: np.ndarray, seg_len: np.ndarray) -> None:
-        """Wrap one pair's pooled candidate segments."""
+    def __init__(self, bank: "CandidateBank", first: int, lengths: List[int],
+                 max_links: int) -> None:
+        """Wrap one pair's candidates (table ids from ``first`` on)."""
         self.bank = bank
+        self.first = first
         self.num_candidates = len(lengths)
         self.lengths = lengths
-        self.lengths_float = np.asarray(lengths, dtype=np.float64)
-        self.seg_start = seg_start
-        self.seg_len = seg_len
-        self.max_links = int(seg_len.max()) + 2
+        self.max_links = max_links
 
-    # pickle the constructor inputs only: a stream checkpoint holds one entry
-    # per resolved router pair, and the derived fields would add an array each
+    @property
+    def seg_start(self) -> np.ndarray:
+        """Pool start of each candidate (a view of the bank's table)."""
+        return self.bank.cand_start[self.first:self.first + self.num_candidates]
+
+    @property
+    def seg_len(self) -> np.ndarray:
+        """Link count of each candidate (a view of the bank's table)."""
+        return self.bank.cand_len[self.first:self.first + self.num_candidates]
+
+    # the offsets live in the bank's table, so the constructor inputs are the state
     def __getstate__(self):
-        return self.bank, self.lengths, self.seg_start, self.seg_len
+        return self.bank, self.first, self.lengths, self.max_links
 
     def __setstate__(self, state) -> None:
         self.__init__(*state)
+
+
+def _grown(values: np.ndarray, size: int, fill) -> np.ndarray:
+    """``values`` copied into a ``size``-long array (last axis), ``fill`` beyond."""
+    out = np.full(values.shape[:-1] + (size,), fill, dtype=values.dtype)
+    out[..., :values.shape[-1]] = values
+    return out
 
 
 class CandidateBank:
@@ -157,6 +185,16 @@ class CandidateBank:
     link lists are appended to one growing ``int64`` pool, and all later runs (other
     workloads, other cells of a sweep) reuse the pooled segments.  Same-router pairs
     get the reference's synthetic single candidate (empty link list, hop count 1).
+
+    Every resolved candidate gets a global id ``c`` in the *candidate table*:
+    ``cand_start[c]``/``cand_len[c]`` slice the pool to its links, ``cand_hops[c]``
+    is its hop count as a float, and column ``c`` of the hop-major ``hop_links``
+    table lists its links, padded to the table depth with its own first link (an
+    empty candidate with the ``zero_link`` sentinel), so a column maximum of
+    per-link values is the candidate's maximum.  The table always keeps its last
+    column unused: that is the padding candidate ``-1``, with hop count ``+inf``
+    and every link the ``inf_link`` sentinel.  Sentinel utilisations are
+    :data:`_SENTINEL_UTIL`, appended after the real links.
     """
 
     def __init__(self, links: LinkSpace) -> None:
@@ -165,9 +203,17 @@ class CandidateBank:
         self.pool = np.zeros(256, dtype=np.int64)
         self.used = 0
         self.entries: Dict[Tuple[int, int], CandidateEntry] = {}
+        self.zero_link = links.num_links
+        self.inf_link = links.num_links + 1
+        self.num_cands = 0
+        self.cand_start = np.zeros(64, dtype=np.int64)
+        self.cand_len = np.zeros(64, dtype=np.int64)
+        self.cand_hops = np.full(64, np.inf)
+        self.hop_links = np.full((1, 64), self.inf_link, dtype=np.int64)
 
     def _append(self, values: Sequence[int]) -> Tuple[int, int]:
-        """Append one candidate's link list to the pool; return (start, length)."""
+        """Append link ids (a pair's candidates, or a detour) to the pool; return
+        (start, length)."""
         need = self.used + len(values)
         if need > self.pool.size:
             grown = np.zeros(max(need, 2 * self.pool.size), dtype=np.int64)
@@ -177,6 +223,22 @@ class CandidateBank:
         self.pool[start:need] = values
         self.used = need
         return start, len(values)
+
+    def _reserve(self, count: int, depth: int) -> None:
+        """Make table room for ``count`` more candidates of up to ``depth`` links."""
+        need = self.num_cands + count + 1          # + the padding column
+        size = self.cand_start.size
+        if need > size:
+            size = max(need, 2 * size)
+            self.cand_start = _grown(self.cand_start, size, 0)
+            self.cand_len = _grown(self.cand_len, size, 0)
+            self.cand_hops = _grown(self.cand_hops, size, np.inf)
+            self.hop_links = _grown(self.hop_links, size, self.inf_link)
+        extra = depth - self.hop_links.shape[0]
+        if extra > 0:
+            # repeat each column's first link: the column maxima stay the same
+            self.hop_links = np.concatenate(
+                [self.hop_links, np.repeat(self.hop_links[:1], extra, axis=0)])
 
     def entry(self, routing, source_router: int, target_router: int) -> CandidateEntry:
         """The pooled candidate entry for one router pair (resolved at most once)."""
@@ -193,11 +255,20 @@ class CandidateBank:
                 raise ValueError(f"routing scheme offers no path between routers {key}")
             link_lists = [self.links.links_of_path(p) for p in paths]
             lengths = [max(1, len(p) - 1) for p in paths]
-        seg_start = np.empty(len(link_lists), dtype=np.int64)
-        seg_len = np.empty(len(link_lists), dtype=np.int64)
-        for c, link_list in enumerate(link_lists):
-            seg_start[c], seg_len[c] = self._append(link_list)
-        made = CandidateEntry(self, lengths, seg_start, seg_len)
+        seg_lens = [len(link_list) for link_list in link_lists]
+        self._reserve(len(link_lists), max(seg_lens))
+        depth = self.hop_links.shape[0]
+        first, end = self.num_cands, self.num_cands + len(link_lists)
+        start, _ = self._append([link for link_list in link_lists for link in link_list])
+        self.cand_start[first:end] = list(accumulate(seg_lens[:-1], initial=start))
+        self.cand_len[first:end] = seg_lens
+        self.cand_hops[first:end] = lengths
+        # pad each column with its candidate's first link (or the zero sentinel)
+        self.hop_links[:, first:end] = np.array(
+            [link_list + link_list[:1] * (depth - len(link_list)) if link_list
+             else [self.zero_link] * depth for link_list in link_lists]).T
+        self.num_cands = end
+        made = CandidateEntry(self, first, lengths, max(seg_lens) + 2)
         self.entries[key] = made
         return made
 
@@ -236,21 +307,17 @@ def _segment_max(values: np.ndarray, pool: np.ndarray, starts: np.ndarray,
 class _SurvivorView:
     """Surviving-candidate view of one router pair under the current failed set."""
 
-    __slots__ = ("entry", "survivors", "count", "sstart", "slen", "lengths",
-                 "lengths_float")
+    __slots__ = ("entry", "survivors", "count", "ids", "lengths")
 
     def __init__(self, entry: CandidateEntry, survivors: np.ndarray) -> None:
-        """Precompute the survivor-indexed segment arrays of ``entry``."""
+        """Index ``entry``'s surviving candidates (their table ids and hop counts)."""
         self.entry = entry
         self.survivors = survivors            # ascending candidate indices
         self.count = int(survivors.size)
-        self.sstart = entry.seg_start[survivors]
-        self.slen = entry.seg_len[survivors]
+        self.ids = entry.first + survivors    # candidate table ids
         self.lengths = [entry.lengths[int(i)] for i in survivors]
-        self.lengths_float = entry.lengths_float[survivors]
 
-    # pickle the constructor inputs only; views never outlive a move of their
-    # entry's segments (reclaim_bank drops them all), so the rest rederives
+    # pickle the constructor inputs only; the rest rederives
     def __getstate__(self):
         return self.entry, self.survivors
 
@@ -325,8 +392,7 @@ class _FaultRuntime:
             return
         self.registered.add(key)
         pool = self.bank.pool
-        for c in range(entry.num_candidates):
-            s, length = int(entry.seg_start[c]), int(entry.seg_len[c])
+        for s, length in zip(entry.seg_start.tolist(), entry.seg_len.tolist()):
             for link in pool[s:s + length]:
                 self.link_pairs.setdefault(int(link), []).append(key)
 
@@ -340,9 +406,9 @@ class _FaultRuntime:
         pool = self.bank.pool
         mask = self.failed_mask
         survivors = np.fromiter(
-            (c for c in range(entry.num_candidates)
-             if not mask[pool[int(entry.seg_start[c]):
-                              int(entry.seg_start[c]) + int(entry.seg_len[c])]].any()),
+            (c for c, (s, length) in enumerate(zip(entry.seg_start.tolist(),
+                                                   entry.seg_len.tolist()))
+             if not mask[pool[s:s + length]].any()),
             dtype=np.int64)
         made = _SurvivorView(entry, survivors)
         self.refilters += 1
@@ -365,7 +431,7 @@ _SLOT_ARRAYS: Tuple[Tuple[str, type, object], ...] = (
     *((name, np.int64, 0) for name in (
         "fid", "src", "dst", "src_router", "dst_router", "inj_link", "ej_link",
         "num_switches", "congestion_events", "path_index", "num_candidates",
-        "cand_start", "cand_len")),
+        "cand_first", "cand_start", "cand_len")),
     *((name, np.float64, 0.0) for name in (
         "start", "size", "remaining", "rate", "bytes_since_switch")),
     ("currently_congested", np.bool_, False),
@@ -533,7 +599,7 @@ class EngineCore:
         if active.size:
             horizon = self.now + self.remaining[active] \
                 / np.maximum(self.rate[active], config.rate_epsilon)
-            k = int(np.argmin(horizon))   # first minimum = earliest-arrived, as reference
+            k = int(horizon.argmin())   # first minimum = earliest-arrived, as reference
             completion_time = float(horizon[k])
             completing: Optional[int] = int(active[k])
         else:
@@ -596,6 +662,7 @@ class EngineCore:
             entry = bank.entry(routing, int(src_router[a]), int(dst_router[a]))
             self.entries[a] = entry
             self.num_candidates[a] = entry.num_candidates
+            self.cand_first[a] = entry.first
             if self.faults_on and faultrt.failed_links \
                     and src_router[a] != dst_router[a]:
                 view = faultrt.view((int(src_router[a]), int(dst_router[a])), entry)
@@ -629,16 +696,10 @@ class EngineCore:
                 index = selector.initial_path(int(self.fid[a]), entry.num_candidates,
                                               path_lengths=entry.lengths)
             self.path_index[a] = index
-            self.cand_start[a] = entry.seg_start[index]
-            self.cand_len[a] = entry.seg_len[index]
-            mid = int(entry.seg_len[index])
-            full_links = np.empty(mid + 2, dtype=np.int64)
-            full_links[0] = self.inj_link[a]
-            if mid:
-                s = int(entry.seg_start[index])
-                full_links[1:-1] = bank.pool[s:s + mid]
-            full_links[-1] = self.ej_link[a]
-            self.alloc.add(a, full_links, entry.max_links)
+            seg_s = int(bank.cand_start[entry.first + index])
+            seg_l = int(bank.cand_len[entry.first + index])
+            self.cand_start[a], self.cand_len[a] = seg_s, seg_l
+            self.alloc_add(a, seg_s, seg_l, entry.max_links)
         self.active = np.concatenate([self.active,
                                       np.arange(first_new, self.admit_idx)])
 
@@ -665,54 +726,53 @@ class EngineCore:
             self.currently_congested[refilled] = congested
 
     def maybe_switch_paths(self) -> None:
-        """Flowlet/congestion path switching with one batched selector call."""
+        """Flowlet/congestion path switching: one congestion sweep, one selector call.
+
+        Every multi-path flow gets a row of the id grid (its candidates' table ids,
+        padded with the padding candidate ``-1``); one gather through the bank's
+        hop-major link table and one maximum over the hop axis give every
+        candidate's congestion, the current path's included, and the eligible
+        rows go to one batched selector call whose RNG consumption matches
+        per-flow calls in arrival order exactly.
+        """
         active = self.active
         if active.size == 0:
             return
-        num_candidates, cand_start, cand_len = \
-            self.num_candidates, self.cand_start, self.cand_len
-        bank, config = self.bank, self.config
-        multi = active[num_candidates[active] > 1]
+        counts = self.num_candidates[active]
+        several = counts > 1
+        multi = active[several]
         if multi.size == 0:
             return
-        current_congestion = _segment_max(self.alloc.link_util, bank.pool,
-                                          cand_start[multi], cand_len[multi])
-        eligible = multi[(self.bytes_since_switch[multi] >= config.flowlet_bytes)
-                         | (current_congestion >= 1.0)]
+        counts = counts[several]
+        bank, path_index = self.bank, self.path_index
+        cols = np.arange(int(counts.max()))
+        ids = np.where(cols < counts[:, None], self.cand_first[multi][:, None] + cols, -1)
+        util = np.concatenate((self.alloc.link_util, _SENTINEL_UTIL))
+        congestion = np.maximum.reduce(util.take(bank.hop_links.take(ids, axis=1)))
+        currents = path_index[multi]
+        eligible_rows = (self.bytes_since_switch[multi] >= self.config.flowlet_bytes) \
+            | (congestion[np.arange(multi.size), currents] >= 1.0)
+        eligible = multi[eligible_rows]
         if eligible.size == 0:
             return
-        # batched switch evaluation: per-candidate congestion for every eligible
-        # flow in one segmented sweep, then one batched selector call whose RNG
-        # consumption matches per-flow calls in arrival order exactly
-        path_index = self.path_index
-        flow_entries = [self.entries[int(a)] for a in eligible]
-        seg_starts = np.concatenate([e.seg_start for e in flow_entries])
-        seg_lens = np.concatenate([e.seg_len for e in flow_entries])
-        counts = num_candidates[eligible]
-        congestion_flat = _segment_max(self.alloc.link_util, bank.pool,
-                                       seg_starts, seg_lens)
-        width = int(counts.max())
-        row_mask = np.arange(width) < counts[:, None]
-        loads = np.full((eligible.size, width), np.inf)
-        loads[row_mask] = congestion_flat
-        lengths = np.full((eligible.size, width), np.inf)
-        lengths[row_mask] = np.concatenate([e.lengths_float for e in flow_entries])
-        new_index = self.selector.next_path_batch(self.fid[eligible],
-                                                  path_index[eligible],
-                                                  counts, loads, lengths)
+        currents = currents[eligible_rows]
+        new_index = self.selector.next_path_batch(
+            self.fid[eligible], currents, counts[eligible_rows],
+            congestion[eligible_rows], bank.cand_hops.take(ids[eligible_rows]))
         self.bytes_since_switch[eligible] = 0.0
-        switched = new_index != path_index[eligible]
-        path_index[eligible] = new_index
-        self.num_switches[eligible[switched]] += 1
-        flat = np.cumsum(counts) - counts + new_index
-        cand_start[eligible] = seg_starts[flat]
-        cand_len[eligible] = seg_lens[flat]
+        switched = new_index != currents
         changed = eligible[switched]
         if changed.size:
+            new_index = new_index[switched]
+            path_index[changed] = new_index
+            self.num_switches[changed] += 1
+            chosen = self.cand_first[changed] + new_index
+            self.cand_start[changed] = bank.cand_start[chosen]
+            self.cand_len[changed] = bank.cand_len[chosen]
             # amend the persistent incidence: switched segments are rewritten
             # in place (capacity covers the longest candidate of the pair)
             self.alloc.switch(changed, self.inj_link[changed], self.ej_link[changed],
-                              bank.pool, cand_start[changed], cand_len[changed])
+                              bank.pool, self.cand_start[changed], self.cand_len[changed])
 
     def maybe_switch_paths_faulted(self) -> None:
         """Faulted-mode switch evaluation: batch over the survivor views.
@@ -749,8 +809,8 @@ class EngineCore:
         if eligible.size == 0:
             return
         views = [v for v, k in zip(views, elig) if k]
-        seg_starts = np.concatenate([v.sstart for v in views])
-        seg_lens = np.concatenate([v.slen for v in views])
+        ids = np.concatenate([v.ids for v in views])
+        seg_starts, seg_lens = bank.cand_start[ids], bank.cand_len[ids]
         counts = np.fromiter((v.count for v in views), dtype=np.int64,
                              count=eligible.size)
         congestion_flat = _segment_max(self.alloc.link_util, bank.pool, seg_starts,
@@ -760,7 +820,7 @@ class EngineCore:
         loads = np.full((eligible.size, width), np.inf)
         loads[row_mask] = congestion_flat
         lengths = np.full((eligible.size, width), np.inf)
-        lengths[row_mask] = np.concatenate([v.lengths_float for v in views])
+        lengths[row_mask] = bank.cand_hops[ids]
         currents = np.fromiter(
             (np.searchsorted(v.survivors, path_index[a])
              for v, a in zip(views, eligible)), dtype=np.int64,
@@ -988,22 +1048,19 @@ class EngineCore:
         """Drop dead detour segments from the candidate bank pool.
 
         Only valid when the bank is private to this run (the streaming driver's
-        bank) — pair-candidate segments move, so every ``seg_start`` and the
-        per-flow ``cand_start`` offsets are rewritten, and the fault runtime's
-        survivor views (which cache segment offsets) are invalidated.  Shared
-        batch-mode banks must never be reclaimed.  Returns pool entries freed.
+        bank) — pair-candidate segments move, so the bank's candidate table and
+        the per-flow ``cand_start`` offsets are rewritten.  Shared batch-mode
+        banks must never be reclaimed.  Returns pool entries freed.
         """
         bank = self.bank
         old_pool = bank.pool
-        pieces: List[np.ndarray] = []
-        pos = 0
-        for entry in bank.entries.values():
-            seg_start, seg_len = entry.seg_start, entry.seg_len
-            for c in range(entry.num_candidates):
-                s, length = int(seg_start[c]), int(seg_len[c])
-                pieces.append(old_pool[s:s + length])
-                seg_start[c] = pos
-                pos += length
+        # candidates repack in table-id order, which is their resolution order
+        n = bank.num_cands
+        starts, lens = bank.cand_start[:n], bank.cand_len[:n]
+        packed = np.cumsum(lens) - lens
+        pos = int(lens.sum())
+        pieces = [old_pool[np.repeat(starts - packed, lens) + np.arange(pos)]]
+        bank.cand_start[:n] = packed
         if self.faults_on:
             for a in self.active:
                 a = int(a)
@@ -1018,15 +1075,12 @@ class EngineCore:
             new_pool[:pos] = np.concatenate(pieces)
         bank.pool = new_pool
         bank.used = pos
-        # re-point every admitted non-detour flow at its entry's moved segment
-        for a in self.active:
-            a = int(a)
-            if not self.faults_on or not self.on_detour[a]:
-                entry = self.entries[a]
-                self.cand_start[a] = entry.seg_start[int(self.path_index[a])]
-        if self.faultrt is not None:
-            # survivor views cache seg_start copies; next use refilters them
-            self.faultrt.views.clear()
+        # re-point every admitted non-detour flow at its candidate's moved segment
+        moved = self.active
+        if self.faults_on:
+            moved = moved[~self.on_detour[moved]]
+        self.cand_start[moved] = bank.cand_start[self.cand_first[moved]
+                                                 + self.path_index[moved]]
         return freed
 
 

@@ -101,53 +101,46 @@ def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np
 
 
 def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarray,
-                 compressed: np.ndarray, num_touched: int, epsilon: float = 1e-12,
-                 unfixed: np.ndarray | None = None
-                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                 compressed: np.ndarray, num_touched: int, epsilon: float = 1e-12
+                 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Progressive filling instrumented with the bottleneck structure it produces.
 
     Operates on a *compressed* incidence: ``compressed`` maps each entry to a
     touched-link index ``0..num_touched-1`` and ``touched_caps`` holds those links'
-    capacities (the ``np.unique(entry_links, return_inverse=True)`` form the
-    engine's allocators already compute).  The filling rounds evaluate the same
-    float expressions as :func:`max_min_fair_rates` /
-    :func:`repro.sim.allocstate._progressive_fill`; on top of the rates this
-    returns *which round froze what*:
+    capacities (the form ``np.unique(entry_links, return_inverse=True)``
+    returns).  The filling rounds evaluate the same float expressions as
+    :func:`max_min_fair_rates` / :func:`repro.sim.allocstate._progressive_fill`;
+    on top of the rates this returns *which round saturated what*:
 
-    ``(rates, flow_round, link_round, level_rates)`` — ``flow_round[f]`` is the
-    saturation round that froze flow ``f`` (-1 if never frozen), ``link_round[l]``
-    the round at which touched link ``l`` saturated (-1 if it keeps slack), and
+    ``(rates, link_round, level_rates)`` — ``link_round[l]`` is the round at
+    which touched link ``l`` saturated (-1 if it keeps slack), and
     ``level_rates[k]`` the cumulative fair-share level of round ``k`` — the rate
     every flow bottlenecked at a level-``k`` link receives.  These are the
     saturation tiers of the bottleneck structure
     (:mod:`repro.sim.bottleneck`); :func:`bottleneck_levels` is the public
     uncompressed wrapper.
 
-    ``unfixed`` optionally restricts the fill to a subset of flows (copied, never
-    mutated), exactly as in ``_progressive_fill``.
+    Like ``_progressive_fill``, the loads are counted once and then lose each
+    newly frozen flow's entries, and each flow receives the running level of the
+    round that froze it.
     """
     rates = np.zeros(num_flows)
-    flow_round = np.full(num_flows, -1, dtype=np.int64)
     link_round = np.full(num_touched, -1, dtype=np.int64)
     levels: List[float] = []
     if compressed.size == 0 or num_touched == 0:
-        return rates, flow_round, link_round, np.zeros(0)
-    remaining = touched_caps.astype(np.float64).copy()
+        return rates, link_round, np.zeros(0)
+    remaining = touched_caps
     saturation_threshold = epsilon * remaining + epsilon
-    unfixed = np.ones(num_flows, dtype=bool) if unfixed is None else unfixed.copy()
+    fixed = np.zeros(num_flows, dtype=bool)
+    load = np.bincount(compressed, minlength=num_touched)
     level = 0.0
     for rnd in range(num_touched + 1):
-        if not unfixed.any():
-            break
-        live = unfixed[entry_flows]
-        load = np.bincount(compressed[live], minlength=num_touched)
         active_links = load > 0
         if not active_links.any():
             break
         increment = float((remaining[active_links] / load[active_links]).min())
         if increment <= 0:
             increment = 0.0
-        rates[unfixed] += increment
         level += increment
         remaining = remaining - load * increment
         saturated = active_links & (remaining <= saturation_threshold)
@@ -155,12 +148,16 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
             # no link saturates (should not happen with finite capacities); freeze all
             break
         levels.append(level)
-        link_round[saturated & (link_round < 0)] = rnd
-        newly_fixed = np.zeros(num_flows, dtype=bool)
-        newly_fixed[entry_flows[saturated[compressed] & live]] = True
-        flow_round[newly_fixed] = rnd
-        unfixed &= ~newly_fixed
-    return rates, flow_round, link_round, np.asarray(levels)
+        # a saturated link loses all its flows this round, so it saturates once
+        link_round[saturated] = rnd
+        hit = entry_flows[saturated[compressed]]
+        frozen = np.zeros(num_flows, dtype=bool)
+        frozen[hit] = ~fixed[hit]
+        rates[frozen] = level
+        fixed |= frozen
+        load -= np.bincount(compressed[frozen[entry_flows]], minlength=num_touched)
+    rates[~fixed] = level
+    return rates, link_round, np.asarray(levels)
 
 
 def bottleneck_levels(entry_links: np.ndarray, entry_flows: np.ndarray,
@@ -195,7 +192,7 @@ def bottleneck_levels(entry_links: np.ndarray, entry_flows: np.ndarray,
         raise ValueError("entries reference an unknown link index")
     num_flows = int(entry_flows.max()) + 1
     touched, compressed = np.unique(entry_links, return_inverse=True)
-    _, _, link_round, level_rates = leveled_fill(
+    _, link_round, level_rates = leveled_fill(
         entry_flows, num_flows, capacities[touched], compressed, touched.size,
         epsilon=epsilon)
     link_levels[touched] = link_round

@@ -537,12 +537,8 @@ class StreamSimulator:
         unpickler.persistent_load = self._stack_objects().__getitem__
         vars(self).update(unpickler.load())
         self.engine.bank = self.core.bank
-        selector = self.core.selector
         if chk["selector_rng"] is not None:
-            selector._rng.bit_generator.state = chk["selector_rng"]
-        memo = getattr(selector, "_row_memo", None)
-        if memo is not None:
-            memo.clear()
+            self.core.selector._rng.bit_generator.state = chk["selector_rng"]
         self._window_wall = time.perf_counter()
 
 

@@ -150,23 +150,29 @@ class TestBatchedSelectors:
     """next_path_batch must consume the selector RNG exactly as sequential calls do
     (the contract the vectorized simulation engine's equivalence rests on)."""
 
+    #: Load ranges of the adaptive selector's branches at its 0.9 threshold:
+    #: mixed rows, every row with an acceptable path, no row with one.
+    MIXED, ALL_ACCEPTABLE, NONE_ACCEPTABLE = (0.0, 1.5), (0.0, 0.8), (0.95, 1.5)
+
     @staticmethod
-    def _random_batch(rng, num_flows, max_paths=6):
+    def _random_batch(rng, num_flows, max_paths=6, load_range=MIXED, pad=0):
         counts = rng.integers(2, max_paths + 1, size=num_flows)
-        width = int(counts.max())
+        width = int(counts.max()) + pad
         loads = np.full((num_flows, width), np.inf)
         lengths = np.full((num_flows, width), np.inf)
         for row, n in enumerate(counts):
-            loads[row, :n] = rng.uniform(0.0, 1.5, size=n)
+            loads[row, :n] = rng.uniform(*load_range, size=n)
             lengths[row, :n] = rng.integers(1, 5, size=n)
         flow_ids = rng.integers(0, 1000, size=num_flows)
         currents = np.array([int(rng.integers(0, n)) for n in counts])
         return flow_ids, currents, counts, loads, lengths
 
-    def _assert_batch_matches_sequential(self, make_selector, seed_pool=range(6)):
+    def _assert_batch_matches_sequential(self, make_selector, seed_pool=range(6),
+                                         num_flows=40, **shape):
         for case_seed in seed_pool:
             rng = np.random.default_rng(case_seed)
-            flow_ids, currents, counts, loads, lengths = self._random_batch(rng, 40)
+            flow_ids, currents, counts, loads, lengths = \
+                self._random_batch(rng, num_flows, **shape)
             sequential_sel = make_selector()
             sequential = [sequential_sel.next_path(
                 int(fid), int(cur), int(n),
@@ -182,7 +188,30 @@ class TestBatchedSelectors:
                         == batch_sel._rng.bit_generator.state)
 
     def test_flowlet_adaptive(self):
-        self._assert_batch_matches_sequential(lambda: FlowletSelector(seed=3, adaptive=True))
+        """Both branches of the batch: rows choosing among acceptable paths (every
+        row, or a mix) and rows falling back to the least loaded (every row)."""
+        for load_range in (self.MIXED, self.ALL_ACCEPTABLE, self.NONE_ACCEPTABLE):
+            self._assert_batch_matches_sequential(
+                lambda: FlowletSelector(seed=3, adaptive=True), load_range=load_range)
+
+    def test_flowlet_adaptive_single_padded_row(self):
+        """The one-row fast path ignores the +inf padding beyond the row's paths."""
+        for load_range in (self.MIXED, self.ALL_ACCEPTABLE, self.NONE_ACCEPTABLE):
+            self._assert_batch_matches_sequential(
+                lambda: FlowletSelector(seed=3, adaptive=True), seed_pool=range(20),
+                num_flows=1, load_range=load_range, pad=2)
+
+    def test_initial_path_draw_matches_choice(self):
+        """initial_path's memoised draw is rng.choice over the shortest candidates."""
+        selector = FlowletSelector(seed=9, adaptive=True)
+        rng = np.random.default_rng(9)
+        case = np.random.default_rng(1)
+        for _ in range(200):
+            lengths = case.integers(1, 4, size=int(case.integers(1, 7))).tolist()
+            shortest = np.flatnonzero(np.asarray(lengths) == min(lengths))
+            assert selector.initial_path(0, len(lengths), path_lengths=lengths) \
+                == int(rng.choice(shortest))
+            assert selector._rng.bit_generator.state == rng.bit_generator.state
 
     def test_flowlet_nonadaptive_unbiased(self):
         self._assert_batch_matches_sequential(

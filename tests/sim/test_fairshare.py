@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.fairshare import link_utilisation, max_min_fair_rates
+from repro.sim.allocstate import _compress_links, _progressive_fill
+from repro.sim.fairshare import leveled_fill, link_utilisation, max_min_fair_rates
 
 
 class TestMaxMinFair:
@@ -183,3 +184,40 @@ class TestProgressiveFillingInvariants:
     def test_utilisation_rejects_unknown_link(self):
         with pytest.raises(ValueError):
             link_utilisation([[0, 3]], np.array([1.0]), np.array([5.0, 5.0]))
+
+
+class TestPooledFillMatchesReference:
+    """The engine's pooled fills equal ``max_min_fair_rates`` bit for bit.
+
+    Capacities are all equal or take two values, so many links saturate in the
+    same round and a differently ordered float sum would show in the last ulp.
+    A random subset of the flows is live, relabelled ``0..k-1`` in arrival order
+    as the allocators do, and their entries come in a random order.
+    """
+
+    @given(num_flows=st.integers(1, 40), num_links=st.integers(1, 16),
+           two_capacities=st.booleans(), live_share=st.floats(0.0, 1.0),
+           precompressed=st.booleans(), seed=st.integers(0, 10_000))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_identical(self, num_flows, num_links, two_capacities, live_share,
+                           precompressed, seed):
+        rng = np.random.default_rng(seed)
+        values = [10.0, 25.0] if two_capacities else [10.0]
+        caps = rng.choice(values, size=num_links)
+        paths = [rng.choice(num_links, size=int(rng.integers(1, num_links + 1)),
+                            replace=False).tolist() for _ in range(num_flows)]
+        live = np.flatnonzero(rng.random(num_flows) < live_share)
+        entries = [(link, i) for i, f in enumerate(live) for link in paths[f]]
+        order = rng.permutation(len(entries))
+        links = np.array([entries[i][0] for i in order], dtype=np.int64)
+        flows = np.array([entries[i][1] for i in order], dtype=np.int64)
+        compression = np.unique(links, return_inverse=True) if precompressed else None
+        got = _progressive_fill(links, flows, live.size, caps, compression=compression)
+        expected = np.zeros(live.size)
+        if live.size:
+            expected = max_min_fair_rates([paths[f] for f in live], caps)
+        assert np.array_equal(got, expected)
+        touched, compressed = _compress_links(links, num_links)
+        leveled, _, _ = leveled_fill(flows, live.size, caps[touched], compressed,
+                                     touched.size)
+        assert np.array_equal(leveled, expected)

@@ -273,6 +273,23 @@ class TestBoundedMemory:
         assert summary["slot_compactions"] > 10
         assert summary["windows"] > 10
 
+    def test_selector_memo_bounded_by_router_pairs(self, topo):
+        """Under light load most events re-pick one flow, whose lengths row the
+        engine builds afresh; the selector's row memo must still hold at most
+        one item per resolved router pair."""
+        rng = np.random.default_rng(3)
+        pattern = random_permutation(topo.num_endpoints, rng).subsample(0.2, rng)
+        flows = list(poisson_flow_stream(pattern, 50.0, rng=rng, max_flows=600))
+        sim = stream_sim(topo, "fatpaths", record_sink=lambda record: None)
+        memo, pairs = sim.core.selector._row_memo, sim.core.bank.entries
+        for i in range(0, len(flows), 20):
+            sim.push(flows[i:i + 20])
+            if i + 20 < len(flows):
+                sim.advance(float(flows[i + 20].start_time), inclusive=False)
+            assert len(memo) <= len(pairs)
+        sim.finish()
+        assert 0 < len(memo) <= len(pairs)
+
 
 # --------------------------------------------------------- checkpoint/restore
 def drive(sim, chunks, start=0):
