@@ -6,6 +6,8 @@ counting, the flow simulator event loop) whose performance determines how far th
 reproduction scales.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from repro.kernels import batch_disjoint_paths, global_cache, kernels_for, next_
 from repro.kernels import reference as legacy
 from repro.kernels.paths import shortest_path_counts
 from repro.routing import EcmpRouting
+from repro.routing.spain import build_spain_layers
 from repro.sim.fairshare import max_min_fair_rates
 from repro.sim.flowsim import simulate_workload
 from repro.topologies import slim_fly
@@ -205,3 +208,74 @@ def test_bench_multi_source_bfs_csr_kernels(benchmark, kgraph):
 
     result = benchmark(csr.bfs_distances_batch, sources)
     assert result.shape == (len(sources), kgraph.num_routers)
+
+
+# --------------------------------------------------------------------------------------
+# SPAIN construction: the scalar spec vs the batched build on Figure 9's SPAIN
+# configuration (3 paths per pair, 9 layers); tools/bench_report.py folds the pair
+# into BENCH_flowsim.json as the ``spain_build`` section.
+
+#: SPAIN destinations per benchmark round: Figure 9's worst-case matching size at
+#: the scale, which bounds its SPAIN destination count (24 of 24 on SF at tiny).
+_SPAIN_BENCH_DESTINATIONS = {"tiny": 24, "small": 40, "medium": 60}
+
+#: Floor on the batched SPAIN construction's speedup over the scalar spec, asserted
+#: at small and medium scale (about a third of the ~16x measured at small).
+_SPAIN_SPEEDUP_FLOOR = 5.0
+
+
+def _spain_bench_destinations(kgraph, scale):
+    rng = np.random.default_rng(0)
+    picks = rng.choice(kgraph.num_routers, size=_SPAIN_BENCH_DESTINATIONS[scale.value],
+                       replace=False)
+    return sorted(int(d) for d in picks)
+
+
+def _spain_scalar(kgraph, destinations):
+    """Figure 9's SPAIN configuration through the scalar spec."""
+    return legacy.spain_layers_python(kgraph.num_routers, kgraph.edges,
+                                      kgraph.endpoint_routers, destinations,
+                                      paths_per_pair=3, seed=0, max_layers=9)
+
+
+def _spain_batched(kgraph, destinations):
+    """The same construction through the batched kernel, cold (cache cleared)."""
+    global_cache().clear()
+    layer_set, pair_paths = build_spain_layers(kgraph, paths_per_pair=3,
+                                               destinations=destinations, seed=0,
+                                               max_layers=9, return_paths=True)
+    return [set(layer.edges) for layer in layer_set], pair_paths
+
+
+def test_bench_spain_build_reference_scalar(benchmark, kgraph, scale):
+    destinations = _spain_bench_destinations(kgraph, scale)
+    layers, _ = benchmark.pedantic(_spain_scalar, args=(kgraph, destinations),
+                                   rounds=1, iterations=1, warmup_rounds=0)
+    assert len(layers) == 9
+
+
+def test_bench_spain_build_batched(benchmark, kgraph, scale):
+    destinations = _spain_bench_destinations(kgraph, scale)
+    layers, _ = benchmark.pedantic(_spain_batched, args=(kgraph, destinations),
+                                   rounds=3, iterations=1, warmup_rounds=0)
+    assert len(layers) == 9
+
+
+def test_spain_build_speedup_and_equivalence(kgraph, scale):
+    """Time both SPAIN constructions on Figure 9's configuration, pin the batched
+    output to the scalar spec, and (at small/medium scale) assert the speedup floor."""
+    destinations = _spain_bench_destinations(kgraph, scale)
+    start = time.perf_counter()
+    expected = _spain_scalar(kgraph, destinations)
+    scalar_seconds = time.perf_counter() - start
+    start = time.perf_counter()
+    got = _spain_batched(kgraph, destinations)
+    batched_seconds = time.perf_counter() - start
+
+    assert got[0] == expected[0]
+    assert got[1] == expected[1]
+    speedup = scalar_seconds / max(batched_seconds, 1e-9)
+    print(f"\nspain {scale.value}: {len(destinations)} destinations, scalar "
+          f"{scalar_seconds:.2f} s, batched {batched_seconds:.2f} s, speedup {speedup:.1f}x")
+    if scale.value != "tiny":
+        assert speedup >= _SPAIN_SPEEDUP_FLOOR

@@ -134,6 +134,8 @@ def disjoint_path_distribution(topology: Topology, max_len: int, num_samples: in
     if len(candidates) < 2:
         raise ValueError("need at least two endpoint-hosting routers")
     if pairs is None:
+        if num_samples < 1:
+            raise ValueError(f"num_samples must be >= 1, got {num_samples}")
         sampled: List[Tuple[int, int]] = []
         while len(sampled) < num_samples:
             s, t = rng.choice(len(candidates), size=2)

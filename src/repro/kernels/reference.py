@@ -9,11 +9,14 @@ paths.  They are kept (modulo operating on raw adjacency data instead of a
   vectorized kernels reproduce the scalar results bit-for-bit, and
 * the benchmark suite can report the legacy-vs-kernel speedup on identical inputs.
 
-Two entries are *specifications* rather than seed code:
+Three entries are *specifications* rather than seed code:
 :func:`greedy_disjoint_paths_python` and :func:`next_hop_table_python` define the
 deterministic tie-breaking semantics (documented per function) that the batched
 kernels in :mod:`repro.kernels.disjoint` and :mod:`repro.kernels.nexthop` must
-reproduce exactly.
+reproduce exactly, and :func:`spain_layers_python` is the per-pair SPAIN
+construction that the per-destination batched
+:func:`repro.routing.spain.build_spain_layers` must reproduce layer for layer and
+path for path.
 
 Do not "optimise" this module — its value is being the trusted slow baseline.
 """
@@ -240,3 +243,189 @@ def next_hop_sets_python(num_nodes: int, edges: Sequence[Edge],
     for s in range(num_nodes):
         accumulated[s][s] = set()
     return accumulated
+
+
+# ------------------------------------------------------------------------ SPAIN
+def _normalize(u: int, v: int) -> Edge:
+    return (u, v) if u < v else (v, u)
+
+
+def weighted_shortest_path_python(adj: List[List[int]], weights: Dict[Edge, float],
+                                  source: int, target: int) -> Optional[List[int]]:
+    """Dijkstra over hop-count + usage penalties (prefers link-disjoint repeats).
+
+    Heap entries are ``(distance, vertex)`` tuples and a label only improves on a
+    strictly shorter distance, so the parent of ``v`` is its tight predecessor
+    ``u`` (``dist(u) + w(u, v) == dist(v)``) with the smallest ``(dist(u), u)``.
+    """
+    import heapq
+
+    dist = {source: 0.0}
+    parent: Dict[int, int] = {}
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if d > dist.get(u, float("inf")):
+            continue
+        if u == target:
+            break
+        for v in adj[u]:
+            w = 1.0 + weights.get(_normalize(u, v), 0.0)
+            nd = d + w
+            if nd < dist.get(v, float("inf")):
+                dist[v] = nd
+                parent[v] = u
+                heapq.heappush(heap, (nd, v))
+    if target not in dist:
+        return None
+    path = [target]
+    while path[-1] != source:
+        path.append(parent[path[-1]])
+    path.reverse()
+    return path
+
+
+def vlan_compatible_python(path_a: Sequence[int], path_b: Sequence[int]) -> bool:
+    """Listing 4's compatibility check: shared routers must agree on the next hop.
+
+    Both paths lead to the same destination; if they disagree on the outgoing link at a
+    shared router, putting them in one VLAN would create ambiguity/loops.
+    """
+    next_hop_a = {path_a[i]: path_a[i + 1] for i in range(len(path_a) - 1)}
+    for i in range(len(path_b) - 1):
+        router = path_b[i]
+        if router in next_hop_a and next_hop_a[router] != path_b[i + 1]:
+            return False
+    return True
+
+
+def greedy_coloring_python(conflicts: List[Set[int]]) -> List[int]:
+    """Greedy vertex colouring of the path-conflict graph (smallest available colour)."""
+    colors = [-1] * len(conflicts)
+    for vertex in range(len(conflicts)):
+        used = {colors[other] for other in conflicts[vertex] if colors[other] >= 0}
+        color = 0
+        while color in used:
+            color += 1
+        colors[vertex] = color
+    return colors
+
+
+def is_acyclic_python(num_nodes: int, edges: Set[Edge]) -> bool:
+    """Union-find cycle check for an undirected edge set."""
+    parent = list(range(num_nodes))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return False
+        parent[ru] = rv
+    return True
+
+
+def bfs_spanning_tree_python(adj: List[List[int]], root: int,
+                             rng: np.random.Generator) -> Set[Edge]:
+    """BFS spanning tree rooted at ``root`` with randomised neighbour order."""
+    visited = {root}
+    edges: Set[Edge] = set()
+    frontier = [root]
+    while frontier:
+        nxt: List[int] = []
+        for u in frontier:
+            neighbours = list(adj[u])
+            rng.shuffle(neighbours)
+            for v in neighbours:
+                if v not in visited:
+                    visited.add(v)
+                    edges.add(_normalize(u, v))
+                    nxt.append(v)
+        frontier = nxt
+    return edges
+
+
+def spain_layers_python(num_nodes: int, edges: Sequence[Edge], sources: Sequence[int],
+                        destinations: Sequence[int], paths_per_pair: int = 3,
+                        seed: int = 0, max_layers: Optional[int] = None):
+    """Scalar SPAIN construction — the trusted baseline for
+    :func:`repro.routing.spain.build_spain_layers`.
+
+    Per destination and source: up to ``paths_per_pair`` Dijkstra paths
+    (:func:`weighted_shortest_path_python`), each pass adding ``|E|`` to the weight
+    of every link an earlier path of the pair used; a source stops at its first
+    repeated path.  The destination's paths (source-major, pass-minor order) are
+    coloured greedily over the :func:`vlan_compatible_python` conflict graph, one
+    VLAN per colour.  VLANs are merged in a shuffled order into the first merged
+    layer whose union with them stays acyclic, then sorted by size (stable) and cut
+    to ``max_layers - 1`` behind a BFS fallback spanning tree.
+
+    Returns ``(layer_edge_sets, pair_paths)``: the layers' normalised edge sets in
+    layer order and ``{(source, destination): [paths]}``.
+    """
+    rng = np.random.default_rng(seed)
+    adj = adjacency_lists(num_nodes, edges)
+    num_edges = len(edges)
+
+    per_destination_vlans: List[Set[Edge]] = []
+    pair_paths: Dict[Tuple[int, int], List[List[int]]] = {}
+    for dest in destinations:
+        dist_to_dest = bfs_distances_python(num_nodes, adj, dest)
+        paths: List[List[int]] = []
+        for src in sources:
+            if src == dest or dist_to_dest[src] < 0:
+                continue
+            weights: Dict[Edge, float] = {}
+            for _ in range(paths_per_pair):
+                path = weighted_shortest_path_python(adj, weights, src, dest)
+                if path is None:
+                    break
+                if path in paths:
+                    break
+                paths.append(path)
+                pair_paths.setdefault((src, dest), []).append(path)
+                for u, v in zip(path, path[1:]):
+                    weights[_normalize(u, v)] = weights.get(_normalize(u, v), 0.0) + num_edges
+        if not paths:
+            continue
+        conflicts: List[Set[int]] = [set() for _ in paths]
+        for i in range(len(paths)):
+            for j in range(i + 1, len(paths)):
+                if not vlan_compatible_python(paths[i], paths[j]):
+                    conflicts[i].add(j)
+                    conflicts[j].add(i)
+        colors = greedy_coloring_python(conflicts)
+        for color in range(max(colors) + 1):
+            edge_set: Set[Edge] = set()
+            for path, c in zip(paths, colors):
+                if c != color:
+                    continue
+                for u, v in zip(path, path[1:]):
+                    edge_set.add(_normalize(u, v))
+            if edge_set:
+                per_destination_vlans.append(edge_set)
+
+    order = list(range(len(per_destination_vlans)))
+    rng.shuffle(order)
+    merged: List[Set[Edge]] = []
+    for idx in order:
+        vlan = per_destination_vlans[idx]
+        placed = False
+        for target in merged:
+            union = target | vlan
+            if is_acyclic_python(num_nodes, union):
+                target |= vlan
+                placed = True
+                break
+        if not placed:
+            merged.append(set(vlan))
+
+    fallback = bfs_spanning_tree_python(adj, int(rng.integers(num_nodes)), rng)
+    merged.sort(key=len, reverse=True)
+    if max_layers is not None and len(merged) > max_layers - 1:
+        merged = merged[: max_layers - 1]
+    return [fallback] + merged, pair_paths

@@ -10,6 +10,27 @@ in FatPaths terms, which is exactly how the comparison in the paper integrates i
 The key structural difference from FatPaths (and the source of SPAIN's disadvantage on
 low-diameter topologies) is that each layer is a forest, so a layer can hold at most
 ``Nr - 1`` links and O(k') to O(Nr) layers are needed to cover the path diversity.
+
+The construction runs one destination at a time over all of its sources at once:
+
+* **Paths.**  Pass ``i`` of a (source, destination) pair is a Dijkstra path under
+  link weights ``1 + |E| * uses``, where ``uses`` counts the pair's earlier paths over
+  the link.  Pass 1 reads the cached hop-distance matrix; later passes run one
+  :func:`scipy.sparse.csgraph.dijkstra` over a block-diagonal graph with one block
+  per still-active source.  Paths are read back from the distance labels with the
+  scalar heap's tie rule: the parent of ``v`` is its tight predecessor ``u``
+  (``dist(u) + w(u, v) == dist(v)``) with the smallest ``(dist(u), u)``.  A source
+  stops at its first repeated path.
+* **Conflicts.**  Two paths to one destination conflict iff they share a router at
+  which their next hops differ, i.e. iff ``(S Sᵀ) > (H Hᵀ)`` for the path × router
+  incidence ``S`` and the path × (router, next hop) incidence ``H`` (destination
+  excluded).  The conflict graph is coloured greedily in path order.
+* **Merging.**  Each merged layer keeps one union-find; a VLAN is tested by adding
+  only its links the layer lacks, and those unions are undone when it is rejected.
+
+:func:`repro.kernels.reference.spain_layers_python` is the per-pair scalar
+specification; ``tests/routing/test_spain_equivalence.py`` pins layer edge sets
+and per-pair paths to it.
 """
 
 from __future__ import annotations
@@ -17,6 +38,8 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from repro.core.config import FatPathsConfig
 from repro.core.layers import Layer, LayerSet
@@ -31,78 +54,233 @@ def _normalize(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-def _weighted_shortest_path(adj: List[List[int]], weights: Dict[Edge, float],
-                            source: int, target: int) -> Optional[List[int]]:
-    """Dijkstra over hop-count + usage penalties (prefers link-disjoint repeats)."""
-    import heapq
+class _LinkIndex:
+    """Link ids and padded neighbour tables of one topology.
 
-    dist = {source: 0.0}
-    parent: Dict[int, int] = {}
-    heap = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist.get(u, float("inf")):
-            continue
-        if u == target:
-            break
-        for v in adj[u]:
-            w = 1.0 + weights.get(_normalize(u, v), 0.0)
-            nd = d + w
-            if nd < dist.get(v, float("inf")):
-                dist[v] = nd
-                parent[v] = u
-                heapq.heappush(heap, (nd, v))
-    if target not in dist:
-        return None
-    path = [target]
-    while path[-1] != source:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
-
-
-def _vlan_compatible(path_a: Sequence[int], path_b: Sequence[int]) -> bool:
-    """Listing 4's compatibility check: shared routers must agree on the next hop.
-
-    Both paths lead to the same destination; if they disagree on the outgoing link at a
-    shared router, putting them in one VLAN would create ambiguity/loops.
+    Link ``e`` is ``topology.edges[e]``.  ``nbr[v]`` lists ``v``'s neighbours in
+    ascending order, padded with the phantom router ``n`` (whose distance label is
+    always ``inf``); ``nbr_link[v]`` holds the matching link ids, padded with the
+    phantom link ``|E|``.
     """
-    next_hop_a = {path_a[i]: path_a[i + 1] for i in range(len(path_a) - 1)}
-    for i in range(len(path_b) - 1):
-        router = path_b[i]
-        if router in next_hop_a and next_hop_a[router] != path_b[i + 1]:
-            return False
-    return True
+
+    def __init__(self, topology: Topology) -> None:
+        csr = kernels_for(topology).csr
+        n, num_links = topology.num_routers, len(topology.edges)
+        self.n, self.num_links = n, num_links
+        self.indptr, self.indices = csr.indptr, csr.indices
+        ends = np.asarray(topology.edges, dtype=np.int64).reshape(-1, 2)
+        heads = np.repeat(np.arange(n, dtype=np.int64), np.diff(csr.indptr))
+        keys = np.minimum(heads, csr.indices) * n + np.maximum(heads, csr.indices)
+        #: link id of every CSR slot (topology.edges is sorted, so keys are too)
+        self.slot_link = np.searchsorted(ends[:, 0] * n + ends[:, 1], keys)
+        degree = np.diff(csr.indptr)
+        width = int(degree.max())
+        column = np.arange(csr.indices.size) - np.repeat(csr.indptr[:-1], degree)
+        self.nbr = np.full((n, width), n, dtype=np.int64)
+        self.nbr[heads, column] = csr.indices
+        self.nbr_link = np.full((n, width), num_links, dtype=np.int64)
+        self.nbr_link[heads, column] = self.slot_link
 
 
-def _greedy_coloring(conflicts: List[Set[int]]) -> List[int]:
-    """Greedy vertex colouring of the path-conflict graph (smallest available colour)."""
-    colors = [-1] * len(conflicts)
-    for vertex in range(len(conflicts)):
-        used = {colors[other] for other in conflicts[vertex] if colors[other] >= 0}
-        color = 0
-        while color in used:
-            color += 1
-        colors[vertex] = color
-    return colors
+def _read_paths(index: _LinkIndex, dist: np.ndarray, weights: Optional[np.ndarray],
+                sources: np.ndarray, dest: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Read every source's Dijkstra path to ``dest`` back from its distance labels.
+
+    ``dist`` is ``(B, n + 1)`` (labels from each source, ``inf`` unreachable and in
+    the phantom column); ``weights`` is ``(B, |E| + 1)`` per-link weights, or
+    ``None`` for unit weights.  No source may be ``dest``.  Returns ``(verts,
+    links)``: ``verts[b]`` walks from ``dest`` back to ``sources[b]`` (``-1`` after
+    it), ``links[b, j]`` is the link between ``verts[b, j]`` and ``verts[b, j + 1]``.
+    """
+    count = sources.size
+    cur = np.full(count, dest, dtype=np.int64)
+    verts = [cur.copy()]
+    links: List[np.ndarray] = []
+    live = np.flatnonzero(cur != sources)
+    while live.size:
+        v = cur[live]
+        nbr = index.nbr[v]
+        labels = dist[live[:, None], nbr]
+        step = 1.0 if weights is None else weights[live[:, None], index.nbr_link[v]]
+        tight = labels + step == dist[live, v][:, None]
+        # first minimum of the tight labels: smallest (dist(u), u), rows are sorted
+        pick = np.where(tight, labels, np.inf).argmin(axis=1)
+        rows = np.arange(live.size)
+        nxt = nbr[rows, pick]
+        vert_col = np.full(count, -1, dtype=np.int64)
+        link_col = np.full(count, -1, dtype=np.int64)
+        vert_col[live] = nxt
+        link_col[live] = index.nbr_link[v, pick]
+        verts.append(vert_col)
+        links.append(link_col)
+        cur[live] = nxt
+        live = live[nxt != sources[live]]
+    return np.stack(verts, axis=1), np.stack(links, axis=1)
 
 
-def _is_acyclic(num_routers: int, edges: Set[Edge]) -> bool:
-    """Union-find cycle check for an undirected edge set."""
-    parent = list(range(num_routers))
+def _weighted_labels(index: _LinkIndex, uses: np.ndarray,
+                     sources: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Dijkstra labels from every source under its own weights ``1 + |E| * uses``.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    One :func:`scipy.sparse.csgraph.dijkstra` call over a block-diagonal graph
+    with one block per source.  Returns ``(dist, weights)`` shaped for
+    :func:`_read_paths`.
+    """
+    count, n = sources.size, index.n
+    slots = index.indices.size
+    weights = 1.0 + index.num_links * uses.astype(np.float64)
+    offsets = np.arange(count, dtype=np.int64)
+    indptr = np.append((index.indptr[:-1] + offsets[:, None] * slots).ravel(),
+                       count * slots)
+    indices = (index.indices + offsets[:, None] * n).ravel()
+    graph = csr_matrix((weights[:, index.slot_link].ravel(), indices, indptr),
+                       shape=(count * n, count * n))
+    labels = dijkstra(graph, directed=True, indices=sources + offsets * n, min_only=True)
+    dist = np.full((count, n + 1), np.inf)
+    dist[:, :n] = labels.reshape(count, n)
+    return dist, weights
 
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
+
+def _pad(arr: np.ndarray, width: int) -> np.ndarray:
+    """``arr`` widened to ``width`` columns with ``-1``."""
+    out = np.full((arr.shape[0], width), -1, dtype=np.int64)
+    out[:, :arr.shape[1]] = arr
+    return out
+
+
+def _destination_paths(index: _LinkIndex, hops: np.ndarray, sources: np.ndarray,
+                       dest: int, paths_per_pair: int
+                       ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every source's paths to ``dest`` as padded arrays, source-major and pass-minor.
+
+    ``hops`` is the hop-distance matrix.  Returns ``(owner, verts, links,
+    lengths)``: path ``i`` is one of ``sources[owner[i]]``'s, has ``lengths[i]``
+    hops, and ``verts[i]``/``links[i]`` are laid out as :func:`_read_paths` returns
+    them.
+    """
+    count = sources.size
+    dist = np.full((count, index.n + 1), np.inf)
+    dist[:, :index.n] = np.where(hops[sources] >= 0, hops[sources], np.inf)
+    weights = None
+    uses = np.zeros((count, index.num_links + 1), dtype=np.int64)
+    active = np.arange(count)
+    passes: List[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = []
+    for attempt in range(paths_per_pair):
+        if active.size == 0:
+            break
+        if attempt:
+            dist, weights = _weighted_labels(index, uses[active], sources[active])
+        verts, links = _read_paths(index, dist, weights, sources[active], dest)
+        # a source stops at its first path that repeats one of its earlier paths
+        repeated = np.zeros(active.size, dtype=bool)
+        for owner, earlier, _, _ in passes:
+            earlier = earlier[np.searchsorted(owner, active)]
+            width = max(earlier.shape[1], verts.shape[1])
+            repeated |= (_pad(earlier, width) == _pad(verts, width)).all(axis=1)
+        active, verts, links = active[~repeated], verts[~repeated], links[~repeated]
+        lengths = (verts >= 0).sum(axis=1) - 1
+        hop = np.arange(links.shape[1]) < lengths[:, None]
+        uses[active[np.nonzero(hop)[0]], links[hop]] += 1
+        passes.append((active, verts, links, lengths))
+    width = max(verts.shape[1] for _, verts, _, _ in passes)
+    owner = np.concatenate([owner for owner, _, _, _ in passes])
+    order = np.argsort(owner, kind="stable")
+    return (owner[order],
+            np.concatenate([_pad(verts, width) for _, verts, _, _ in passes])[order],
+            np.concatenate([_pad(links, width - 1) for _, _, links, _ in passes])[order],
+            np.concatenate([lengths for _, _, _, lengths in passes])[order])
+
+
+def _colour_paths(index: _LinkIndex, verts: np.ndarray, links: np.ndarray,
+                  lengths: np.ndarray) -> List[np.ndarray]:
+    """Greedy VLAN colouring of one destination's paths; one link-id array per colour.
+
+    Paths ``i`` and ``j`` conflict iff ``(S Sᵀ)[i, j] > (H Hᵀ)[i, j]``: they share
+    more routers than (router, next hop) pairs.  Colours are assigned in path
+    order, each the smallest colour no earlier conflicting path holds.
+    """
+    num_paths = lengths.size
+    hop = np.arange(links.shape[1]) < lengths[:, None]
+    rows = np.nonzero(hop)[0]
+    routers, nexts, hop_links = verts[:, 1:][hop], verts[:, :-1][hop], links[hop]
+    ones = np.ones(rows.size, dtype=np.int64)
+    shared_routers = csr_matrix((ones, (rows, routers)), shape=(num_paths, index.n))
+    shared_hops = csr_matrix((ones, (rows, 2 * hop_links + (routers > nexts))),
+                             shape=(num_paths, 2 * index.num_links))
+    conflicts = (shared_routers @ shared_routers.T - shared_hops @ shared_hops.T).tocsr()
+    conflicts.data = (conflicts.data > 0).astype(np.int8)
+    conflicts.eliminate_zeros()
+    indptr, indices = conflicts.indptr, conflicts.indices
+    width = int(np.diff(indptr).max(initial=0)) + 2
+    taken = np.zeros((num_paths, width), dtype=bool)
+    colours = np.empty(num_paths, dtype=np.int64)
+    for vertex in range(num_paths):
+        colour = int(taken[vertex].argmin())
+        colours[vertex] = colour
+        taken[indices[indptr[vertex]:indptr[vertex + 1]], colour] = True
+    stride = index.num_links + 1
+    keys = np.unique(colours[rows] * stride + hop_links)
+    starts = np.searchsorted(keys, np.arange(colours.max() + 2) * stride)
+    return [keys[starts[c]:starts[c + 1]] % stride for c in range(colours.max() + 1)]
+
+
+class _MergedLayer:
+    """A merged VLAN: its link ids plus a union-find over its routers.
+
+    Union by size without path compression, so a rejected VLAN's unions can be
+    undone by resetting the roots they attached.
+    """
+
+    __slots__ = ("links", "parent", "size")
+
+    def __init__(self, num_routers: int) -> None:
+        self.links: Set[int] = set()
+        self.parent = list(range(num_routers))
+        self.size = [1] * num_routers
+
+    def try_merge(self, vlan: Set[int], ends: Sequence[Edge]) -> bool:
+        """Add ``vlan`` if the union stays acyclic; otherwise leave the layer as it was.
+
+        Only the VLAN's links the layer lacks are unioned; the layer is a forest, so
+        the union is acyclic iff none of them joins two routers already connected.
+        """
+        links, parent, size = self.links, self.parent, self.size
+        attached: List[Tuple[int, int]] = []
+        for link in vlan:
+            if link in links:
+                continue
+            u, v = ends[link]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            if u == v:
+                for child, root in reversed(attached):
+                    parent[child] = child
+                    size[root] -= size[child]
+                return False
+            if size[u] > size[v]:
+                u, v = v, u
+            parent[u] = v
+            size[v] += size[u]
+            attached.append((u, v))
+        links |= vlan
+        return True
+
+
+def _check_arguments(topology: Topology, paths_per_pair: int,
+                     destinations: Sequence[int], max_layers: Optional[int]) -> None:
+    """One-line ``ValueError`` for arguments the construction cannot honour."""
+    if paths_per_pair < 1:
+        raise ValueError(f"paths_per_pair must be >= 1, got {paths_per_pair}")
+    if max_layers is not None and max_layers < 1:
+        raise ValueError(f"max_layers must be >= 1 or None, got {max_layers}")
+    for dest in destinations:
+        if not 0 <= dest < topology.num_routers:
+            raise ValueError(f"destinations: router {dest} out of range "
+                             f"[0, {topology.num_routers})")
+    if len(set(destinations)) != len(destinations):
+        raise ValueError("destinations must not repeat a router")
 
 
 def _bfs_spanning_tree(topology: Topology, root: int, rng: np.random.Generator) -> Set[Edge]:
@@ -136,89 +314,68 @@ def build_spain_layers(topology: Topology, paths_per_pair: int = 3,
     topology:
         Router graph.
     paths_per_pair:
-        The ``k`` of SPAIN's per-destination k-path computation.
+        The ``k`` of SPAIN's per-destination k-path computation (``>= 1``).
     destinations:
-        Destination routers to compute VLANs for (default: all endpoint routers).
-        Restricting this bounds the O(|V|^2 (|V|+|E|)) precomputation on larger graphs.
+        Distinct destination routers to compute VLANs for (default: all endpoint
+        routers).  Restricting this bounds the precomputation on larger graphs.
     seed:
         Randomisation seed (tie breaking, merge order).
     max_layers:
-        Optional cap on the number of merged layers (VLAN hardware limit); excess
-        layers are dropped, keeping the densest ones plus the fallback spanning tree.
+        Optional cap (``>= 1``) on the number of merged layers (VLAN hardware
+        limit); excess layers are dropped, keeping the densest ones plus the
+        fallback spanning tree.
     return_paths:
         If True, also return the per-pair precomputed paths
-        (``{(source, destination): [paths]}``) — the paths SPAIN actually installs.
+        (``{(source, destination): [paths]}``).  The cap does not prune them: a
+        path may lie in no kept layer.
     """
-    rng = np.random.default_rng(seed)
-    adj = topology.adjacency()
     if destinations is None:
         destinations = list(topology.endpoint_routers)
-    sources = list(topology.endpoint_routers)
+    destinations = [int(d) for d in destinations]
+    _check_arguments(topology, paths_per_pair, destinations, max_layers)
+    rng = np.random.default_rng(seed)
+    index = _LinkIndex(topology)
+    hops = kernels_for(topology).distance_matrix()
+    endpoint_routers = np.asarray(topology.endpoint_routers, dtype=np.int64)
 
     # Phase 1+2: per-destination path computation and VLAN colouring.
-    kernels = kernels_for(topology)
-    per_destination_vlans: List[Set[Edge]] = []
+    per_destination_vlans: List[Set[int]] = []
     pair_paths: Dict[Tuple[int, int], List[List[int]]] = {}
     for dest in destinations:
-        # Cached distance row: sources disconnected from this destination are skipped
-        # up front instead of each running a full (futile) weighted Dijkstra.
-        dist_to_dest = kernels.distances_from(dest)
-        paths: List[List[int]] = []
-        for src in sources:
-            if src == dest or dist_to_dest[src] < 0:
-                continue
-            weights: Dict[Edge, float] = {}
-            for _ in range(paths_per_pair):
-                path = _weighted_shortest_path(adj, weights, src, dest)
-                if path is None:
-                    break
-                if path in paths:
-                    break
-                paths.append(path)
-                pair_paths.setdefault((src, dest), []).append(path)
-                for u, v in zip(path, path[1:]):
-                    weights[_normalize(u, v)] = weights.get(_normalize(u, v), 0.0) + len(topology.edges)
-        if not paths:
+        reachable = (endpoint_routers != dest) & (hops[dest, endpoint_routers] >= 0)
+        sources = endpoint_routers[reachable]
+        if sources.size == 0:
             continue
-        conflicts: List[Set[int]] = [set() for _ in paths]
-        for i in range(len(paths)):
-            for j in range(i + 1, len(paths)):
-                if not _vlan_compatible(paths[i], paths[j]):
-                    conflicts[i].add(j)
-                    conflicts[j].add(i)
-        colors = _greedy_coloring(conflicts)
-        for color in range(max(colors) + 1):
-            edge_set: Set[Edge] = set()
-            for path, c in zip(paths, colors):
-                if c != color:
-                    continue
-                for u, v in zip(path, path[1:]):
-                    edge_set.add(_normalize(u, v))
-            if edge_set:
-                per_destination_vlans.append(edge_set)
+        owner, verts, links, lengths = _destination_paths(index, hops, sources, dest,
+                                                          paths_per_pair)
+        for src, walk, last in zip(sources[owner].tolist(), verts.tolist(), lengths.tolist()):
+            pair_paths.setdefault((src, dest), []).append(walk[last::-1])
+        per_destination_vlans.extend(set(vlan.tolist())
+                                     for vlan in _colour_paths(index, verts, links, lengths))
 
     # Phase 3: greedily merge VLANs across destinations while the union stays acyclic.
     order = list(range(len(per_destination_vlans)))
     rng.shuffle(order)
-    merged: List[Set[Edge]] = []
+    ends = topology.edges
+    merged: List[_MergedLayer] = []
     for idx in order:
         vlan = per_destination_vlans[idx]
-        placed = False
         for target in merged:
-            union = target | vlan
-            if _is_acyclic(topology.num_routers, union):
-                target |= vlan
-                placed = True
+            if target.try_merge(vlan, ends):
                 break
-        if not placed:
-            merged.append(set(vlan))
+        else:
+            # a per-destination VLAN is a tree (one next hop per router towards the
+            # destination), so it always fits an empty layer
+            layer = _MergedLayer(topology.num_routers)
+            layer.try_merge(vlan, ends)
+            merged.append(layer)
 
     # VLAN 1: a fallback spanning tree covering every pair (SPAIN's base VLAN).
     fallback = _bfs_spanning_tree(topology, int(rng.integers(topology.num_routers)), rng)
-    merged.sort(key=len, reverse=True)
-    if max_layers is not None and len(merged) > max_layers - 1:
+    merged.sort(key=lambda layer: len(layer.links), reverse=True)
+    if max_layers is not None:
         merged = merged[: max_layers - 1]
-    layer_edge_sets = [fallback] + merged
+    layer_edge_sets = [fallback] + [{ends[link] for link in layer.links} for layer in merged]
 
     layers = [Layer(index=i, edges=frozenset(edges), is_full=False)
               for i, edges in enumerate(layer_edge_sets)]
@@ -233,10 +390,13 @@ def build_spain_layers(topology: Topology, paths_per_pair: int = 3,
 class SpainRouting(LayerSetRouting):
     """SPAIN as a multi-path provider.
 
-    A pair's candidate paths are the paths SPAIN actually precomputes and maps to VLANs
-    (at most ``paths_per_pair`` per pair); pairs whose destination was not part of the
-    VLAN computation fall back to the spanning-tree VLAN (layer 0) route — matching
-    SPAIN's behaviour of defaulting unknown destinations to VLAN 1.
+    A pair's candidate paths are all the paths SPAIN precomputes for it (at most
+    ``paths_per_pair`` per pair).  They are not filtered by ``max_layers``: with a
+    cap, some of them lie in no kept VLAN, so a consumer such as the Figure 9 LP
+    credits SPAIN with paths its kept VLANs cannot carry.  Pairs whose destination
+    was not part of the VLAN computation fall back to the spanning-tree VLAN
+    (layer 0) route — matching SPAIN's behaviour of defaulting unknown destinations
+    to VLAN 1.
     """
 
     def __init__(self, topology: Topology, paths_per_pair: int = 3,

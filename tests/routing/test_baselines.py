@@ -17,7 +17,8 @@ from repro.routing.comparison import (
     feature_table,
     only_fully_supporting_scheme,
 )
-from repro.routing.spain import _is_acyclic, _vlan_compatible, build_spain_layers
+from repro.kernels.reference import is_acyclic_python, vlan_compatible_python
+from repro.routing.spain import build_spain_layers
 
 
 def _assert_valid_paths(topology, paths, s, t):
@@ -112,18 +113,18 @@ class TestValiant:
 
 class TestSpain:
     def test_vlan_compatibility(self):
-        assert _vlan_compatible([0, 1, 2, 9], [3, 1, 2, 9])
-        assert not _vlan_compatible([0, 1, 2, 9], [3, 1, 4, 9])
+        assert vlan_compatible_python([0, 1, 2, 9], [3, 1, 2, 9])
+        assert not vlan_compatible_python([0, 1, 2, 9], [3, 1, 4, 9])
 
     def test_acyclicity_check(self):
-        assert _is_acyclic(4, {(0, 1), (1, 2), (2, 3)})
-        assert not _is_acyclic(3, {(0, 1), (1, 2), (0, 2)})
+        assert is_acyclic_python(4, {(0, 1), (1, 2), (2, 3)})
+        assert not is_acyclic_python(3, {(0, 1), (1, 2), (0, 2)})
 
     def test_layers_are_forests(self, sf_tiny):
         layer_set = build_spain_layers(sf_tiny, paths_per_pair=2,
                                        destinations=list(range(0, 50, 10)), seed=0)
         for layer in layer_set:
-            assert _is_acyclic(sf_tiny.num_routers, set(layer.edges))
+            assert is_acyclic_python(sf_tiny.num_routers, set(layer.edges))
             assert len(layer) <= sf_tiny.num_routers - 1
 
     def test_routing_returns_valid_paths(self, sf_tiny):
@@ -138,6 +139,21 @@ class TestSpain:
                                        destinations=list(range(0, 50, 10)),
                                        seed=0, max_layers=3)
         assert len(layer_set) <= 3
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"max_layers": 0}, "max_layers"),
+        ({"max_layers": -2}, "max_layers"),
+        ({"paths_per_pair": 0}, "paths_per_pair"),
+        ({"destinations": [0, 10, 20, 10]}, "destinations"),
+        ({"destinations": [0, 10, 999]}, "destinations"),
+        ({"destinations": [-1, 10]}, "destinations"),
+    ])
+    def test_rejects_bad_arguments(self, sf_tiny, kwargs, match):
+        arguments = {"paths_per_pair": 2, "destinations": list(range(0, 50, 10)), **kwargs}
+        with pytest.raises(ValueError, match=match):
+            build_spain_layers(sf_tiny, **arguments)
+        with pytest.raises(ValueError, match=match):
+            SpainRouting(sf_tiny, **arguments)
 
     def test_needs_more_layers_than_fatpaths(self, sf_tiny):
         """SPAIN's forest layers force many more layers than FatPaths' O(1) (paper §VI-B)."""

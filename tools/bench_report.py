@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
-"""Consolidate the simulation benchmarks into the committed ``BENCH_flowsim.json``.
+"""Consolidate the simulation and SPAIN benchmarks into the committed ``BENCH_flowsim.json``.
 
-Runs ``benchmarks/test_bench_flowsim.py`` and ``benchmarks/test_bench_packetsim.py``
-under pytest-benchmark once per requested scale, parses the machine-readable output,
-and folds the numbers that track the simulators' performance trajectory across PRs
-into one committed JSON file:
+Runs the benchmark modules in ``BENCH_FILES`` under pytest-benchmark once per
+requested scale, parses the machine-readable output, and folds the numbers that
+track the performance trajectory across PRs into one committed JSON file:
 
 * ``fig02_permutation`` — scalar reference vs vectorized engine event rates on the
   fig02-style randomly mapped permutation workload;
@@ -29,7 +28,12 @@ into one committed JSON file:
   (:mod:`repro.experiments.resilient`) on a healthy pooled sweep; the derived
   ``resilient_overhead`` ratio must stay ≤ 1.15x (asserted in CI by
   ``benchmarks/test_bench_grid.py::test_grid_resilient_overhead``; see
-  ``docs/resilience.md``).
+  ``docs/resilience.md``);
+* ``spain_build`` — the scalar SPAIN spec
+  (:func:`repro.kernels.reference.spain_layers_python`) vs the batched
+  :func:`repro.routing.spain.build_spain_layers` on Figure 9's SPAIN
+  configuration over the benchmark Slim Fly, plus the wall time of the whole
+  Figure 9 cell (``fig09_cell_seconds``) beside it.
 
 Existing scales in the output file are preserved, so partial regenerations (e.g.
 ``--scales small`` only) never drop history, and ``--files`` restricts a
@@ -54,7 +58,8 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO / "BENCH_flowsim.json"
 BENCH_FILES = ("benchmarks/test_bench_flowsim.py", "benchmarks/test_bench_packetsim.py",
-               "benchmarks/test_bench_stream.py", "benchmarks/test_bench_grid.py")
+               "benchmarks/test_bench_stream.py", "benchmarks/test_bench_grid.py",
+               "benchmarks/test_bench_kernels.py", "benchmarks/test_bench_fig09.py")
 
 #: benchmark test name -> (report section, role key)
 BENCHMARKS = {
@@ -71,6 +76,9 @@ BENCHMARKS = {
     "test_bench_stream_sustained": ("stream_sustained", "stream"),
     "test_bench_grid_plain_pool": ("grid_executor", "plain"),
     "test_bench_grid_resilient_pool": ("grid_executor", "resilient"),
+    "test_bench_spain_build_reference_scalar": ("spain_build", "reference"),
+    "test_bench_spain_build_batched": ("spain_build", "batched"),
+    "test_bench_fig09": ("spain_build", "fig09_cell"),
 }
 
 #: extra_info keys copied verbatim into a section (beyond the shared "events").
@@ -83,6 +91,7 @@ SPEEDUPS = {
     "incast_dense": ("incremental", "bottleneck"),
     "fault_recovery": ("rebuild", "derived"),
     "packet_incast": ("reference", "engine"),
+    "spain_build": ("reference", "batched"),
 }
 
 
