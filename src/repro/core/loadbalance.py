@@ -6,10 +6,10 @@ next batch of bytes travels on.  The selectors model the schemes compared in the
 
 * :class:`EcmpSelector` — static, flow-hash based: one path for the whole flow.
 * :class:`FlowletSelector` — flowlet switching (LetFlow / FatPaths adaptivity): a new
-  path is picked at every flowlet boundary; optionally congestion-aware (FatPaths: the
-  receiver requests a layer change when it observes trimmed payloads) and optionally
-  biased towards shorter paths (flowlet elasticity sends more bytes over shorter, less
-  congested paths).
+  path is picked at every flowlet boundary, uniformly at random (LetFlow) or
+  congestion- and length-aware (FatPaths: the receiver requests a layer change when it
+  observes trimmed payloads, and flowlet elasticity sends more bytes over shorter,
+  less congested paths).
 * :class:`PacketSpraySelector` — per-packet / per-chunk oblivious spraying (NDP's
   default on Clos): all candidate paths are used simultaneously in equal shares.
 
@@ -118,8 +118,7 @@ class EcmpSelector(PathSelector):
 class FlowletSelector(PathSelector):
     """Flowlet switching over layers (LetFlow and the FatPaths adaptivity variant).
 
-    ``adaptive=False`` reproduces LetFlow: a uniformly random path per flowlet
-    (optionally biased towards shorter paths via ``length_bias``).
+    ``adaptive=False`` reproduces LetFlow: a uniformly random path per flowlet.
 
     ``adaptive=True`` reproduces FatPaths' endpoint adaptivity and the elasticity of
     flowlets: a flow stays on (one of) the *shortest* candidate paths while that path
@@ -131,7 +130,6 @@ class FlowletSelector(PathSelector):
     seed: int = 0
     adaptive: bool = True
     congestion_threshold: float = 0.9
-    length_bias: float = 1.0
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
@@ -148,13 +146,6 @@ class FlowletSelector(PathSelector):
             got = (lengths, [i for i, length in enumerate(lengths) if length == best], {})
             self._row_memo[lengths] = got
         return got
-
-    def _weights(self, num_paths: int, path_lengths: Optional[Sequence[int]]) -> np.ndarray:
-        if path_lengths is None or self.length_bias <= 0:
-            return np.full(num_paths, 1.0 / num_paths)
-        lengths = np.asarray(path_lengths, dtype=float)[:num_paths]
-        weights = 1.0 / np.power(np.maximum(lengths, 1.0), self.length_bias)
-        return weights / weights.sum()
 
     def _shortest_choice(self, num_paths: int, path_lengths: Optional[Sequence[int]],
                          mask: Optional[np.ndarray] = None) -> int:
@@ -177,8 +168,7 @@ class FlowletSelector(PathSelector):
             # the draw rng.choice(shortest) makes, with the shortest set memoised
             shortest = self._row(tuple(path_lengths[:num_paths]))[1]
             return shortest[self._rng.integers(0, len(shortest))]
-        weights = self._weights(num_paths, path_lengths)
-        return int(self._rng.choice(num_paths, p=weights))
+        return int(self._rng.choice(num_paths, p=np.full(num_paths, 1.0 / num_paths)))
 
     def next_path(self, flow_id, current, num_paths, congestion=None, path_lengths=None):
         if num_paths <= 1:
@@ -194,8 +184,7 @@ class FlowletSelector(PathSelector):
             # everything congested: move to the least-loaded path
             least = np.flatnonzero(loads == loads.min())
             return int(self._rng.choice(least))
-        weights = self._weights(num_paths, path_lengths)
-        return int(self._rng.choice(num_paths, p=weights))
+        return int(self._rng.choice(num_paths, p=np.full(num_paths, 1.0 / num_paths)))
 
     def next_path_batch(self, flow_ids, currents, num_paths, loads, path_lengths):
         """Vectorized flowlet switching with reference-identical RNG consumption.
@@ -205,9 +194,7 @@ class FlowletSelector(PathSelector):
         non-adaptive ``choice(..., p=...)``).  ``Generator.integers`` with an array
         of bounds and ``Generator.random(k)`` perform those draws element-by-element
         in row order, so the vectorized forms below replay the exact sequential
-        stream.  The biased non-adaptive variant (``length_bias > 0``) involves a
-        per-flow float reduction whose padded batch form could round differently, so
-        it falls back to the base class's scalar loop.
+        stream.
         """
         if len(currents) == 1:
             return self._next_path_row(loads, path_lengths, num_paths, flow_ids,
@@ -224,10 +211,7 @@ class FlowletSelector(PathSelector):
                                 loads == loads.min(axis=1)[:, None])
             draws = self._rng.integers(0, pool.sum(axis=1))
             return (pool.cumsum(axis=1) == (draws + 1)[:, None]).argmax(axis=1)
-        if self.length_bias > 0:
-            return super().next_path_batch(flow_ids, currents, num_paths, loads,
-                                           path_lengths)
-        # non-adaptive, unbiased: choice(n, p=uniform) consumes one double per flow
+        # non-adaptive: choice(n, p=uniform) consumes one double per flow
         # and inverts the uniform CDF (searchsorted from the right = count of
         # partial sums <= u); padded columns carry weight 0 so the row CDF matches
         # the sequential n-element cumsum bit-for-bit and its padding sits at 1.0
@@ -245,7 +229,7 @@ class FlowletSelector(PathSelector):
         The packet engine re-picks paths one flow at a time, so this hot shape
         skips the row-wise numpy machinery while consuming the identical RNG
         stream: one bounded-integer draw (adaptive) or one uniform double plus the
-        sequential-cumsum CDF inversion (non-adaptive, unbiased).  Only the row's
+        sequential-cumsum CDF inversion (non-adaptive).  Only the row's
         first ``num_paths`` columns are read: the rest is ``+inf`` padding, never
         acceptable and never minimal, exactly as in the batched formulas.  The
         adaptive pools are memoised under the row's real lengths, so the memo
@@ -288,9 +272,6 @@ class FlowletSelector(PathSelector):
                 cands = [i for i, load in enumerate(lrow) if load == least]
             draw = int(self._rng.integers(0, len(cands)))
             return np.array([cands[draw]], dtype=np.int64)
-        if self.length_bias > 0:
-            return PathSelector.next_path_batch(self, flow_ids, currents, num_paths,
-                                                loads, path_lengths)
         uniform = float(self._rng.random(1)[0])
         weight = 1.0 / n
         acc = 0.0

@@ -30,6 +30,7 @@ def random_mapping(num_endpoints: int, rng: Optional[np.random.Generator] = None
 
 def is_valid_mapping(mapping: np.ndarray, num_endpoints: int) -> bool:
     """True if ``mapping`` is a permutation of ``0 .. num_endpoints-1``."""
-    if len(mapping) != num_endpoints:
-        return False
-    return bool(np.array_equal(np.sort(np.asarray(mapping)), np.arange(num_endpoints)))
+    values = np.asarray(mapping)
+    if values.shape != (num_endpoints,) or values.dtype == object:
+        return False   # not one value per endpoint, or values that need not sort
+    return bool(np.array_equal(np.sort(values), np.arange(num_endpoints)))

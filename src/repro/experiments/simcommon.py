@@ -102,7 +102,7 @@ def build_stack(topology: Topology, stack: str, seed: int = 0,
         return Stack(stack, routing, PacketSpraySelector(seed=seed), ndp_transport())
     if stack == "ecmp":
         return Stack(stack, routing, EcmpSelector(seed=seed), tcp_transport())
-    return Stack(stack, routing, FlowletSelector(seed=seed, adaptive=False, length_bias=0.0),
+    return Stack(stack, routing, FlowletSelector(seed=seed, adaptive=False),
                  tcp_transport())
 
 

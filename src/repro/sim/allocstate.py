@@ -36,16 +36,19 @@ on the same persistent state but decomposes by *saturated* links instead of
 topological connectivity, which keeps per-event cost O(perturbation) even when the
 incidence is one giant component — see that module's docstring.
 
-:func:`_progressive_fill` (moved here from :mod:`repro.sim.engine`) is the shared
-filling kernel; both allocators and the engine's tests import it from either module.
+All three allocators fill through one kernel: :func:`_compress_links` narrows the
+entries to the links they touch and :func:`repro.sim.fairshare.leveled_fill` runs
+the progressive filling over them, whether the entries are the whole live pool, one
+component (a singleton included) or one bottleneck region.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.sim.fairshare import incidence_components, leveled_fill
 from repro.sim.simconfig import ALLOCATORS  # noqa: F401  (single source of truth)
 
 #: Smallest entry pool an :class:`AllocationState` keeps allocated.
@@ -60,75 +63,18 @@ _DEAD_SLOT = 2 ** 62
 # ------------------------------------------------------------ progressive filling
 def _compress_links(entry_links: np.ndarray, num_links: int) -> Tuple[np.ndarray, np.ndarray]:
     """``np.unique(entry_links, return_inverse=True)`` for link ids below
-    ``num_links``, found by marking the touched links instead of sorting."""
+    ``num_links``, found by marking the touched links instead of sorting.
+
+    Idle links never carry load, so they can neither bound a filling round's
+    increment nor saturate: filling over the touched links only gives the same
+    per-link floats and shrinks every per-round array to the touched set.
+    """
     mark = np.zeros(num_links, dtype=bool)
     mark[entry_links] = True
     touched = mark.nonzero()[0]
     relabel = np.empty(num_links, dtype=np.int64)
     relabel[touched] = np.arange(touched.size)
     return touched, relabel[entry_links]
-
-
-def _progressive_fill(entry_links: np.ndarray, entry_flows: np.ndarray, num_flows: int,
-                      capacities: np.ndarray, epsilon: float = 1e-12,
-                      compression: Optional[Tuple[np.ndarray, np.ndarray]] = None
-                      ) -> np.ndarray:
-    """Max-min fair progressive filling over a pooled (link, flow) incidence.
-
-    Replicates :func:`repro.sim.fairshare.max_min_fair_rates` for the unweighted,
-    no-empty-path case the simulator produces, operating on entry arrays instead of a
-    freshly built ``scipy.sparse`` matrix.  Per-link loads are exact integer counts and
-    every per-round scalar (increment, remaining capacity, saturation test) evaluates
-    the same expressions as the reference, so the resulting rates are bit-identical
-    regardless of flow ordering.  Two exact shortcuts keep the rounds cheap: the loads
-    are counted once and then lose each newly frozen flow's entries, and each flow
-    receives the running level of the round that froze it, the same sequential float
-    sum the reference's ``rates[unfixed] += increment`` accumulates.
-
-    Every flow index in ``0..num_flows-1`` is filled; pass live entries only.
-    ``compression`` optionally passes the precomputed :func:`_compress_links` pair
-    so callers that also need it (e.g. for utilisation scatter) pay it once.
-    """
-    rates = np.zeros(num_flows)
-    if entry_links.size == 0:
-        return rates
-    # compress to the links that actually carry entries: idle links never have load,
-    # so they can neither bound the increment nor saturate — dropping them changes
-    # nothing (the per-link floats below are identical), it only shrinks every
-    # per-round array from |links| to |touched links|
-    if compression is None:
-        compression = _compress_links(entry_links, capacities.shape[0])
-    touched, compressed = compression
-    remaining = capacities[touched]
-    saturation_threshold = epsilon * remaining + epsilon   # constant across rounds
-    fixed = np.zeros(num_flows, dtype=bool)
-    load = np.bincount(compressed, minlength=touched.size)
-    level = 0.0
-    # every productive round permanently saturates at least one touched link (its
-    # live load then stays zero), so `touched.size` bounds the round count — the
-    # compressed problem can never need `capacities.shape[0]` rounds
-    for _ in range(touched.size + 1):
-        active_links = load > 0
-        if not active_links.any():
-            break
-        increment = float((remaining[active_links] / load[active_links]).min())
-        if increment <= 0:
-            increment = 0.0
-        level += increment
-        remaining = remaining - load * increment
-        saturated = active_links & (remaining <= saturation_threshold)
-        if not saturated.any():
-            # no link saturates (should not happen with finite capacities); freeze all
-            break
-        # the unfixed flows crossing a saturated link freeze at this round's level
-        hit = entry_flows[saturated[compressed]]
-        frozen = np.zeros(num_flows, dtype=bool)
-        frozen[hit] = ~fixed[hit]
-        rates[frozen] = level
-        fixed |= frozen
-        load -= np.bincount(compressed[frozen[entry_flows]], minlength=touched.size)
-    rates[~fixed] = level
-    return rates
 
 
 # ------------------------------------------------------------- persistent incidence
@@ -329,7 +275,9 @@ def _full_fill(state: AllocationState, capacities: np.ndarray, line_rate: float,
     """
     entry_links, entry_slots = state.live_entries()
     local = active.searchsorted(entry_slots)
-    fair = _progressive_fill(entry_links, local, active.size, capacities)
+    touched, compressed = _compress_links(entry_links, capacities.shape[0])
+    fair = leveled_fill(local, active.size, capacities[touched], compressed,
+                        touched.size)[0]
     np.minimum(fair, line_rate, out=fair)
     rates_out[active] = fair
     return np.bincount(entry_links, weights=fair[local] / capacities[entry_links],
@@ -572,24 +520,11 @@ class IncrementalAllocator:
         if not alive:
             self.link_util[comp_links] = 0.0
             return np.empty(0, dtype=np.int64)
-        if len(alive) == 1:
-            # singleton component: the flow takes the minimum per-link capacity
-            # share (exactly what one filling round computes; ``counts`` covers
-            # paths that cross a link more than once), no incidence gather needed
-            slot = alive[0]
-            links, local = _compress_links(state.flow_links(slot), self.capacities.shape[0])
-            counts = np.bincount(local)
-            caps = self.capacities[links]
-            fair = min(float((caps / counts).min()), self.line_rate)
-            rates_out[slot] = fair
-            self.link_util[comp_links] = 0.0
-            self.link_util[links] = counts * fair / caps
-            return np.asarray(alive, dtype=np.int64)
         member = np.asarray(alive, dtype=np.int64)
         entry_links, entry_flows = state.segment_entries(member)
         touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
-        fair = _progressive_fill(entry_links, entry_flows, member.size, self.capacities,
-                                 compression=(touched, compressed))
+        fair = leveled_fill(entry_flows, member.size, self.capacities[touched],
+                            compressed, touched.size)[0]
         np.minimum(fair, self.line_rate, out=fair)
         rates_out[member] = fair
         util = np.bincount(compressed, weights=fair[entry_flows]
@@ -602,8 +537,6 @@ class IncrementalAllocator:
         """Full fill + exact component re-derivation from the live incidence."""
         self.link_util = _full_fill(self.state, self.capacities, self.line_rate,
                                     active, rates_out)
-        from repro.sim.fairshare import incidence_components
-
         self._parent = np.arange(self.capacities.shape[0], dtype=np.int64)
         self._members = {}
         self._comp_links = {}

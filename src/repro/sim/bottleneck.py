@@ -35,8 +35,11 @@ rates would then violate max-min), so newly-saturated boundary links trigger an
 expansion round that pulls their members in and refills again.  A budget guard
 falls back to one full fill whenever the downstream set covers most of the active
 flows, and the whole structure is rebuilt exactly (members pruned, levels
-recomputed via :func:`repro.sim.fairshare.leveled_fill`) on a per-ops budget —
-the same shape of fallback the incremental allocator uses.
+recomputed) on a per-ops budget — the same shape of fallback the incremental
+allocator uses.  Every fill here, region refill or full refresh, is
+:func:`repro.sim.fairshare.leveled_fill`, the kernel the ``"full"`` and
+``"incremental"`` allocators fill through too; this allocator is the one that
+reads its saturation rounds.
 
 Like ``"incremental"``, this allocator is opt-in: component-local float
 accumulation differs from the global reference loop, so agreement is pinned to
@@ -342,10 +345,10 @@ class BottleneckAllocator:
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """One full fill over the live pool entries; refresh every per-link cache.
 
-        Fills the same live entries, relabelled the same way, as
-        :func:`repro.sim.allocstate._full_fill`, but runs the instrumented
-        kernel so the saturated set comes out of the fill itself instead of
-        being re-derived against a tolerance.  Returns the live
+        Fills the same live entries, relabelled the same way and through the
+        same kernel, as :func:`repro.sim.allocstate._full_fill`, but keeps the
+        kernel's saturation rounds, so the saturated set comes out of the fill
+        itself instead of being re-derived against a tolerance.  Returns the live
         ``(links, slots)`` entries it filled.
         """
         entry_links, entry_slots = self.state.live_entries()

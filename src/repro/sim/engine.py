@@ -18,11 +18,12 @@ What changes relative to the reference:
   state* (:class:`repro.sim.allocstate.AllocationState`): amended O(delta) on
   arrival/completion/switch, never regathered.  The full refill drops the pool's
   dead entries once per event and runs progressive filling over the live ones
-  (:func:`repro.sim.allocstate._progressive_fill`), which counts link loads once
-  and subtracts each frozen flow's entries per round — no per-event
-  ``scipy.sparse`` matrix construction.  ``FlowSimConfig(allocator="incremental")``
-  additionally enables dirty-component refiltering: only the incidence components
-  an event touched are refilled, untouched components keep their cached rates (see
+  (:func:`repro.sim.fairshare.leveled_fill`, the one pooled fill every allocator
+  shares), which counts link loads once and subtracts each frozen flow's entries
+  per round — no per-event ``scipy.sparse`` matrix construction.
+  ``FlowSimConfig(allocator="incremental")`` additionally enables dirty-component
+  refiltering: only the incidence components an event touched are refilled,
+  untouched components keep their cached rates (see
   :mod:`repro.sim.allocstate`); ``allocator="bottleneck"`` refills only the region
   downstream of the event in the cached bottleneck structure (see
   :mod:`repro.sim.bottleneck`).  Both are max-min exact, but their float
@@ -30,14 +31,17 @@ What changes relative to the reference:
 * **Batched path-switch evaluation** — every resolved candidate has an id in the
   bank's candidate table (pool offsets, hop count, and a hop-major link table
   padded so a column maximum is the candidate's maximum).  Each event builds one
-  id grid over the multi-path flows, gathers link utilisation through the table
-  and takes one maximum over the hop axis: that sweep gives every candidate's
+  id grid over the multi-path flows (under a fault, each row lists only the
+  pair's surviving candidates), gathers link utilisation through the table and
+  takes one maximum over the hop axis: that sweep gives every candidate's
   congestion, and the current path's is a gather from it.  Switch *eligibility*
   is one boolean mask over those rows, and the eligible rows go through one
   batched selector call
   (:meth:`~repro.core.loadbalance.PathSelector.next_path_batch`) whose vectorized
   draws consume the selector RNG exactly as per-flow calls in arrival order would —
-  no per-flow Python callbacks on the hot path.
+  no per-flow Python callbacks on the hot path.  Faulted and unfaulted runs share
+  this sweep, and arrivals under a fault share the re-placement chooser
+  (survivors, else a detour, else a stall).
 * **Shared link space** — the directed-link index space of a topology is built once
   and cached on the topology's :class:`~repro.kernels.cache.GraphKernels` entry
   (:func:`link_space_for`), so the many cells of a figure sweep stop rebuilding it.
@@ -67,10 +71,11 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.loadbalance import FlowletSelector, PathSelector
+from repro.core.mapping import is_valid_mapping
 from repro.core.transport import TransportModel, ndp_transport
 from repro.kernels.cache import kernels_for
 from repro.kernels.dirtyregion import faulted_kernels
-from repro.sim.allocstate import AllocationState, _progressive_fill, make_allocator  # noqa: F401  (re-export)
+from repro.sim.allocstate import AllocationState, make_allocator
 from repro.sim.faults import detour_router_path
 from repro.sim.metrics import FlowRecord, SimulationResult
 from repro.sim.simconfig import FlowSimConfig
@@ -289,20 +294,6 @@ def candidate_bank_for(routing, links: LinkSpace) -> CandidateBank:
     return bank
 
 
-def _segment_max(values: np.ndarray, pool: np.ndarray, starts: np.ndarray,
-                 lens: np.ndarray) -> np.ndarray:
-    """Per-segment maximum of ``values[pool[start:start+len]]`` (0.0 for empty)."""
-    out = np.zeros(starts.size)
-    nonzero = lens > 0
-    if not nonzero.any():
-        return out
-    s, l = starts[nonzero], lens[nonzero]
-    offsets = np.cumsum(l) - l
-    gather = np.repeat(s - offsets, l) + np.arange(int(l.sum()))
-    out[nonzero] = np.maximum.reduceat(values[pool[gather]], offsets)
-    return out
-
-
 # ------------------------------------------------------------------ fault state
 class _SurvivorView:
     """Surviving-candidate view of one router pair under the current failed set."""
@@ -386,31 +377,24 @@ class _FaultRuntime:
                 self.invalidated += 1
         return True
 
-    def _register(self, key: Tuple[int, int], entry: CandidateEntry) -> None:
-        """Map every candidate link of ``key`` to the pair (once per pair)."""
-        if key in self.registered:
-            return
-        self.registered.add(key)
-        pool = self.bank.pool
-        for s, length in zip(entry.seg_start.tolist(), entry.seg_len.tolist()):
-            for link in pool[s:s + length]:
-                self.link_pairs.setdefault(int(link), []).append(key)
+    def view(self, key: Tuple[int, int]) -> _SurvivorView:
+        """The survivor view of a resolved pair under the current failed set (cached).
 
-    def view(self, key: Tuple[int, int], entry: CandidateEntry) -> _SurvivorView:
-        """The pair's survivor view under the current failed set (cached)."""
+        The pair's candidates are its columns of the bank's link table: a
+        candidate survives when none of its links failed.  On first sight every
+        link of the pair is mapped to it, for dirty-region invalidation.
+        """
         cached = self.views.get(key)
         if cached is not None:
             self.reuses += 1
             return cached
-        self._register(key, entry)
-        pool = self.bank.pool
-        mask = self.failed_mask
-        survivors = np.fromiter(
-            (c for c, (s, length) in enumerate(zip(entry.seg_start.tolist(),
-                                                   entry.seg_len.tolist()))
-             if not mask[pool[s:s + length]].any()),
-            dtype=np.int64)
-        made = _SurvivorView(entry, survivors)
+        entry = self.bank.entries[key]
+        cols = self.bank.hop_links[:, entry.first:entry.first + entry.num_candidates]
+        if key not in self.registered:
+            self.registered.add(key)
+            for link in np.unique(cols).tolist():
+                self.link_pairs.setdefault(link, []).append(key)
+        made = _SurvivorView(entry, np.flatnonzero(~self.failed_mask[cols].any(axis=0)))
         self.refilters += 1
         self.views[key] = made
         return made
@@ -492,7 +476,6 @@ class EngineCore:
         self.stalled = self.on_detour = self.record_hops = None
         for name, dtype, fill in self._slot_arrays():
             setattr(self, name, np.full(capacity, fill, dtype=dtype))
-        self.entries: List[Optional[CandidateEntry]] = [None] * capacity
 
         self.active = np.empty(0, dtype=np.int64)   # arrival positions, ascending
         self.now = 0.0
@@ -515,6 +498,9 @@ class EngineCore:
     # -------------------------------------------------------------- ingestion
     def set_mapping(self, mapping: Optional[Sequence[int]]) -> None:
         """Install the optional endpoint remap applied to every ingested flow."""
+        n = self.links.num_endpoints
+        if mapping is not None and not is_valid_mapping(mapping, n):
+            raise ValueError(f"mapping must be a permutation of the {n} endpoints")
         self._remap = None if mapping is None else np.asarray(mapping, dtype=np.int64)
 
     def _slot_arrays(self) -> Tuple[Tuple[str, type, object], ...]:
@@ -536,7 +522,6 @@ class EngineCore:
             return
         new = max(need, 2 * self.capacity, 64)
         self._resize_slots(slice(0, self.count), new)
-        self.entries.extend([None] * (new - len(self.entries)))
         self.alloc.state.grow(new)
         self.capacity = new
 
@@ -650,56 +635,40 @@ class EngineCore:
         self.bytes_since_switch[active] += transferred
 
     def admit_pending(self) -> None:
-        """Admit every ingested flow with ``start <= now`` (one arrival event)."""
+        """Admit every ingested flow with ``start <= now`` (one arrival event).
+
+        Under a non-empty failed set, an arrival between two routers is placed
+        by :meth:`choose_path`, the chooser :meth:`place_flow` uses too; an
+        arrival with no path stalls without a selector draw or an allocation,
+        on its first candidate, until a restore revives it.
+        """
         now = self.now
         bank, routing, selector = self.bank, self.routing, self.selector
-        faultrt = self.faultrt
+        faulted = self.faults_on and bool(self.faultrt.failed_links)
         src_router, dst_router = self.src_router, self.dst_router
         first_new = self.admit_idx
         while self.admit_idx < self.count and self.start[self.admit_idx] <= now:
             a = self.admit_idx
             self.admit_idx += 1
-            entry = bank.entry(routing, int(src_router[a]), int(dst_router[a]))
-            self.entries[a] = entry
+            rs, rt = int(src_router[a]), int(dst_router[a])
+            entry = bank.entry(routing, rs, rt)
             self.num_candidates[a] = entry.num_candidates
             self.cand_first[a] = entry.first
-            if self.faults_on and faultrt.failed_links \
-                    and src_router[a] != dst_router[a]:
-                view = faultrt.view((int(src_router[a]), int(dst_router[a])), entry)
-                if view.count:
-                    pos = int(selector.initial_path(
-                        int(self.fid[a]), view.count, path_lengths=view.lengths))
-                    index = int(view.survivors[pos])
-                else:
-                    detour = faultrt.detour(int(src_router[a]), int(dst_router[a]))
-                    if detour is not None:
-                        hops = max(1, len(detour) - 1)
-                        selector.initial_path(int(self.fid[a]), 1,
-                                              path_lengths=[hops])
-                        seg_s, seg_l = bank._append(self.links.links_of_path(detour))
-                        self.path_index[a] = 0
-                        self.on_detour[a] = True
-                        self.record_hops[a] = hops
-                        self.cand_start[a], self.cand_len[a] = seg_s, seg_l
-                        self.alloc_add(a, seg_s, seg_l,
-                                       max(entry.max_links, seg_l + 2))
-                        continue
-                    # stalled on arrival: no selector draw is consumed,
-                    # no allocation; the flow waits for a restore
+            if faulted and rs != rt:
+                if not self.choose_path(a, rs, rt):
                     self.stall_count += 1
                     self.stalled[a] = True
                     self.path_index[a] = 0
-                    self.cand_start[a] = entry.seg_start[0]
-                    self.cand_len[a] = entry.seg_len[0]
+                    self.cand_start[a] = bank.cand_start[entry.first]
+                    self.cand_len[a] = bank.cand_len[entry.first]
                     continue
             else:
                 index = selector.initial_path(int(self.fid[a]), entry.num_candidates,
                                               path_lengths=entry.lengths)
-            self.path_index[a] = index
-            seg_s = int(bank.cand_start[entry.first + index])
-            seg_l = int(bank.cand_len[entry.first + index])
-            self.cand_start[a], self.cand_len[a] = seg_s, seg_l
-            self.alloc_add(a, seg_s, seg_l, entry.max_links)
+                self.path_index[a] = index
+                self.cand_start[a] = bank.cand_start[entry.first + index]
+                self.cand_len[a] = bank.cand_len[entry.first + index]
+            self.alloc_add(a, entry.max_links)
         self.active = np.concatenate([self.active,
                                       np.arange(first_new, self.admit_idx)])
 
@@ -728,45 +697,85 @@ class EngineCore:
     def maybe_switch_paths(self) -> None:
         """Flowlet/congestion path switching: one congestion sweep, one selector call.
 
-        Every multi-path flow gets a row of the id grid (its candidates' table ids,
-        padded with the padding candidate ``-1``); one gather through the bank's
-        hop-major link table and one maximum over the hop axis give every
-        candidate's congestion, the current path's included, and the eligible
-        rows go to one batched selector call whose RNG consumption matches
-        per-flow calls in arrival order exactly.
+        Every multi-path flow gets a row of the id grid: its candidates' table
+        ids, padded with the padding candidate ``-1``, so its current path sits
+        in column ``path_index`` (see :meth:`_switch_sweep`).
         """
         active = self.active
         if active.size == 0:
             return
         counts = self.num_candidates[active]
         several = counts > 1
-        multi = active[several]
-        if multi.size == 0:
+        rows = active[several]
+        if rows.size == 0:
             return
         counts = counts[several]
-        bank, path_index = self.bank, self.path_index
         cols = np.arange(int(counts.max()))
-        ids = np.where(cols < counts[:, None], self.cand_first[multi][:, None] + cols, -1)
+        ids = np.where(cols < counts[:, None], self.cand_first[rows][:, None] + cols, -1)
+        self._switch_sweep(rows, ids, counts, self.path_index[rows])
+
+    def maybe_switch_paths_faulted(self) -> None:
+        """Faulted-mode switching: the same sweep over the survivor views.
+
+        Mirrors the reference's survivor-aware loop: stalled and detour flows
+        never switch, a pair with at most one surviving candidate is skipped,
+        and a row of the id grid lists only the pair's surviving candidates, so
+        the selector sees survivor positions, loads and lengths.
+        """
+        active = self.active
+        if active.size == 0:
+            return
+        rows = active[~self.stalled[active] & ~self.on_detour[active]
+                      & (self.num_candidates[active] > 1)]
+        if rows.size == 0:
+            return
+        faultrt, src_router, dst_router = self.faultrt, self.src_router, self.dst_router
+        views = [faultrt.view((int(src_router[a]), int(dst_router[a]))) for a in rows]
+        counts = np.fromiter((v.count for v in views), dtype=np.int64, count=rows.size)
+        several = counts > 1
+        rows, counts = rows[several], counts[several]
+        if rows.size == 0:
+            return
+        ids = np.full((rows.size, int(counts.max())), -1, dtype=np.int64)
+        ids[np.arange(ids.shape[1]) < counts[:, None]] = np.concatenate(
+            [v.ids for v, keep in zip(views, several) if keep])
+        # a flow's current path survives: any flow on a failed link was re-placed
+        current = self.cand_first[rows] + self.path_index[rows]
+        self._switch_sweep(rows, ids, counts, (ids == current[:, None]).argmax(axis=1))
+
+    def _switch_sweep(self, rows: np.ndarray, ids: np.ndarray, counts: np.ndarray,
+                      currents: np.ndarray) -> None:
+        """Evaluate and apply path switches over an id grid.
+
+        ``ids`` holds one row of candidate table ids per flow of ``rows`` (the
+        first ``counts`` columns real, the rest ``-1``), and ``currents`` the
+        column of each flow's current path.  One gather through the bank's
+        hop-major link table and one maximum over the hop axis give every listed
+        candidate's congestion.  A row is eligible after ``flowlet_bytes`` or
+        when its current path is congested, and the eligible rows go to one
+        batched selector call whose RNG consumption matches per-flow calls in
+        arrival order exactly.  A switched flow's ``path_index`` becomes its
+        chosen table id minus ``cand_first``.
+        """
+        bank = self.bank
         util = np.concatenate((self.alloc.link_util, _SENTINEL_UTIL))
         congestion = np.maximum.reduce(util.take(bank.hop_links.take(ids, axis=1)))
-        currents = path_index[multi]
-        eligible_rows = (self.bytes_since_switch[multi] >= self.config.flowlet_bytes) \
-            | (congestion[np.arange(multi.size), currents] >= 1.0)
-        eligible = multi[eligible_rows]
+        eligible_rows = (self.bytes_since_switch[rows] >= self.config.flowlet_bytes) \
+            | (congestion[np.arange(rows.size), currents] >= 1.0)
+        eligible = rows[eligible_rows]
         if eligible.size == 0:
             return
-        currents = currents[eligible_rows]
-        new_index = self.selector.next_path_batch(
+        ids, currents = ids[eligible_rows], currents[eligible_rows]
+        new = self.selector.next_path_batch(
             self.fid[eligible], currents, counts[eligible_rows],
-            congestion[eligible_rows], bank.cand_hops.take(ids[eligible_rows]))
+            congestion[eligible_rows], bank.cand_hops.take(ids))
         self.bytes_since_switch[eligible] = 0.0
-        switched = new_index != currents
+        switched = new != currents
         changed = eligible[switched]
         if changed.size:
-            new_index = new_index[switched]
-            path_index[changed] = new_index
+            chosen = ids[switched, new[switched]]
+            self.path_index[changed] = chosen - self.cand_first[changed]
             self.num_switches[changed] += 1
-            chosen = self.cand_first[changed] + new_index
             self.cand_start[changed] = bank.cand_start[chosen]
             self.cand_len[changed] = bank.cand_len[chosen]
             # amend the persistent incidence: switched segments are rewritten
@@ -774,128 +783,72 @@ class EngineCore:
             self.alloc.switch(changed, self.inj_link[changed], self.ej_link[changed],
                               bank.pool, self.cand_start[changed], self.cand_len[changed])
 
-    def maybe_switch_paths_faulted(self) -> None:
-        """Faulted-mode switch evaluation: batch over the survivor views.
-
-        Mirrors the reference's survivor-aware loop: stalled and detour flows
-        never switch, a pair with at most one surviving candidate is skipped,
-        and the batched selector call sees survivor-*position* indices, loads
-        and lengths — consuming the RNG exactly as per-flow calls would.
-        """
-        active = self.active
-        if active.size == 0:
-            return
-        faultrt, bank, config = self.faultrt, self.bank, self.config
-        path_index, cand_start, cand_len = \
-            self.path_index, self.cand_start, self.cand_len
-        src_router, dst_router = self.src_router, self.dst_router
-        cand = active[~self.stalled[active] & ~self.on_detour[active]
-                      & (self.num_candidates[active] > 1)]
-        if cand.size == 0:
-            return
-        views = [faultrt.view((int(src_router[a]), int(dst_router[a])),
-                              self.entries[int(a)]) for a in cand]
-        keep = np.fromiter((v.count > 1 for v in views), dtype=bool,
-                           count=cand.size)
-        cand = cand[keep]
-        if cand.size == 0:
-            return
-        views = [v for v, k in zip(views, keep) if k]
-        current_congestion = _segment_max(self.alloc.link_util, bank.pool,
-                                          cand_start[cand], cand_len[cand])
-        elig = (self.bytes_since_switch[cand] >= config.flowlet_bytes) \
-            | (current_congestion >= 1.0)
-        eligible = cand[elig]
-        if eligible.size == 0:
-            return
-        views = [v for v, k in zip(views, elig) if k]
-        ids = np.concatenate([v.ids for v in views])
-        seg_starts, seg_lens = bank.cand_start[ids], bank.cand_len[ids]
-        counts = np.fromiter((v.count for v in views), dtype=np.int64,
-                             count=eligible.size)
-        congestion_flat = _segment_max(self.alloc.link_util, bank.pool, seg_starts,
-                                       seg_lens)
-        width = int(counts.max())
-        row_mask = np.arange(width) < counts[:, None]
-        loads = np.full((eligible.size, width), np.inf)
-        loads[row_mask] = congestion_flat
-        lengths = np.full((eligible.size, width), np.inf)
-        lengths[row_mask] = bank.cand_hops[ids]
-        currents = np.fromiter(
-            (np.searchsorted(v.survivors, path_index[a])
-             for v, a in zip(views, eligible)), dtype=np.int64,
-            count=eligible.size)
-        new_pos = self.selector.next_path_batch(self.fid[eligible], currents,
-                                                counts, loads, lengths)
-        self.bytes_since_switch[eligible] = 0.0
-        new_index = np.fromiter(
-            (v.survivors[p] for v, p in zip(views, new_pos)), dtype=np.int64,
-            count=eligible.size)
-        switched = new_index != path_index[eligible]
-        path_index[eligible] = new_index
-        self.num_switches[eligible[switched]] += 1
-        flat = np.cumsum(counts) - counts + new_pos
-        cand_start[eligible] = seg_starts[flat]
-        cand_len[eligible] = seg_lens[flat]
-        changed = eligible[switched]
-        if changed.size:
-            self.alloc.switch(changed, self.inj_link[changed], self.ej_link[changed],
-                              bank.pool, cand_start[changed], cand_len[changed])
-
     # ------------------------------------------------------------ fault events
-    def alloc_add(self, a: int, seg_s: int, seg_l: int, capacity: int) -> None:
-        """(Re-)register slot ``a``'s full link segment with the allocator."""
+    def alloc_add(self, a: int, capacity: int) -> None:
+        """(Re-)register slot ``a``'s current path with the allocator, reserving
+        at least ``capacity`` entries (the pair's ``max_links``)."""
+        seg_s, seg_l = self.cand_start[a], self.cand_len[a]
         full = np.empty(seg_l + 2, dtype=np.int64)
         full[0] = self.inj_link[a]
-        if seg_l:
-            full[1:-1] = self.bank.pool[seg_s:seg_s + seg_l]
+        full[1:-1] = self.bank.pool[seg_s:seg_s + seg_l]
         full[-1] = self.ej_link[a]
         self.alloc.add(a, full, capacity)
 
+    def choose_path(self, a: int, rs: int, rt: int) -> bool:
+        """Choose slot ``a``'s path under the failed set (reference ``place``):
+        a surviving candidate, else a detour, else none.
+
+        Writes the choice (``path_index``, ``cand_start``/``cand_len``,
+        ``on_detour``, ``record_hops``) and returns True, or returns False with
+        nothing written and no selector draw when the pair is disconnected.
+        """
+        bank, faultrt = self.bank, self.faultrt
+        view = faultrt.view((rs, rt))
+        if view.count:
+            pos = int(self.selector.initial_path(int(self.fid[a]), view.count,
+                                                 path_lengths=view.lengths))
+            cand = int(view.ids[pos])
+            self.path_index[a] = cand - view.entry.first
+            self.cand_start[a], self.cand_len[a] = bank.cand_start[cand], bank.cand_len[cand]
+            self.on_detour[a] = False
+            self.record_hops[a] = -1
+            return True
+        detour = faultrt.detour(rs, rt)
+        if detour is None:
+            return False
+        hops = max(1, len(detour) - 1)
+        # the selector is still consulted (one candidate): RNG alignment
+        self.selector.initial_path(int(self.fid[a]), 1, path_lengths=[hops])
+        self.cand_start[a], self.cand_len[a] = bank._append(self.links.links_of_path(detour))
+        self.path_index[a] = 0
+        self.on_detour[a] = True
+        self.record_hops[a] = hops
+        return True
+
     def place_flow(self, a: int) -> None:
-        """Re-place one displaced flow (reference ``place``): survivors, else
-        detour, else stall — with O(delta) allocation amendments."""
-        bank, faultrt, selector = self.bank, self.faultrt, self.selector
-        alloc = self.alloc
+        """Re-place one displaced flow through :meth:`choose_path` (survivors,
+        else detour, else stall), with O(delta) allocation amendments."""
+        bank, alloc = self.bank, self.alloc
         rs, rt = int(self.src_router[a]), int(self.dst_router[a])
-        entry = self.entries[a]
-        old_len = int(self.cand_len[a])
-        old_start = int(self.cand_start[a])
+        old_start, old_len = int(self.cand_start[a]), int(self.cand_len[a])
         # copy before any detour append: bank.pool may reallocate under us
         old_links = bank.pool[old_start:old_start + old_len].copy()
         was_stalled = bool(self.stalled[a])
-        view = faultrt.view((rs, rt), entry)
-        if view.count:
-            pos = int(selector.initial_path(int(self.fid[a]), view.count,
-                                            path_lengths=view.lengths))
-            idx = int(view.survivors[pos])
-            new_start, new_len = int(entry.seg_start[idx]), int(entry.seg_len[idx])
-            self.path_index[a] = idx
-            self.on_detour[a] = False
-            self.record_hops[a] = -1
-        else:
-            detour = faultrt.detour(rs, rt)
-            if detour is None:
-                # Disconnected: stall in place, drop out of the allocation.
-                if not was_stalled:
-                    self.stalled[a] = True
-                    self.rate[a] = 0.0
-                    self.stall_count += 1
-                    alloc.remove(a)
-                return
-            hops = max(1, len(detour) - 1)
-            # the selector is still consulted (one candidate): RNG alignment
-            selector.initial_path(int(self.fid[a]), 1, path_lengths=[hops])
-            new_start, new_len = bank._append(self.links.links_of_path(detour))
-            self.path_index[a] = 0
-            self.on_detour[a] = True
-            self.record_hops[a] = hops
+        if not self.choose_path(a, rs, rt):
+            # Disconnected: stall in place, drop out of the allocation.
+            if not was_stalled:
+                self.stalled[a] = True
+                self.rate[a] = 0.0
+                self.stall_count += 1
+                alloc.remove(a)
+            return
         self.stalled[a] = False
-        self.cand_start[a], self.cand_len[a] = new_start, new_len
+        new_start, new_len = int(self.cand_start[a]), int(self.cand_len[a])
         new_links = bank.pool[new_start:new_start + new_len]
         changed_path = new_len != old_len or bool((new_links != old_links).any())
+        max_links = bank.entries[(rs, rt)].max_links
         if was_stalled:
-            self.alloc_add(a, new_start, new_len, max(entry.max_links, new_len + 2))
+            self.alloc_add(a, max_links)
             self.order_dirty = True
         elif changed_path:
             if new_len + 2 <= int(alloc.state.seg_cap[a]):
@@ -904,8 +857,7 @@ class EngineCore:
                              bank.pool, self.cand_start[slot], self.cand_len[slot])
             else:   # detour longer than the reserved segment: move to the end
                 alloc.remove(a)
-                self.alloc_add(a, new_start, new_len,
-                               max(entry.max_links, new_len + 2))
+                self.alloc_add(a, max_links)
                 self.order_dirty = True
         if changed_path:
             self.num_switches[a] += 1
@@ -936,8 +888,7 @@ class EngineCore:
                 dead = bool(faultrt.failed_mask[bank.pool[s:s + length]].any())
                 if self.on_detour[a]:
                     needs = dead or faultrt.view(
-                        (int(self.src_router[a]), int(self.dst_router[a])),
-                        self.entries[a]).count > 0
+                        (int(self.src_router[a]), int(self.dst_router[a]))).count > 0
                 else:
                     needs = dead
             if needs:
@@ -949,11 +900,10 @@ class EngineCore:
     def make_record(self, a: int, completion_time: float) -> FlowRecord:
         """Assemble one flow's record (RTT + transport startup, as reference)."""
         config = self.config
-        entry = self.entries[a]
         if self.faults_on and self.record_hops[a] >= 0:
             hops = int(self.record_hops[a])
         else:
-            hops = entry.lengths[int(self.path_index[a])]
+            hops = int(self.bank.cand_hops[self.cand_first[a] + self.path_index[a]])
         rtt = 2 * (hops * config.per_hop_latency + config.host_latency)
         startup = self.transport.startup_delay(float(self.size[a]), rtt,
                                                config.link_rate_bps)
@@ -1027,9 +977,6 @@ class EngineCore:
             else:
                 segs.append((state.flow_links(a).copy(), int(state.seg_cap[a])))
         self._resize_slots(keep, capacity)
-        entries = [self.entries[int(s)] for s in keep]
-        entries.extend([None] * (capacity - count))
-        self.entries = entries
         # rebuild the allocation state over the new slot ids, in the new order
         new_state = AllocationState(capacity, self.num_links)
         for new_slot, seg in enumerate(segs):

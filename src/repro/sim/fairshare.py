@@ -6,14 +6,17 @@ saturates, freezes the flows crossing that link, and repeats — the classical
 progressive-filling algorithm.  This models ideal congestion control (per-flow
 fairness), which is what the paper's NDP-style transport approximates.
 
-The implementation is vectorised: the link/flow incidence is a sparse CSR matrix and
-each filling round is a sparse mat-vec, so thousands of flows are allocated in
-milliseconds (see the HPC guides: vectorise the hot loop).
+Two implementations of the same rounds live here.  :func:`max_min_fair_rates` is
+the scalar reference's form: the link/flow incidence is a sparse CSR matrix and each
+filling round is a sparse mat-vec.  :func:`leveled_fill` is the pooled form every
+allocator of the vectorized engine fills through (:mod:`repro.sim.allocstate`,
+:mod:`repro.sim.bottleneck`): it works on parallel entry arrays over the touched
+links, evaluates the same per-round float expressions, and also reports which round
+saturated which link.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -109,8 +112,8 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
     touched-link index ``0..num_touched-1`` and ``touched_caps`` holds those links'
     capacities (the form ``np.unique(entry_links, return_inverse=True)``
     returns).  The filling rounds evaluate the same float expressions as
-    :func:`max_min_fair_rates` / :func:`repro.sim.allocstate._progressive_fill`;
-    on top of the rates this returns *which round saturated what*:
+    :func:`max_min_fair_rates`, so the rates are bit-identical to it for any
+    entry order; on top of the rates this returns *which round saturated what*:
 
     ``(rates, link_round, level_rates)`` — ``link_round[l]`` is the round at
     which touched link ``l`` saturated (-1 if it keeps slack), and
@@ -120,20 +123,25 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
     (:mod:`repro.sim.bottleneck`); :func:`bottleneck_levels` is the public
     uncompressed wrapper.
 
-    Like ``_progressive_fill``, the loads are counted once and then lose each
-    newly frozen flow's entries, and each flow receives the running level of the
-    round that froze it.
+    Two exact shortcuts keep the rounds cheap: the loads are counted once and
+    then lose each newly frozen flow's entries, and each flow receives the
+    running level of the round that froze it, the same sequential float sum the
+    reference's ``rates[unfixed] += increment`` accumulates.  Every flow index
+    in ``0..num_flows-1`` is filled; pass live entries only.
     """
     rates = np.zeros(num_flows)
     link_round = np.full(num_touched, -1, dtype=np.int64)
-    levels: List[float] = []
     if compressed.size == 0 or num_touched == 0:
         return rates, link_round, np.zeros(0)
+    level_rates = np.empty(num_touched + 1)
+    rounds = 0
     remaining = touched_caps
     saturation_threshold = epsilon * remaining + epsilon
     fixed = np.zeros(num_flows, dtype=bool)
     load = np.bincount(compressed, minlength=num_touched)
     level = 0.0
+    # every productive round permanently saturates at least one touched link (its
+    # live load then stays zero), so ``num_touched`` bounds the round count
     for rnd in range(num_touched + 1):
         active_links = load > 0
         if not active_links.any():
@@ -147,7 +155,8 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
         if not saturated.any():
             # no link saturates (should not happen with finite capacities); freeze all
             break
-        levels.append(level)
+        level_rates[rnd] = level
+        rounds = rnd + 1
         # a saturated link loses all its flows this round, so it saturates once
         link_round[saturated] = rnd
         hit = entry_flows[saturated[compressed]]
@@ -157,7 +166,7 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
         fixed |= frozen
         load -= np.bincount(compressed[frozen[entry_flows]], minlength=num_touched)
     rates[~fixed] = level
-    return rates, link_round, np.asarray(levels)
+    return rates, link_round, level_rates[:rounds]
 
 
 def bottleneck_levels(entry_links: np.ndarray, entry_flows: np.ndarray,
@@ -274,31 +283,3 @@ def bottleneck_certificate(entry_links: np.ndarray, entry_flows: np.ndarray,
     np.logical_or.at(on_overloaded, entry_flows, overloaded[entry_links])
     bad = ~has_bottleneck[flows] | on_overloaded[flows]
     return flows[bad]
-
-
-def link_utilisation(paths_links: Sequence[Sequence[int]], rates: np.ndarray,
-                     link_capacities: np.ndarray) -> np.ndarray:
-    """Utilisation (load / capacity) of each link under the given flow rates.
-
-    Vectorized over the same flattened flow/link incidence that
-    :func:`max_min_fair_rates` builds its CSR matrix from: one weighted ``bincount``
-    accumulates every (flow, link) entry flow-major, exactly as the former per-flow
-    Python loop did (flows with non-finite rates contribute zero).
-    """
-    capacities = np.asarray(link_capacities, dtype=np.float64)
-    num_links = capacities.shape[0]
-    lengths = np.fromiter((len(links) for links in paths_links), dtype=np.int64,
-                          count=len(paths_links))
-    total = int(lengths.sum())
-    if total == 0:
-        load = np.zeros(num_links)
-    else:
-        links = np.fromiter(chain.from_iterable(paths_links), dtype=np.int64, count=total)
-        if links.min() < 0 or links.max() >= num_links:
-            raise ValueError("paths reference an unknown link index")
-        flow_rates = np.asarray(rates, dtype=np.float64)
-        weights = np.repeat(np.where(np.isfinite(flow_rates), flow_rates, 0.0), lengths)
-        load = np.bincount(links, weights=weights, minlength=num_links)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        util = np.where(capacities > 0, load / capacities, 0.0)
-    return util

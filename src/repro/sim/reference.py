@@ -30,6 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.loadbalance import FlowletSelector, PathSelector
+from repro.core.mapping import is_valid_mapping
 from repro.core.transport import TransportModel, ndp_transport
 from repro.sim.fairshare import max_min_fair_rates
 from repro.sim.faults import bfs_distances_subgraph, detour_router_path
@@ -130,6 +131,9 @@ class FlowLevelSimulator:
         """
         arrivals = workload.sorted_by_start()
         if mapping is not None:
+            n = self.topology.num_endpoints
+            if not is_valid_mapping(mapping, n):
+                raise ValueError(f"mapping must be a permutation of the {n} endpoints")
             remapped = []
             for f in arrivals:
                 remapped.append(Flow(start_time=f.start_time, source=int(mapping[f.source]),

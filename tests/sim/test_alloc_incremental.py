@@ -22,13 +22,14 @@ from repro.sim.allocstate import (
     AllocationState,
     FullAllocator,
     IncrementalAllocator,
-    _progressive_fill,
+    _compress_links,
     make_allocator,
 )
 from repro.sim.bottleneck import BottleneckAllocator
 from repro.sim.fairshare import (
     bottleneck_certificate,
     incidence_components,
+    leveled_fill,
     max_min_fair_rates,
 )
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
@@ -36,6 +37,12 @@ from repro.topologies import comparable_configurations
 from repro.topologies.configs import SizeClass
 from repro.traffic.flows import poisson_workload
 from repro.traffic.patterns import incast_pattern, random_permutation
+
+
+def _pooled_fill(entry_links, entry_flows, num_flows, caps):
+    """Per-flow rates of the allocators' pooled fill over one entry set."""
+    touched, compressed = _compress_links(entry_links, caps.shape[0])
+    return leveled_fill(entry_flows, num_flows, caps[touched], compressed, touched.size)[0]
 
 
 # --------------------------------------------------------------- synthetic driver
@@ -303,7 +310,7 @@ class TestFairshareHelpers:
         entry_links = np.concatenate([np.asarray(p) for p in paths])
         entry_flows = np.repeat(np.arange(num_flows),
                                 [len(p) for p in paths])
-        global_rates = _progressive_fill(entry_links, entry_flows, num_flows, caps)
+        global_rates = _pooled_fill(entry_links, entry_flows, num_flows, caps)
         ncomp, _, _, flow_ids, flow_labels = incidence_components(entry_links,
                                                                   entry_flows)
         label_of = dict(zip(flow_ids.tolist(), flow_labels.tolist()))
@@ -312,7 +319,7 @@ class TestFairshareHelpers:
             sub_links = np.concatenate([np.asarray(paths[f]) for f in members])
             sub_flows = np.repeat(np.arange(len(members)),
                                   [len(paths[f]) for f in members])
-            local = _progressive_fill(sub_links, sub_flows, len(members), caps)
+            local = _pooled_fill(sub_links, sub_flows, len(members), caps)
             np.testing.assert_allclose(local, global_rates[members], rtol=1e-9)
 
     def test_bottleneck_certificate_accepts_max_min(self):

@@ -13,7 +13,10 @@ The stream: Slim Fly at tiny scale, the fatpaths stack, the generator
 ``default_rng([0, 0])``, 300 pushes of two flows each, ``StreamConfig(window=0.001)``
 — 1,200 events.  The loop issued 132.7 such calls per event before the candidate
 table, the one-sweep switch scan and the live-entry fill, and 100.0 with them
-(CPython 3.11, numpy 2.4); the ceiling leaves 10% of headroom over that.
+(CPython 3.11, numpy 2.4); the ceiling leaves 10% of headroom over that.  Since
+faulted and unfaulted switching share one sweep method and every allocator fills
+through ``fairshare.leveled_fill`` (which also records saturation rounds), the
+count is 102.5: one more frame per event for the sweep, two allocations per fill.
 """
 
 import cProfile

@@ -14,7 +14,8 @@ from repro.sim.engine import FlowEngine, SimCell, simulate_many
 from repro.sim.faults import FaultSchedule, sample_link_faults
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
 from repro.sim.reference import FlowLevelSimulator
-from repro.topologies import comparable_configurations, star
+from repro.sim.stream import StreamSimulator
+from repro.topologies import comparable_configurations, configs, star
 from repro.topologies.configs import SizeClass
 from repro.traffic.flows import Flow, Workload, poisson_workload, uniform_size_workload
 from repro.traffic.patterns import random_permutation
@@ -45,13 +46,20 @@ SIMULATORS = (FlowLevelSimulator, FlowEngine)
 
 
 def run_both(topology, stack_name, workload, mapping=None, config=None, seed=0):
-    """One workload under freshly built identical stacks on both implementations."""
-    results = []
+    """One workload under freshly built identical stacks on both implementations.
+
+    Both runs must also leave their selectors' RNGs in the same state: under a
+    light load a changed draw need not show in any record.
+    """
+    results, rng_states = [], []
     for sim_cls in SIMULATORS:
         stack = build_stack(topology, stack_name, seed=seed)
         sim = sim_cls(topology, stack.routing, selector=stack.selector,
                       transport=stack.transport, config=config, seed=seed)
         results.append(sim.run(workload, mapping=mapping))
+        rng = getattr(stack.selector, "_rng", None)
+        rng_states.append(None if rng is None else rng.bit_generator.state)
+    assert rng_states[0] == rng_states[1]
     return results
 
 
@@ -241,6 +249,22 @@ class TestFaultedRuns:
         self._fault_meta_equal(reference, engine)
         assert reference.meta["stalls"] > 0
 
+    @pytest.mark.parametrize("stack_name", ["fatpaths", "ndp", "ecmp", "letflow"])
+    def test_arrivals_during_switch_outage(self, stack_name):
+        """Poisson arrivals across a switch outage: every flow that arrives while
+        its pair is cut off stalls on arrival without a selector draw, and the
+        rest arrive on surviving candidates or detours."""
+        topo = configs.build("SF", "tiny")
+        rng = np.random.default_rng(5)
+        workload = poisson_workload(random_permutation(200, rng), 2000.0, 0.002, rng=rng)
+        config = FlowSimConfig(faults=FaultSchedule.switch_outage(
+            [topo.endpoint_routers[0]], 0.0005, 0.0012))
+        reference, engine = run_both(topo, stack_name, workload, config=config)
+        assert_equivalent(reference, engine)
+        self._fault_meta_equal(reference, engine)
+        assert len(workload) == 818
+        assert reference.meta["stalls"] == 15
+
     def test_no_restore_drains_identically(self, topologies, workloads):
         """Failures that never heal: displaced flows finish on detours (or stay
         stalled until the max-events drain) the same way in both implementations."""
@@ -284,3 +308,37 @@ class TestFaultedRuns:
             config=FlowSimConfig(faults=schedule, allocator="incremental"), seed=0)
         assert_equivalent(reference, engine)
         self._fault_meta_equal(reference, engine)
+
+
+class TestBadMappings:
+    """An endpoint mapping that is not a permutation of the endpoints fails with a
+    one-line error in the reference, the engine and the stream service alike."""
+
+    BAD = {"short": list(range(10)), "duplicate": [0] * 200,
+           "non_integer": [0.5] + list(range(1, 200)),
+           "out_of_range": list(range(1, 201)), "scalar": 5,
+           "unorderable": [None] + list(range(1, 200))}
+
+    @staticmethod
+    def _run(kind, mapping):
+        topo = configs.build("SF", "tiny")
+        stack = build_stack(topo, "fatpaths", seed=0)
+        if kind == "stream":
+            StreamSimulator(topo, stack.routing, selector=stack.selector,
+                            transport=stack.transport, mapping=mapping)
+            return
+        sim_cls = FlowLevelSimulator if kind == "reference" else FlowEngine
+        sim = sim_cls(topo, stack.routing, selector=stack.selector,
+                      transport=stack.transport)
+        sim.run(Workload([Flow(0.0, 0, 50, 1e5), Flow(0.0, 4, 54, 1e5)]),
+                mapping=mapping)
+
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    @pytest.mark.parametrize("kind", ["reference", "engine", "stream"])
+    def test_rejected(self, kind, bad):
+        with pytest.raises(ValueError, match="permutation of the 200 endpoints"):
+            self._run(kind, self.BAD[bad])
+
+    @pytest.mark.parametrize("kind", ["reference", "engine", "stream"])
+    def test_permutation_accepted(self, kind):
+        self._run(kind, np.random.default_rng(0).permutation(200))

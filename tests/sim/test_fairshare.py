@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.allocstate import _compress_links, _progressive_fill
-from repro.sim.fairshare import leveled_fill, link_utilisation, max_min_fair_rates
+from repro.sim.allocstate import _compress_links
+from repro.sim.fairshare import leveled_fill, max_min_fair_rates
+
+
+def utilisation_of(paths, rates, caps):
+    """Load over capacity of every link, accumulated flow by flow."""
+    load = np.zeros(len(caps))
+    for links, rate in zip(paths, rates):
+        for link in links:
+            load[link] += rate
+    return load / caps
 
 
 class TestMaxMinFair:
@@ -55,7 +64,7 @@ class TestMaxMinFair:
     def test_utilisation(self):
         paths = [[0, 1], [0]]
         rates = max_min_fair_rates(paths, np.array([10.0, 10.0]))
-        util = link_utilisation(paths, rates, np.array([10.0, 10.0]))
+        util = utilisation_of(paths, rates, np.array([10.0, 10.0]))
         assert util[0] == pytest.approx(1.0)
         assert util[1] <= 1.0 + 1e-9
 
@@ -73,7 +82,7 @@ class TestMaxMinFair:
             paths.append(list(rng.choice(num_links, size=length, replace=False)))
         rates = max_min_fair_rates(paths, caps)
         assert (rates > 0).all()
-        util = link_utilisation(paths, rates, caps)
+        util = utilisation_of(paths, rates, caps)
         assert (util <= 1.0 + 1e-6).all()
 
     @given(seed=st.integers(0, 200))
@@ -87,7 +96,7 @@ class TestMaxMinFair:
         paths = [list(rng.choice(num_links, size=int(rng.integers(1, 4)), replace=False))
                  for _ in range(8)]
         rates = max_min_fair_rates(paths, caps)
-        util = link_utilisation(paths, rates, caps)
+        util = utilisation_of(paths, rates, caps)
         for f, links in enumerate(paths):
             on_saturated = any(util[l] >= 1.0 - 1e-6 for l in links)
             assert on_saturated or rates[f] >= rates.max() - 1e-6
@@ -111,7 +120,7 @@ class TestProgressiveFillingInvariants:
     def test_no_link_over_capacity(self, num_flows, num_links, seed):
         caps, paths, _ = _random_flow_set(np.random.default_rng(seed), num_links, num_flows)
         rates = max_min_fair_rates(paths, caps)
-        util = link_utilisation(paths, rates, caps)
+        util = utilisation_of(paths, rates, caps)
         assert (util <= 1.0 + 1e-6).all()
 
     @given(num_flows=st.integers(2, 20), num_links=st.integers(2, 10),
@@ -161,46 +170,23 @@ class TestProgressiveFillingInvariants:
                 for link in links)
             assert saturated_bottleneck
 
-    @given(num_flows=st.integers(0, 18), num_links=st.integers(1, 10),
-           seed=st.integers(0, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_vectorized_utilisation_matches_scalar_loop(self, num_flows, num_links, seed):
-        """link_utilisation (bincount form) equals the per-flow accumulation loop."""
-        rng = np.random.default_rng(seed)
-        caps, paths, _ = _random_flow_set(rng, num_links, max(num_flows, 0))
-        rates = rng.uniform(0.0, 5.0, size=len(paths))
-        if len(paths) > 2:
-            rates[0] = np.inf    # same-router flows carry infinite rate markers
-        expected = np.zeros(num_links)
-        for f, links in enumerate(paths):
-            if not np.isfinite(rates[f]):
-                continue
-            for link in links:
-                expected[link] += rates[f]
-        expected = np.where(caps > 0, expected / caps, 0.0)
-        got = link_utilisation(paths, rates, caps)
-        assert np.array_equal(got, expected)
-
-    def test_utilisation_rejects_unknown_link(self):
-        with pytest.raises(ValueError):
-            link_utilisation([[0, 3]], np.array([1.0]), np.array([5.0, 5.0]))
-
 
 class TestPooledFillMatchesReference:
-    """The engine's pooled fills equal ``max_min_fair_rates`` bit for bit.
+    """The engine's pooled fill equals ``max_min_fair_rates`` bit for bit.
 
     Capacities are all equal or take two values, so many links saturate in the
     same round and a differently ordered float sum would show in the last ulp.
     A random subset of the flows is live, relabelled ``0..k-1`` in arrival order
-    as the allocators do, and their entries come in a random order.
+    as the allocators do, and their entries come in a random order.  The links
+    are compressed by marking, as the allocators do, or by ``np.unique``.
     """
 
     @given(num_flows=st.integers(1, 40), num_links=st.integers(1, 16),
            two_capacities=st.booleans(), live_share=st.floats(0.0, 1.0),
-           precompressed=st.booleans(), seed=st.integers(0, 10_000))
+           by_unique=st.booleans(), seed=st.integers(0, 10_000))
     @settings(max_examples=200, deadline=None)
     def test_bit_identical(self, num_flows, num_links, two_capacities, live_share,
-                           precompressed, seed):
+                           by_unique, seed):
         rng = np.random.default_rng(seed)
         values = [10.0, 25.0] if two_capacities else [10.0]
         caps = rng.choice(values, size=num_links)
@@ -211,13 +197,11 @@ class TestPooledFillMatchesReference:
         order = rng.permutation(len(entries))
         links = np.array([entries[i][0] for i in order], dtype=np.int64)
         flows = np.array([entries[i][1] for i in order], dtype=np.int64)
-        compression = np.unique(links, return_inverse=True) if precompressed else None
-        got = _progressive_fill(links, flows, live.size, caps, compression=compression)
+        touched, compressed = (np.unique(links, return_inverse=True) if by_unique
+                               else _compress_links(links, num_links))
+        got, _, _ = leveled_fill(flows, live.size, caps[touched], compressed,
+                                 touched.size)
         expected = np.zeros(live.size)
         if live.size:
             expected = max_min_fair_rates([paths[f] for f in live], caps)
         assert np.array_equal(got, expected)
-        touched, compressed = _compress_links(links, num_links)
-        leveled, _, _ = leveled_fill(flows, live.size, caps[touched], compressed,
-                                     touched.size)
-        assert np.array_equal(leveled, expected)

@@ -70,8 +70,7 @@ class TestPacketSim:
     def test_flowlet_switching_uses_multiple_paths(self, sf, sf_fatpaths):
         flows = [Flow(0.0, 0, 50, 1024 * 1024)]
         sim = PacketLevelSimulator(sf, sf_fatpaths,
-                                   selector=FlowletSelector(seed=0, adaptive=False,
-                                                            length_bias=0.0),
+                                   selector=FlowletSelector(seed=0, adaptive=False),
                                    config=PacketSimConfig(flowlet_packets=4), seed=0)
         result = sim.run(Workload(flows))
         assert result.records[0].num_path_switches > 0
