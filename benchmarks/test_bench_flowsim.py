@@ -25,12 +25,6 @@ progressive fill per event, while the bottleneck allocator still refills only th
 flows coupled to each event through *saturated* links — the hotspot's own fan-in
 plus whatever the expansion frontier drags in.
 
-A third pair benchmarks *fault recovery*: rebuilding a failed topology's routing
-kernels from scratch vs deriving them from the resident pristine entry through
-``PathCache.mutated`` (:mod:`repro.kernels.dirtyregion`), which recomputes only
-the rows whose distances the failed links can affect — the cost a fault epoch
-actually pays mid-run (see ``docs/resilience.md``).
-
 Run ``pytest benchmarks/test_bench_flowsim.py --benchmark-only -s``; set
 ``FATPATHS_BENCH_SCALE=small|medium`` for larger instances.
 """
@@ -42,9 +36,6 @@ import pytest
 
 from repro.core.mapping import random_mapping
 from repro.experiments.simcommon import StackCell, build_stack, simulate_stack_many
-from repro.kernels.cache import GraphKernels, PathCache, fingerprint_edges
-from repro.kernels.csr import CSRGraph
-from repro.kernels.dirtyregion import faulted_kernels
 from repro.sim.engine import FlowEngine
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
 from repro.sim.reference import FlowLevelSimulator
@@ -65,12 +56,6 @@ _ALLOC_SPEEDUP_FLOOR = 2.0
 #: incast benchmark, asserted at small/medium scale (the PR's acceptance bar).
 #: Tiny instances are dominated by per-event fixed costs and are not gated.
 _BOTTLENECK_SPEEDUP_FLOOR = 2.0
-
-#: Dirty-region derivation vs cold rebuild speedup floor for single-link fault
-#: recovery, asserted at medium scale — the instance size where the derivation's
-#: fixed costs (dirty-row masks, matrix copy) amortize.  Smaller scales assert the
-#: structural bound instead (only a small fraction of rows recomputed).
-_RECOVERY_SPEEDUP_FLOOR = 1.5
 
 #: Staggered incast shape per scale: (hotspots, fanin, per-pair flow rate 1/s,
 #: flows per pair).  Disjoint sender sets keep per-group injection links private,
@@ -291,94 +276,6 @@ def test_alloc_bottleneck_speedup_and_agreement(kgraph, dense_incast_workload,
           f"({events / bottleneck_seconds:.0f} ev/s), speedup {speedup:.2f}x")
     if scale.value != "tiny":
         assert speedup >= _BOTTLENECK_SPEEDUP_FLOOR
-
-
-@pytest.fixture(scope="module")
-def recovery_inputs(kgraph):
-    """A warmed pristine kernels entry plus one random failed link.
-
-    The pristine entry has its distance matrix and path counts materialized —
-    the state a running simulation holds when a fault epoch arrives.  A single
-    link is the canonical localized recovery event; scattered mass failures on a
-    diameter-2 graph dirty nearly every row and degrade to rebuild cost (the
-    tradeoff ``docs/resilience.md`` documents).
-    """
-    base = GraphKernels(CSRGraph.from_edges(kgraph.num_routers, kgraph.edges),
-                        kgraph.fingerprint())
-    base.distance_matrix()
-    base.shortest_path_counts()
-    rng = np.random.default_rng(0)
-    failed = [kgraph.edges[int(rng.integers(kgraph.num_edges))]]
-    return base, failed
-
-
-def _recover_cold(kgraph, failed):
-    """Full rebuild of the degraded graph's kernels (matrix + counts)."""
-    edges = sorted(set(kgraph.edges) - set(failed))
-    entry = GraphKernels(CSRGraph.from_edges(kgraph.num_routers, edges),
-                         fingerprint_edges(kgraph.num_routers, edges))
-    entry.distance_matrix()
-    entry.shortest_path_counts()
-    return entry
-
-
-def _recover_derived(kgraph, base, failed):
-    """Dirty-region derivation from the resident pristine entry.
-
-    A fresh single-entry cache per call keeps every round an actual derivation
-    (a shared cache would hit the derived key from the previous round).
-    """
-    cache = PathCache()
-    cache._entries[base.fingerprint] = base
-    return faulted_kernels(kgraph, failed, cache=cache)
-
-
-def test_bench_recovery_cold_rebuild(benchmark, kgraph, recovery_inputs):
-    _, failed = recovery_inputs
-    entry = benchmark.pedantic(_recover_cold, args=(kgraph, failed),
-                               rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["failed_links"] = len(failed)
-    assert entry.distance_matrix().shape == (kgraph.num_routers, kgraph.num_routers)
-
-
-def test_bench_recovery_dirty_region(benchmark, kgraph, recovery_inputs):
-    base, failed = recovery_inputs
-    entry = benchmark.pedantic(_recover_derived, args=(kgraph, base, failed),
-                               rounds=3, iterations=1, warmup_rounds=1)
-    benchmark.extra_info["failed_links"] = len(failed)
-    benchmark.extra_info["rows_dirty"] = int(entry.invalidation["rows_dirty"])
-    benchmark.extra_info["rows_total"] = int(entry.invalidation["rows_total"])
-    assert entry.invalidation["mode"] == "partial"
-
-
-def test_recovery_speedup_and_bit_identity(kgraph, recovery_inputs, scale):
-    """Time both recovery paths, pin the derived arrays to the rebuild, and (at
-    small/medium scale) assert the dirty-region speedup floor."""
-    base, failed = recovery_inputs
-    _recover_derived(kgraph, base, failed)                 # warm code paths
-    start = time.perf_counter()
-    rebuilt = _recover_cold(kgraph, failed)
-    rebuild_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    derived = _recover_derived(kgraph, base, failed)
-    derive_seconds = time.perf_counter() - start
-
-    np.testing.assert_array_equal(derived.distance_matrix(),
-                                  rebuilt.distance_matrix())
-    np.testing.assert_array_equal(derived.shortest_path_counts(),
-                                  rebuilt.shortest_path_counts())
-    assert derived.invalidation["mode"] == "partial"
-
-    speedup = rebuild_seconds / max(derive_seconds, 1e-9)
-    stats = derived.invalidation
-    print(f"\nrecovery {scale.value}: rebuild {rebuild_seconds * 1e3:.1f} ms, "
-          f"derived {derive_seconds * 1e3:.1f} ms "
-          f"({stats['rows_dirty']}/{stats['rows_total']} rows dirty), "
-          f"speedup {speedup:.1f}x")
-    # structural floor at every scale: only the dirty region was recomputed
-    assert 0 < stats["rows_dirty"] <= stats["rows_total"] // 2
-    if scale.value == "medium":
-        assert speedup >= _RECOVERY_SPEEDUP_FLOOR
 
 
 def test_bench_simulate_many_cell_sweep(benchmark, kgraph):

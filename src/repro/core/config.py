@@ -29,14 +29,9 @@ class FatPathsConfig:
     layer_algorithm:
         ``"random"`` for Listing 1 (random uniform edge sampling) or ``"interference"``
         for Listing 2 (path-overlap-minimising heuristic).
-    acyclic_layers:
-        If True, the random sampler additionally orients each layer by a random vertex
-        permutation (the Listing 1 ``pi(u) < pi(v)`` condition), guaranteeing acyclicity.
     min_extra_hops / max_extra_hops:
         Path length window (relative to the minimal distance) used by the
         interference-minimising constructor ("prefer paths one hop longer than minimal").
-    paths_per_pair_target:
-        Desired number of disjoint paths per router pair (the paper's answer: 3).
     seed:
         Seed for all randomized construction steps.
     """
@@ -44,10 +39,8 @@ class FatPathsConfig:
     num_layers: int = 9
     rho: float = 0.75
     layer_algorithm: str = "random"
-    acyclic_layers: bool = False
     min_extra_hops: int = 1
     max_extra_hops: int = 2
-    paths_per_pair_target: int = 3
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -59,8 +52,6 @@ class FatPathsConfig:
             raise ValueError("layer_algorithm must be 'random' or 'interference'")
         if self.min_extra_hops < 0 or self.max_extra_hops < self.min_extra_hops:
             raise ValueError("need 0 <= min_extra_hops <= max_extra_hops")
-        if self.paths_per_pair_target < 1:
-            raise ValueError("paths_per_pair_target must be >= 1")
 
     def with_(self, **kwargs) -> "FatPathsConfig":
         """A copy with the given fields replaced (convenience for sweeps)."""

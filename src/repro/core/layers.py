@@ -96,8 +96,7 @@ def random_edge_sampling_layers(topology: Topology, config: FatPathsConfig) -> L
     acyclically *orients* each layer for deployments that forward over directed link
     sets; since FatPaths routes minimally over the undirected layer subgraph, the
     orientation does not change which links belong to the layer, so this implementation
-    keeps the undirected subset only (``config.acyclic_layers`` merely records the
-    intent in the layer-set metadata).
+    keeps the undirected subset only.
 
     Sparsified layers that disconnect the network are re-sampled a bounded number of
     times; if the graph stubbornly disconnects (very low ``rho`` on a sparse topology)
@@ -143,7 +142,7 @@ def random_edge_sampling_layers(topology: Topology, config: FatPathsConfig) -> L
         layers.append(Layer(index=layer_index, edges=frozenset(chosen if chosen is not None
                                                                else first)))
     return LayerSet(topology=topology, layers=layers, config=config,
-                    meta={"algorithm": "random", "acyclic": config.acyclic_layers})
+                    meta={"algorithm": "random"})
 
 
 # --------------------------------------------------------------------------- Listing 2

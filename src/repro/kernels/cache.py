@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -67,9 +67,6 @@ class GraphKernels:
         self._connected: Optional[bool] = None
         self._next_hops: Dict[tuple, np.ndarray] = {}
         self._aux: Dict[tuple, object] = {}
-        #: Derivation statistics when this entry was produced by dirty-region
-        #: derivation (:mod:`repro.kernels.dirtyregion`); ``None`` for full builds.
-        self.invalidation: Optional[Dict[str, object]] = None
 
     # -------------------------------------------------------------- distances
     def distances_from(self, source: int) -> np.ndarray:
@@ -214,8 +211,6 @@ class PathCache:
         self._entries: "OrderedDict[str, GraphKernels]" = OrderedDict()
         self.hits = 0
         self.misses = 0
-        self.derive_partial = 0   # mutated(): base resident, dirty rows patched
-        self.derive_full = 0      # mutated(): base evicted, fell back to full build
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -249,63 +244,26 @@ class PathCache:
         return entry
 
     def mutated(self, num_nodes: int, base_edges: Sequence[Edge],
-                removed: Sequence[Edge] = (), added: Sequence[Edge] = (),
-                base_fingerprint: Optional[str] = None) -> GraphKernels:
-        """Kernels for ``base_edges`` minus ``removed`` plus ``added``.
+                removed: Iterable[Edge]) -> GraphKernels:
+        """The kernels for ``base_edges`` minus ``removed`` (either orientation).
 
-        The dirty-region entry point (see :mod:`repro.kernels.dirtyregion`): when
-        the mutated graph is already cached it is returned as-is; when the *base*
-        entry is resident, the new entry is **derived** from it — only rows whose
-        distances/counts the edge delta can affect are recomputed
-        (``derive_partial``); when the base has been evicted, the entry is built
-        from scratch (``derive_full`` — eviction racing invalidation degrades to a
-        cold build, never to a wrong answer).  Edges may be given in either
-        orientation.
+        An ordinary :meth:`kernels` lookup keyed by the surviving edge set, so
+        every route to the same graph shares one entry.
         """
         def norm(edges):
-            return sorted((min(int(u), int(v)), max(int(u), int(v)))
-                          for u, v in edges)
+            return {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges}
 
-        removed_set = set(norm(removed))
-        added_set = set(norm(added))
-        new_edges = sorted((set(norm(base_edges)) - removed_set) | added_set)
-        key = fingerprint_edges(num_nodes, new_edges)
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            self._entries.move_to_end(key)
-            if self.hits % 64 == 0:
-                self._evict()
-            return entry
-        self.misses += 1
-        base_key = base_fingerprint or fingerprint_edges(num_nodes, norm(base_edges))
-        base_entry = self._entries.get(base_key)
-        if base_entry is None:
-            self.derive_full += 1
-            entry = GraphKernels(CSRGraph.from_edges(num_nodes, new_edges), key)
-            entry.invalidation = {"mode": "full"}
-        else:
-            from repro.kernels.dirtyregion import derive_kernels
-
-            self.derive_partial += 1
-            entry = derive_kernels(base_entry, num_nodes, new_edges, key,
-                                   sorted(removed_set), sorted(added_set))
-        self._entries[key] = entry
-        self._evict()
-        return entry
+        return self.kernels(num_nodes, sorted(norm(base_edges) - norm(removed)))
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters (cold-start state)."""
         self._entries.clear()
         self.hits = 0
         self.misses = 0
-        self.derive_partial = 0
-        self.derive_full = 0
 
     def stats(self) -> Dict[str, int]:
-        """Counters snapshot: graphs held, hits, misses, derivations, retained bytes."""
+        """Counters snapshot: graphs held, hits, misses, retained bytes."""
         return {"graphs": len(self._entries), "hits": self.hits, "misses": self.misses,
-                "derive_partial": self.derive_partial, "derive_full": self.derive_full,
                 "retained_bytes": sum(e.retained_nbytes() for e in self._entries.values())}
 
 

@@ -257,10 +257,12 @@ def edges_connected_batch(num_nodes: int, candidates: Sequence[Sequence[Edge]]) 
     """Connectivity of many candidate edge subsets over the same vertex set.
 
     All candidates are embedded as blocks of one block-diagonal graph (candidate
-    ``k``'s vertices are offset by ``k * num_nodes``) and a single batched BFS from
-    each block's vertex 0 decides every candidate at once — one vectorized sweep per
-    *block* of layer-resampling attempts instead of one traversal per attempt.
-    Agrees exactly with :func:`edges_connected` per candidate.
+    ``k``'s vertices are offset by ``k * num_nodes``) and one multi-source BFS from
+    every block's vertex 0 decides every candidate at once — one traversal per
+    *block* of layer-resampling attempts instead of one per attempt.  The blocks
+    are disjoint components, so a vertex is reached iff its own block's root
+    reaches it: the result agrees exactly with :func:`edges_connected` per
+    candidate.
     """
     blocks = list(candidates)
     if not blocks:
@@ -274,7 +276,5 @@ def edges_connected_batch(num_nodes: int, candidates: Sequence[Sequence[Edge]]) 
         arr = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         offset_edges.append(arr + k * num_nodes)
     graph = CSRGraph.from_edges(num_nodes * len(blocks), np.concatenate(offset_edges, axis=0))
-    sources = np.arange(len(blocks), dtype=np.int64) * num_nodes
-    dist = graph.bfs_distances_batch(sources).reshape(len(blocks), len(blocks), num_nodes)
-    own_blocks = dist[np.arange(len(blocks)), np.arange(len(blocks))]
-    return (own_blocks >= 0).all(axis=1)
+    dist = graph.multi_source_distances(np.arange(len(blocks), dtype=np.int64) * num_nodes)
+    return (dist >= 0).reshape(len(blocks), num_nodes).all(axis=1)

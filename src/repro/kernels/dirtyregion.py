@@ -1,204 +1,28 @@
-"""Dirty-region kernel derivation: patch cached kernels instead of rebuilding them.
+"""Kernels of a topology with failed links.
 
-When the fault schedule of :mod:`repro.sim.faults` drops or restores edges mid-run,
-the surviving graph differs from the cached one by a handful of edges — yet a naive
-consumer would rebuild BFS rows, the distance matrix and shortest-path counts from
-scratch for every epoch.  This module extends the O(delta) discipline of
-:mod:`repro.sim.allocstate` one layer down into :class:`~repro.kernels.cache.PathCache`:
-given a resident base entry and an edge delta, only the *dirty* rows — sources whose
-distances or counts can actually change — are recomputed; clean rows are shared with
-the base entry (read-only, so sharing is safe).
-
-The row tests operate on the base entry's distance matrix ``D`` (``D[s, u]`` = hops
-from ``s`` to ``u``, ``-1`` unreachable):
-
-* **Removal** of edge ``(u, v)``: row ``s`` is dirty iff the edge lies on some
-  shortest path from ``s`` — both endpoints reachable and ``|D[s,u] - D[s,v]| == 1``.
-  Otherwise no shortest path from ``s`` traverses the edge, so neither distances nor
-  counts from ``s`` change.  The same mask covers distances and counts.
-* **Addition** of edge ``(u, v)``: distances from ``s`` change only if the new edge
-  is a shortcut — exactly one endpoint reachable, or both reachable with
-  ``|D[s,u] - D[s,v]| >= 2``.  Counts can additionally change when ``D[s,u] !=
-  D[s,v]`` (a ``|diff| == 1`` edge adds new equal-length paths without shortening
-  any), so the counts mask is a superset of the distance mask — which guarantees
-  the patched distance matrix already carries correct rows everywhere counts are
-  recomputed.
-
-The tests are evaluated against the *base* matrix even for simultaneous multi-edge
-deltas.  That is sound: take a minimal counterexample — a clean row ``s`` and the
-shortest ``s``-path in the new graph whose length or multiplicity differs from the
-base.  Its first changed edge is a delta edge incident to two vertices whose base
-distances from ``s`` satisfy one of the per-edge conditions above (any prefix before
-it is a base shortest path), contradicting ``s`` being clean under every per-edge
-test.
-
-Derivation keeps only what can be patched exactly: BFS rows / the distance matrix
-(dirty rows re-BFSed in one batch) and shortest-path counts (dirty rows via the
-exact-``int64`` :func:`repro.kernels.paths.shortest_path_count_rows`).  Randomized
-products — next-hop tables draw one RNG value per CSR slot, so their streams cannot
-be replayed across differing edge sets — are invalidated wholesale for the derived
-graph and rebuilt lazily on demand, at layer granularity
-(:func:`faulted_layer_kernels` returns the *same* cached entry for layers no failed
-edge touches).
+When the fault schedule of :mod:`repro.sim.faults` drops or restores edges
+mid-run, the surviving graph is an ordinary cached graph: it is keyed by the
+fingerprint of its own edge set and filled lazily like any other
+:class:`~repro.kernels.cache.GraphKernels` entry.  Equal failed sets therefore
+share one entry, and restoring every edge lands on the topology's pristine entry.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Set, Tuple
+from typing import Iterable, Optional
 
-import numpy as np
+from repro.kernels.cache import GraphKernels, PathCache, global_cache
+from repro.kernels.csr import Edge
 
-from repro.kernels.cache import (GraphKernels, PathCache, _readonly, global_cache,
-                                 layer_fingerprint)
-from repro.kernels.csr import CSRGraph, Edge
-
-__all__ = ["removal_dirty_rows", "addition_dirty_rows", "dirty_row_masks",
-           "derive_kernels", "faulted_kernels", "faulted_layer_kernels"]
-
-
-def _normalized(edges: Iterable[Edge]) -> Set[Tuple[int, int]]:
-    """Edges as a set of ``(min, max)`` int tuples."""
-    return {(min(int(u), int(v)), max(int(u), int(v))) for u, v in edges}
-
-
-def removal_dirty_rows(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Rows possibly affected by *removing* the edge with distance columns ``du, dv``."""
-    return (du >= 0) & (dv >= 0) & (np.abs(du - dv) == 1)
-
-
-def addition_dirty_rows(du: np.ndarray, dv: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distance_dirty, counts_dirty)`` rows for *adding* an edge.
-
-    ``du``/``dv`` are the base distances to the new edge's endpoints.  Rows where
-    both endpoints are unreachable stay clean — the new edge cannot connect them
-    to the source.
-    """
-    one_side = (du >= 0) != (dv >= 0)
-    both = (du >= 0) & (dv >= 0)
-    distance_dirty = one_side | (both & (np.abs(du - dv) >= 2))
-    counts_dirty = one_side | (both & (du != dv))
-    return distance_dirty, counts_dirty
-
-
-def dirty_row_masks(matrix: np.ndarray, removed: Iterable[Edge],
-                    added: Iterable[Edge]) -> Tuple[np.ndarray, np.ndarray]:
-    """``(distance_dirty, counts_dirty)`` row masks for a simultaneous edge delta.
-
-    ``matrix`` is the *base* graph's distance matrix; the per-edge tests (see the
-    module docstring) are OR-ed over the delta.  ``counts_dirty`` always contains
-    ``distance_dirty``.
-    """
-    n = matrix.shape[0]
-    distance_dirty = np.zeros(n, dtype=bool)
-    counts_dirty = np.zeros(n, dtype=bool)
-    for u, v in removed:
-        on_shortest = removal_dirty_rows(matrix[:, u], matrix[:, v])
-        distance_dirty |= on_shortest
-        counts_dirty |= on_shortest
-    for u, v in added:
-        d_dirty, c_dirty = addition_dirty_rows(matrix[:, u], matrix[:, v])
-        distance_dirty |= d_dirty
-        counts_dirty |= c_dirty
-    return distance_dirty, counts_dirty
-
-
-def _row_is_dirty(row: np.ndarray, removed: Iterable[Edge],
-                  added: Iterable[Edge]) -> bool:
-    """The per-row form of :func:`dirty_row_masks` (for single cached BFS rows)."""
-    for u, v in removed:
-        du, dv = int(row[u]), int(row[v])
-        if du >= 0 and dv >= 0 and abs(du - dv) == 1:
-            return True
-    for u, v in added:
-        du, dv = int(row[u]), int(row[v])
-        if (du >= 0) != (dv >= 0):
-            return True
-        if du >= 0 and dv >= 0 and du != dv:   # counts-superset test: stay safe
-            return True
-    return False
-
-
-def derive_kernels(base: GraphKernels, num_nodes: int, edges: Sequence[Edge],
-                   fingerprint: str, removed: Iterable[Edge],
-                   added: Iterable[Edge]) -> GraphKernels:
-    """A :class:`GraphKernels` for ``edges``, patched from ``base`` where possible.
-
-    Clean distance/count rows are shared with ``base`` (read-only arrays); dirty
-    rows are recomputed on the new graph — batched BFS for distances, the exact
-    row-restricted power iteration for counts.  The derivation statistics land in
-    ``derived.invalidation`` (``rows_dirty`` of ``rows_total`` recomputed, plus
-    ``counts_rows_dirty`` when counts were carried), which the dirty-region tests
-    use to prove no full rebuild happened.
-    """
-    derived = GraphKernels(CSRGraph.from_edges(num_nodes, edges), fingerprint)
-    removed = list(removed)
-    added = list(added)
-    stats = {"mode": "partial", "rows_total": 0, "rows_dirty": 0,
-             "counts_rows_dirty": 0}
-    if base._matrix is not None:
-        distance_dirty, counts_dirty = dirty_row_masks(base._matrix, removed, added)
-        dirty_idx = np.flatnonzero(distance_dirty)
-        stats["rows_total"] = num_nodes
-        stats["rows_dirty"] = int(dirty_idx.size)
-        matrix = base._matrix.copy()
-        if dirty_idx.size:
-            matrix[dirty_idx] = derived.csr.bfs_distances_batch(dirty_idx)
-        derived._matrix = _readonly(matrix)
-        if dirty_idx.size == 0 and base._connected is not None:
-            # identical distances everywhere -> identical reachability
-            derived._connected = base._connected
-        if base._counts is not None:
-            from repro.kernels.paths import shortest_path_count_rows
-
-            counts_idx = np.flatnonzero(counts_dirty)
-            stats["counts_rows_dirty"] = int(counts_idx.size)
-            counts = base._counts.copy()
-            if counts_idx.size:
-                counts[counts_idx] = shortest_path_count_rows(
-                    derived.csr, matrix[counts_idx], counts_idx)
-            derived._counts = _readonly(counts)
-    else:
-        # no matrix on the base entry: share whatever clean BFS rows it holds
-        stats["rows_total"] = len(base._rows)
-        for source, row in base._rows.items():
-            if _row_is_dirty(row, removed, added):
-                stats["rows_dirty"] += 1
-            else:
-                derived._rows[source] = row   # read-only: sharing is safe
-    derived.invalidation = stats
-    return derived
+__all__ = ["faulted_kernels"]
 
 
 def faulted_kernels(topology, failed_edges: Iterable[Edge],
                     cache: Optional[PathCache] = None) -> GraphKernels:
-    """Kernels of ``topology`` with ``failed_edges`` removed (dirty-region derived).
+    """Kernels of ``topology`` with ``failed_edges`` (any orientation) removed.
 
     With no failed edges this is exactly the topology's pristine cache entry, so a
     fail + restore cycle ends on the *same* cached object without any rebuild.
     """
     cache = cache if cache is not None else global_cache()
-    failed = _normalized(failed_edges)
-    if not failed:
-        return cache.kernels(topology.num_routers, topology.edges,
-                             fingerprint=topology.fingerprint())
-    return cache.mutated(topology.num_routers, topology.edges, removed=sorted(failed),
-                         base_fingerprint=topology.fingerprint())
-
-
-def faulted_layer_kernels(topology, layer, failed_edges: Iterable[Edge],
-                          cache: Optional[PathCache] = None) -> GraphKernels:
-    """Kernels of one layer's subgraph under ``failed_edges``.
-
-    Invalidation is per ``(layer, dirty region)``: a layer containing none of the
-    failed edges returns its untouched cached entry (``is``-identical to the
-    unfaulted call), while touched layers derive only their dirty rows from the
-    resident layer entry.
-    """
-    cache = cache if cache is not None else global_cache()
-    layer_edges = sorted(layer.edges)
-    base_key = layer_fingerprint(topology, layer.index, layer_edges)
-    touched = sorted(_normalized(failed_edges) & _normalized(layer_edges))
-    if not touched:
-        return cache.kernels(topology.num_routers, layer_edges, fingerprint=base_key)
-    return cache.mutated(topology.num_routers, layer_edges, removed=touched,
-                         base_fingerprint=base_key)
+    return cache.mutated(topology.num_routers, topology.edges, failed_edges)

@@ -55,38 +55,6 @@ def shortest_path_counts(csr: CSRGraph, distances: Optional[np.ndarray] = None) 
     return counts
 
 
-def shortest_path_count_rows(csr: CSRGraph, distance_rows: np.ndarray,
-                             sources: np.ndarray) -> np.ndarray:
-    """Shortest-path counts restricted to the ``sources`` rows.
-
-    ``distance_rows[i]`` must be the hop-distance row of ``sources[i]`` (``-1``
-    unreachable).  Runs the same walk-count power iteration as
-    :func:`shortest_path_counts` on ``len(sources)`` rows instead of all ``n`` —
-    the row-granular recomputation :mod:`repro.kernels.dirtyregion` uses to patch
-    only a derived graph's dirty rows.  All arithmetic is exact ``int64``, so the
-    result equals the corresponding rows of the full-matrix computation bit for
-    bit.
-    """
-    n = csr.num_nodes
-    sources = np.asarray(sources, dtype=np.int64)
-    distance_rows = np.asarray(distance_rows)
-    counts = np.zeros((sources.size, n), dtype=np.int64)
-    if sources.size == 0:
-        return counts
-    max_dist = int(distance_rows.max()) if distance_rows.size else 0
-    if max_dist < 1:
-        return counts
-    adj = csr.scipy_adjacency(dtype=np.int64)
-    power = np.zeros((sources.size, n), dtype=np.int64)
-    power[np.arange(sources.size), sources] = 1
-    for level in range(1, max_dist + 1):
-        # rows of A**level for the sources: X_l = X_{l-1} A (A symmetric)
-        power = np.asarray((adj @ power.T)).T
-        mask = distance_rows == level
-        counts[mask] = power[mask]
-    return counts
-
-
 def next_hop_sets_from_distances(csr: CSRGraph, distances: np.ndarray,
                                  max_len: int) -> List[List[Set[int]]]:
     """Next-hop sets for every (source, target) pair considering walks ``<= max_len``.

@@ -73,7 +73,7 @@ import numpy as np
 from repro.core.loadbalance import FlowletSelector, PathSelector
 from repro.core.mapping import is_valid_mapping
 from repro.core.transport import TransportModel, ndp_transport
-from repro.kernels.cache import kernels_for
+from repro.kernels.cache import GraphKernels, kernels_for
 from repro.kernels.dirtyregion import faulted_kernels
 from repro.sim.allocstate import AllocationState, make_allocator
 from repro.sim.faults import detour_router_path
@@ -319,13 +319,13 @@ class _SurvivorView:
 class _FaultRuntime:
     """Per-run fault state of the engine: failed set, survivor views, detours.
 
-    Mirrors the reference spec (:mod:`repro.sim.faults`) with dirty-region
-    bookkeeping: survivor views are cached per router pair and, on a fault epoch,
-    only the views whose candidate links touch a *changed* edge are dropped
-    (``invalidated``); untouched pairs keep their views across epochs (``reuses``
-    vs ``refilters``).  Detour distances come from the dirty-region derived
-    kernels (:func:`repro.kernels.dirtyregion.faulted_kernels`) — BFS distances
-    are unique, so the backwalk builds exactly the reference's scalar-BFS detour.
+    Mirrors the reference spec (:mod:`repro.sim.faults`).  Survivor views are
+    cached per router pair under the current failed set (``reuses`` vs
+    ``refilters``), and any change to the set drops them all.  Detour distances
+    come from the surviving graph's kernels
+    (:func:`repro.kernels.dirtyregion.faulted_kernels`), fetched at most once per
+    fault epoch — BFS distances are unique, so the backwalk builds exactly the
+    reference's scalar-BFS detour.
     """
 
     def __init__(self, topology: Topology, links: LinkSpace, bank: CandidateBank) -> None:
@@ -338,27 +338,28 @@ class _FaultRuntime:
         self.failed_links: set = set()        # both directed link indices per edge
         self.failed_mask = np.zeros(links.num_links, dtype=bool)
         self.views: Dict[Tuple[int, int], _SurvivorView] = {}
-        self.link_pairs: Dict[int, List[Tuple[int, int]]] = {}
-        self.registered: set = set()
-        self.detour_rows: Dict[int, np.ndarray] = {}
+        self.surviving: Optional[GraphKernels] = None
         self.refilters = 0
         self.reuses = 0
-        self.invalidated = 0
 
-    def apply(self, deltas: Sequence[Tuple[str, Tuple[int, int]]]) -> bool:
-        """Apply one epoch's fail/restore deltas; True iff the failed set changed."""
-        changed: set = set()
+    # checkpoints leave the kernels cache entry out (their code digest does not
+    # cover repro.kernels); the next detour refetches it
+    def __getstate__(self):
+        return dict(vars(self), surviving=None)
+
+    def apply(self, deltas: Sequence[Tuple[str, Tuple[int, int]]]) -> None:
+        """Apply one epoch's fail/restore deltas; a changed failed set drops every
+        survivor view and the surviving graph."""
+        before = set(self.failed_edges)
         for action, edge in deltas:
             if action == "fail":
-                if edge not in self.failed_edges:
-                    self.failed_edges.add(edge)
-                    changed.add(edge)
-            elif edge in self.failed_edges:
+                self.failed_edges.add(edge)
+            else:
                 self.failed_edges.discard(edge)
-                changed.add(edge)
-        if not changed:
-            return False
-        self.detour_rows.clear()
+        if self.failed_edges == before:
+            return
+        self.views.clear()
+        self.surviving = None
         edge_index = self.links.edge_index
         self.failed_links.clear()
         self.failed_mask[:] = False
@@ -367,22 +368,12 @@ class _FaultRuntime:
             self.failed_links.add(a)
             self.failed_links.add(b)
             self.failed_mask[a] = self.failed_mask[b] = True
-        # dirty-region invalidation: drop only the views a changed edge touches
-        dirty = set()
-        for u, v in changed:
-            for link in (edge_index[(u, v)], edge_index[(v, u)]):
-                dirty.update(self.link_pairs.get(link, ()))
-        for key in dirty:
-            if self.views.pop(key, None) is not None:
-                self.invalidated += 1
-        return True
 
     def view(self, key: Tuple[int, int]) -> _SurvivorView:
         """The survivor view of a resolved pair under the current failed set (cached).
 
         The pair's candidates are its columns of the bank's link table: a
-        candidate survives when none of its links failed.  On first sight every
-        link of the pair is mapped to it, for dirty-region invalidation.
+        candidate survives when none of its links failed.
         """
         cached = self.views.get(key)
         if cached is not None:
@@ -390,10 +381,6 @@ class _FaultRuntime:
             return cached
         entry = self.bank.entries[key]
         cols = self.bank.hop_links[:, entry.first:entry.first + entry.num_candidates]
-        if key not in self.registered:
-            self.registered.add(key)
-            for link in np.unique(cols).tolist():
-                self.link_pairs.setdefault(link, []).append(key)
         made = _SurvivorView(entry, np.flatnonzero(~self.failed_mask[cols].any(axis=0)))
         self.refilters += 1
         self.views[key] = made
@@ -401,11 +388,10 @@ class _FaultRuntime:
 
     def detour(self, rs: int, rt: int) -> Optional[List[int]]:
         """The deterministic detour router path rs -> rt on the surviving graph."""
-        row = self.detour_rows.get(rs)
-        if row is None:
-            row = faulted_kernels(self.topology, self.failed_edges).distances_from(rs)
-            self.detour_rows[rs] = row
-        return detour_router_path(self.adjacency, self.failed_edges, rs, rt, row)
+        if self.surviving is None:
+            self.surviving = faulted_kernels(self.topology, self.failed_edges)
+        return detour_router_path(self.adjacency, self.failed_edges, rs, rt,
+                                  self.surviving.distances_from(rs))
 
 
 # ------------------------------------------------------------------ engine core
@@ -940,7 +926,6 @@ class EngineCore:
             meta["stalls"] = self.stall_count
             meta["candidate_refilters"] = self.faultrt.refilters
             meta["candidate_reuses"] = self.faultrt.reuses
-            meta["candidate_invalidated"] = self.faultrt.invalidated
         return meta
 
     # ------------------------------------------------------- streaming support

@@ -186,8 +186,8 @@ def bfs_distances_subgraph(adjacency: Sequence[Sequence[int]],
 
     The reference simulator's detour spec: plain level-synchronous BFS over the
     surviving subgraph (``-1`` unreachable).  BFS distances are unique, so the
-    engine may substitute any correct recomputation — in particular the
-    dirty-region-derived kernels of :mod:`repro.kernels.dirtyregion` — and the
+    engine may substitute any correct recomputation — in particular the cached
+    surviving-graph kernels of :mod:`repro.kernels.dirtyregion` — and the
     resulting detours are identical.
     """
     dist = [-1] * len(adjacency)

@@ -27,7 +27,6 @@ class TestConfig:
         {"rho": 1.5},
         {"layer_algorithm": "magic"},
         {"min_extra_hops": 2, "max_extra_hops": 1},
-        {"paths_per_pair_target": 0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

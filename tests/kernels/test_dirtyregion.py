@@ -1,27 +1,128 @@
-"""Dirty-region cache invalidation: derived kernels must be bit-identical to
-from-scratch builds while provably recomputing only the rows a fault's edge
-delta can affect — including the PathCache edge cases the resilience guide
-pins (an edge shared by multiple layers, fail-then-restore returning the
-pristine entry, and eviction racing invalidation)."""
+"""Faulted kernels are ordinary cached graphs: ``faulted_kernels(topology, failed)``
+must equal a from-scratch build over the surviving edges (distances, shortest-path
+counts, and the reference simulator's scalar BFS rows), an empty failed set must
+return the pristine cache entry itself, and a faulted engine run must fetch the
+surviving graph's kernels at most once per fault epoch."""
 
 import numpy as np
 import pytest
 
+import repro.sim.engine as engine_module
+from repro.experiments.simcommon import build_stack
 from repro.kernels.cache import GraphKernels, PathCache, fingerprint_edges
 from repro.kernels.csr import CSRGraph
-from repro.kernels.dirtyregion import (
-    derive_kernels,
-    faulted_kernels,
-    faulted_layer_kernels,
-)
+from repro.kernels.dirtyregion import faulted_kernels
+from repro.sim.engine import EngineCore, FlowEngine
+from repro.sim.faults import FaultEvent, FaultSchedule, bfs_distances_subgraph
+from repro.sim.flowsim import FlowSimConfig
 from repro.topologies import comparable_configurations
 from repro.topologies.configs import SizeClass
+from repro.traffic.flows import poisson_workload
+from repro.traffic.patterns import random_permutation
+
+FAMILIES = ("SF", "HX3")
+
+
+@pytest.fixture(scope="module")
+def topologies():
+    return comparable_configurations(SizeClass.TINY, topologies=list(FAMILIES), seed=0)
+
+
+def failed_sets(topo, seed):
+    """Random link sets of several sizes plus one and two whole-switch outages."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for count in (1, 3, max(4, topo.num_edges // 10)):
+        chosen = rng.choice(topo.num_edges, size=count, replace=False)
+        out.append({topo.edges[int(i)] for i in chosen})
+    for switches in ([int(rng.integers(topo.num_routers))],
+                     rng.choice(topo.num_routers, size=2, replace=False).tolist()):
+        out.append({e for e in topo.edges if e[0] in switches or e[1] in switches})
+    return out
+
+
+def scratch_kernels(topo, failed):
+    """An uncached build over the surviving edges."""
+    edges = sorted(set(topo.edges) - failed)
+    return GraphKernels(CSRGraph.from_edges(topo.num_routers, edges),
+                        fingerprint_edges(topo.num_routers, edges))
+
+
+class TestFaultedKernels:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_equals_scratch_build(self, topologies, family, seed):
+        topo = topologies[family]
+        cache = PathCache()
+        for failed in failed_sets(topo, seed):
+            faulted = faulted_kernels(topo, failed, cache=cache)
+            scratch = scratch_kernels(topo, failed)
+            np.testing.assert_array_equal(faulted.distance_matrix(),
+                                          scratch.distance_matrix())
+            np.testing.assert_array_equal(faulted.shortest_path_counts(),
+                                          scratch.shortest_path_counts())
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_rows_equal_reference_bfs(self, topologies, family):
+        """Every distance row equals the reference simulator's scalar BFS over
+        the surviving subgraph, the spec the engine's detours must follow."""
+        topo = topologies[family]
+        adjacency = topo.adjacency()
+        cache = PathCache()
+        for failed in failed_sets(topo, 7):
+            faulted = faulted_kernels(topo, failed, cache=cache)
+            for source in range(topo.num_routers):
+                assert faulted.distances_from(source).tolist() == \
+                    bfs_distances_subgraph(adjacency, failed, source)
+
+    def test_equal_failed_sets_share_one_entry(self, topologies):
+        topo = topologies["SF"]
+        cache = PathCache()
+        failed = failed_sets(topo, 1)[1]
+        first = faulted_kernels(topo, failed, cache=cache)
+        assert faulted_kernels(topo, [(v, u) for u, v in failed], cache=cache) is first
+        assert cache.stats()["graphs"] == 1
+
+    def test_no_failures_is_the_pristine_entry(self, topologies):
+        topo = topologies["SF"]
+        cache = PathCache()
+        pristine = cache.kernels(topo.num_routers, topo.edges,
+                                 fingerprint=topo.fingerprint())
+        assert faulted_kernels(topo, set(), cache=cache) is pristine
+        assert faulted_kernels(topo, frozenset(), cache=cache) is pristine
+
+    def test_fail_then_restore_returns_pristine_entry(self, topologies):
+        """A fail/restore cycle ends on the *same* cached object — no rebuild —
+        because the restored edge set fingerprints back to the pristine key."""
+        topo = topologies["SF"]
+        cache = PathCache()
+        pristine = faulted_kernels(topo, set(), cache=cache)
+        pristine.distance_matrix()
+        degraded = faulted_kernels(topo, {topo.edges[0], topo.edges[5]}, cache=cache)
+        assert degraded is not pristine
+        assert faulted_kernels(topo, set(), cache=cache) is pristine
+
+    def test_evicted_pristine_rebuilds_bit_identical(self, topologies):
+        """When the pristine entry is evicted during the outage, the restore is a
+        cold rebuild whose arrays equal the pristine ones bit-for-bit."""
+        topo = topologies["SF"]
+        cache = PathCache(maxsize=1)
+        pristine = faulted_kernels(topo, set(), cache=cache)
+        dist, counts = pristine.distance_matrix(), pristine.shortest_path_counts()
+        failed = {topo.edges[0]}
+        degraded = faulted_kernels(topo, failed, cache=cache)   # evicts the pristine
+        assert len(cache) == 1
+        np.testing.assert_array_equal(degraded.distance_matrix(),
+                                      scratch_kernels(topo, failed).distance_matrix())
+        restored = faulted_kernels(topo, set(), cache=cache)
+        assert restored is not pristine
+        np.testing.assert_array_equal(restored.distance_matrix(), dist)
+        np.testing.assert_array_equal(restored.shortest_path_counts(), counts)
 
 
 def random_connected_graph(n, extra_edges, rng):
     """A ring (always connected) plus random chords, normalized and deduped."""
-    edges = {(i, (i + 1) % n) if i < (i + 1) % n else ((i + 1) % n, i)
-             for i in range(n)}
+    edges = {(min(i, (i + 1) % n), max(i, (i + 1) % n)) for i in range(n)}
     while len(edges) < n + extra_edges:
         u, v = rng.choice(n, size=2, replace=False)
         edges.add((min(int(u), int(v)), max(int(u), int(v))))
@@ -29,185 +130,86 @@ def random_connected_graph(n, extra_edges, rng):
 
 
 def fresh_kernels(num_nodes, edges):
-    """An uncached from-scratch build with matrix + counts materialized."""
-    entry = GraphKernels(CSRGraph.from_edges(num_nodes, edges),
-                         fingerprint_edges(num_nodes, edges))
-    entry.distance_matrix()
-    entry.shortest_path_counts()
-    return entry
+    """An uncached build of ``(num_nodes, edges)``."""
+    return GraphKernels(CSRGraph.from_edges(num_nodes, edges),
+                        fingerprint_edges(num_nodes, edges))
 
 
-@pytest.fixture(scope="module")
-def topo():
-    return comparable_configurations(SizeClass.TINY, topologies=["SF"], seed=0)["SF"]
+class TestMutated:
+    """``PathCache.mutated`` directly, on edge lists other than a topology's."""
 
-
-class _Layer:
-    """Minimal stand-in for repro.core.layers.Layer (index + edges)."""
-
-    def __init__(self, index, edges):
-        self.index = index
-        self.edges = edges
-
-
-class TestDeriveKernels:
     N = 24
 
     @pytest.mark.parametrize("seed", range(5))
     def test_removal_matches_scratch_build(self, seed):
+        """Removed edges may come in either orientation and more than once."""
         rng = np.random.default_rng(seed)
         edges = random_connected_graph(self.N, 14, rng)
-        removed = [edges[int(i)] for i in rng.choice(len(edges), size=3,
-                                                     replace=False)]
-        new_edges = sorted(set(edges) - set(removed))
-        base = fresh_kernels(self.N, edges)
-        derived = derive_kernels(base, self.N, new_edges,
-                                 fingerprint_edges(self.N, new_edges), removed, [])
-        scratch = fresh_kernels(self.N, new_edges)
-        np.testing.assert_array_equal(derived.distance_matrix(),
-                                      scratch.distance_matrix())
-        np.testing.assert_array_equal(derived.shortest_path_counts(),
+        removed = [edges[int(i)] for i in rng.choice(len(edges), size=3, replace=False)]
+        cache = PathCache()
+        base = cache.kernels(self.N, edges)
+        faulted = cache.mutated(self.N, edges, [(v, u) for u, v in removed] + removed[:1])
+        scratch = fresh_kernels(self.N, sorted(set(edges) - set(removed)))
+        assert faulted is not base
+        np.testing.assert_array_equal(faulted.distance_matrix(), scratch.distance_matrix())
+        np.testing.assert_array_equal(faulted.shortest_path_counts(),
                                       scratch.shortest_path_counts())
+        assert cache.mutated(self.N, edges, []) is base
 
-    @pytest.mark.parametrize("seed", range(5))
-    def test_addition_matches_scratch_build(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        full = random_connected_graph(self.N, 14, rng)
-        added = [full[int(i)] for i in rng.choice(len(full) - self.N, size=3,
-                                                  replace=False) + self.N]
-        base_edges = sorted(set(full) - set(added))
-        base = fresh_kernels(self.N, base_edges)
-        derived = derive_kernels(base, self.N, full,
-                                 fingerprint_edges(self.N, full), [], added)
-        scratch = fresh_kernels(self.N, full)
-        np.testing.assert_array_equal(derived.distance_matrix(),
-                                      scratch.distance_matrix())
-        np.testing.assert_array_equal(derived.shortest_path_counts(),
-                                      scratch.shortest_path_counts())
-
-    def test_only_dirty_rows_recomputed(self):
-        """The invalidation stats prove the partial recompute really is partial:
-        clean rows are shared with the base entry's arrays."""
-        rng = np.random.default_rng(7)
-        edges = random_connected_graph(self.N, 20, rng)
-        removed = [edges[-1]]
-        new_edges = sorted(set(edges) - set(removed))
-        base = fresh_kernels(self.N, edges)
-        derived = derive_kernels(base, self.N, new_edges,
-                                 fingerprint_edges(self.N, new_edges), removed, [])
-        stats = derived.invalidation
-        assert stats["mode"] == "partial"
-        assert 0 < stats["rows_dirty"] < stats["rows_total"] == self.N
-        clean = np.flatnonzero(np.all(
-            derived.distance_matrix() == base.distance_matrix(), axis=1))
-        assert clean.size >= self.N - stats["rows_dirty"]
-
-
-class TestFaultedKernels:
-    def test_no_failures_is_the_pristine_entry(self, topo):
+    def test_edge_shared_by_multiple_layers(self, topologies):
+        """Each layer holding the failed edge gets its own surviving entry, a layer
+        without it keeps its cached entry, and a restore returns every layer's
+        pristine entry."""
+        topo = topologies["SF"]
+        n, shared = topo.num_routers, topo.edges[0]
+        layers = [[e for e in topo.edges if 0 in e or e == shared],
+                  list(topo.edges[:30]),
+                  [e for e in topo.edges if e != shared][:25]]
+        assert [shared in layer for layer in layers] == [True, True, False]
         cache = PathCache()
-        pristine = faulted_kernels(topo, set(), cache=cache)
-        assert faulted_kernels(topo, frozenset(), cache=cache) is pristine
-
-    def test_fail_then_restore_returns_pristine_entry(self, topo):
-        """A fail/restore cycle ends on the *same* cached object — no rebuild —
-        because the restored edge set fingerprints back to the pristine key."""
-        cache = PathCache()
-        pristine = faulted_kernels(topo, set(), cache=cache)
-        pristine.distance_matrix()
-        failed = {topo.edges[0], topo.edges[5]}
-        degraded = faulted_kernels(topo, failed, cache=cache)
-        assert degraded is not pristine
-        assert degraded.invalidation["mode"] == "partial"
-        restored = faulted_kernels(topo, set(), cache=cache)
-        assert restored is pristine
-        assert cache.derive_partial == 1 and cache.derive_full == 0
-
-    def test_restore_derivation_is_bit_identical_to_pristine(self, topo):
-        """Deriving the restore *from the degraded entry* (pristine evicted, as
-        after a long outage) reproduces the pristine arrays bit-for-bit."""
-        cache = PathCache()
-        pristine = faulted_kernels(topo, set(), cache=cache)
-        pristine.distance_matrix()
-        pristine.shortest_path_counts()
-        failed = {topo.edges[0]}
-        degraded = faulted_kernels(topo, failed, cache=cache)
-        degraded.distance_matrix()
-        degraded.shortest_path_counts()
-        private = PathCache()
-        private._entries[degraded.fingerprint] = degraded
-        restored = private.mutated(topo.num_routers,
-                                   sorted(set(topo.edges) - failed),
-                                   added=sorted(failed),
-                                   base_fingerprint=degraded.fingerprint)
-        assert restored is not pristine
-        np.testing.assert_array_equal(restored.distance_matrix(),
-                                      pristine.distance_matrix())
-        np.testing.assert_array_equal(restored.shortest_path_counts(),
-                                      pristine.shortest_path_counts())
-
-    def test_eviction_racing_invalidation_degrades_to_full_build(self, topo):
-        """When the base entry was evicted before the fault arrives, mutated()
-        falls back to a cold build (derive_full) — correct, just not partial."""
-        cache = PathCache(maxsize=1)
-        faulted_kernels(topo, set(), cache=cache)            # pristine entry
-        cache.kernels(4, [(0, 1), (1, 2), (2, 3)])           # evicts the pristine
-        failed = {topo.edges[0]}
-        again = faulted_kernels(topo, failed, cache=cache)   # base gone: cold build
-        assert again.invalidation["mode"] == "full"
-        assert cache.derive_full == 1 and cache.derive_partial == 0
-        scratch = fresh_kernels(topo.num_routers,
-                                sorted(set(topo.edges) - failed))
-        np.testing.assert_array_equal(again.distance_matrix(),
-                                      scratch.distance_matrix())
-
-    def test_stats_expose_derivation_counters(self, topo):
-        cache = PathCache()
-        faulted_kernels(topo, set(), cache=cache)
-        faulted_kernels(topo, {topo.edges[0]}, cache=cache)
-        stats = cache.stats()
-        assert stats["derive_partial"] == 1
-        assert stats["derive_full"] == 0
-        assert stats["graphs"] == 2
+        before = [cache.mutated(n, layer, ()) for layer in layers]
+        after = [cache.mutated(n, layer, [shared]) for layer in layers]
+        assert after[2] is before[2]
+        for layer, entry, old in zip(layers[:2], after, before):
+            assert entry is not old
+            np.testing.assert_array_equal(
+                entry.distance_matrix(),
+                fresh_kernels(n, sorted(set(layer) - {shared})).distance_matrix())
+        restored = [cache.mutated(n, layer, ()) for layer in layers]
+        assert all(r is b for r, b in zip(restored, before))
 
 
-class TestFaultedLayerKernels:
-    def test_edge_shared_by_multiple_layers(self, topo):
-        """Invalidation is per (layer, dirty region): every layer containing the
-        failed edge derives its own patched entry; a layer that does not touch
-        it keeps its cached entry ``is``-identical to the unfaulted call."""
-        shared = topo.edges[0]
-        layer_a = _Layer(0, [e for e in topo.edges if 0 in e or e == shared])
-        layer_b = _Layer(1, [e for e in topo.edges[:30]] + [shared])
-        untouched = _Layer(2, [e for e in topo.edges if e != shared][:25])
-        assert shared in layer_a.edges and shared in layer_b.edges
-        assert shared not in untouched.edges
+def test_engine_fetches_surviving_kernels_once_per_epoch(monkeypatch, topologies):
+    """Detours share one surviving-graph lookup per fault epoch, however many
+    detour sources the epoch sees."""
+    topo = topologies["SF"]
+    epoch, calls = [0], []
+    real_apply = EngineCore.apply_fault_epoch
 
-        cache = PathCache()
-        before = {layer.index: faulted_layer_kernels(topo, layer, set(),
-                                                     cache=cache)
-                  for layer in (layer_a, layer_b, untouched)}
-        for layer in (layer_a, layer_b, untouched):
-            before[layer.index].distance_matrix()
+    def apply(self, deltas):
+        epoch[0] += 1
+        return real_apply(self, deltas)
 
-        failed = {shared}
-        after_a = faulted_layer_kernels(topo, layer_a, failed, cache=cache)
-        after_b = faulted_layer_kernels(topo, layer_b, failed, cache=cache)
-        after_u = faulted_layer_kernels(topo, untouched, failed, cache=cache)
+    def counted(topology, failed_edges, cache=None):
+        calls.append(epoch[0])
+        return faulted_kernels(topology, failed_edges, cache=cache)
 
-        assert after_u is before[untouched.index]       # untouched layer: cache hit
-        assert after_a is not before[layer_a.index]     # touched layers: derived
-        assert after_b is not before[layer_b.index]
-        assert cache.derive_partial == 2                # one derivation per layer
-        for layer, derived in ((layer_a, after_a), (layer_b, after_b)):
-            scratch = fresh_kernels(topo.num_routers,
-                                    sorted(set(layer.edges) - failed))
-            np.testing.assert_array_equal(derived.distance_matrix(),
-                                          scratch.distance_matrix())
-
-    def test_layer_fail_restore_roundtrip_hits_cached_entry(self, topo):
-        layer = _Layer(0, list(topo.edges[:40]))
-        cache = PathCache()
-        pristine = faulted_layer_kernels(topo, layer, set(), cache=cache)
-        faulted_layer_kernels(topo, layer, {layer.edges[0]}, cache=cache)
-        assert faulted_layer_kernels(topo, layer, set(), cache=cache) is pristine
+    monkeypatch.setattr(EngineCore, "apply_fault_epoch", apply)
+    monkeypatch.setattr(engine_module, "faulted_kernels", counted)
+    rng = np.random.default_rng(3)
+    workload = poisson_workload(random_permutation(topo.num_endpoints, rng), 2000.0,
+                                0.002, rng=rng)
+    switches = (0, 7, 19)
+    schedule = FaultSchedule(events=tuple(
+        FaultEvent(time=0.0003 * (k + 1), action=action, switch=s)
+        for k, (action, s) in enumerate(
+            [("fail", switches[0]), ("fail", switches[1]), ("restore", switches[0]),
+             ("fail", switches[2]), ("restore", switches[1]),
+             ("restore", switches[2])])))
+    stack = build_stack(topo, "ecmp", seed=0)
+    result = FlowEngine(topo, stack.routing, selector=stack.selector,
+                        transport=stack.transport,
+                        config=FlowSimConfig(faults=schedule)).run(workload)
+    assert result.meta["fault_events"] == epoch[0] == 6
+    assert len(set(calls)) >= 2            # detours in several epochs
+    assert len(calls) == len(set(calls))   # at most one lookup per epoch

@@ -11,7 +11,7 @@ from repro.core.loadbalance import EcmpSelector, FlowletSelector
 from repro.experiments.simcommon import STACKS, build_stack
 from repro.routing import EcmpRouting
 from repro.sim.engine import FlowEngine, SimCell, simulate_many
-from repro.sim.faults import FaultSchedule, sample_link_faults
+from repro.sim.faults import FaultEvent, FaultSchedule, sample_link_faults
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
 from repro.sim.reference import FlowLevelSimulator
 from repro.sim.stream import StreamSimulator
@@ -290,6 +290,34 @@ class TestFaultedRuns:
         assert_equivalent(fault_ref, plain_eng)
         assert fault_ref.meta["reroutes"] == 0
         assert fault_ref.meta["stalls"] == 0
+
+    @pytest.mark.parametrize("stack_name", STACKS)
+    def test_staggered_epochs(self, topologies, stack_name):
+        """Overlapping outages: link set A fails, set B fails while A is still
+        down, A is restored, a switch outage overlaps B, then everything is
+        restored.  Survivor views must follow every change of the failed set,
+        including the changes that leave links failed."""
+        topo = topologies["SF"]
+        rng = np.random.default_rng(8)
+        workload = poisson_workload(random_permutation(topo.num_endpoints, rng),
+                                    1000.0, 0.002, rng=rng)
+        picked = np.random.default_rng(21).choice(topo.num_edges, size=28, replace=False)
+        set_a, set_b = ([topo.edges[int(i)] for i in half] for half in np.split(picked, 2))
+        switch = 38
+        t = [0.0003 * k for k in range(1, 7)]
+        schedule = FaultSchedule(events=(
+            *(FaultEvent(t[0], "fail", link=e) for e in set_a),
+            *(FaultEvent(t[1], "fail", link=e) for e in set_b),
+            *(FaultEvent(t[2], "restore", link=e) for e in set_a),
+            FaultEvent(t[3], "fail", switch=switch),
+            *(FaultEvent(t[4], "restore", link=e) for e in set_b),
+            FaultEvent(t[5], "restore", switch=switch)))
+        reference, engine = run_both(topo, stack_name, workload,
+                                     config=FlowSimConfig(faults=schedule))
+        assert_equivalent(reference, engine)
+        self._fault_meta_equal(reference, engine)
+        assert reference.meta["fault_events"] == 6
+        assert reference.meta["reroutes"] > 0 and reference.meta["stalls"] > 0
 
     def test_incremental_allocator_under_faults(self, topologies, workloads):
         """The dirty-component allocator survives fault-driven removals/revivals

@@ -379,6 +379,28 @@ class TestCheckpointRestore:
         assert_windows_equal(list(sim_a.windows), list(sim_c.windows))
         assert_scalar_maps_equal(summary_a, summary_c)
 
+    def test_checkpoint_leaves_out_surviving_kernels(self, topo, flows, fault_config):
+        """The surviving graph's kernels are a shared cache entry, not run
+        state: the checkpoint pickles nothing from ``repro.kernels``, and the
+        restored run refetches the entry on its next detour."""
+        chunks = [flows[i:i + CHUNK] for i in range(0, len(flows), CHUNK)]
+        sim = stream_sim(topo, "fatpaths", config=fault_config)
+        for i in range(self.CUT):
+            sim.push(chunks[i])
+            sim.advance(float(chunks[i + 1][0].start_time), inclusive=False)
+        faultrt = sim.core.faultrt
+        assert faultrt.failed_edges
+        pair = (0, topo.num_routers - 1)
+        detour = faultrt.detour(*pair)
+        assert faultrt.surviving is not None
+        chk = sim.checkpoint()
+        assert b"repro.kernels" not in chk["state"]
+
+        restored = stream_sim(topo, "fatpaths", config=fault_config)
+        restored.restore(chk)
+        assert restored.core.faultrt.surviving is None
+        assert restored.core.faultrt.detour(*pair) == detour
+
     def test_bit_identical_resume_no_faults(self, topo, flows):
         chunks = [flows[i:i + CHUNK] for i in range(0, len(flows), CHUNK)]
         sim_a = stream_sim(topo, "fatpaths")

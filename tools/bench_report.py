@@ -14,10 +14,6 @@ track the performance trajectory across PRs into one committed JSON file:
   event rates on the dense all-at-once shared-sender incast, where the one-
   component incidence defeats component refiltering but saturation-coupled
   refills stay local (see ``repro.sim.bottleneck``);
-* ``fault_recovery`` — cold kernel rebuild vs dirty-region derivation
-  (``PathCache.mutated``) of a 5%-degraded topology's routing kernels, the cost a
-  fault epoch pays mid-run (see ``repro.kernels.dirtyregion`` and
-  ``docs/resilience.md``);
 * ``packet_incast`` — scalar reference vs vectorized packet engine
   (:mod:`repro.sim.packetengine`) event rates on the deep-incast workload;
 * ``stream_sustained`` — the streaming service layer (:mod:`repro.sim.stream`) on
@@ -69,8 +65,6 @@ BENCHMARKS = {
     "test_bench_alloc_incremental": ("incast_staggered", "incremental"),
     "test_bench_alloc_incremental_dense": ("incast_dense", "incremental"),
     "test_bench_alloc_bottleneck_dense": ("incast_dense", "bottleneck"),
-    "test_bench_recovery_cold_rebuild": ("fault_recovery", "rebuild"),
-    "test_bench_recovery_dirty_region": ("fault_recovery", "derived"),
     "test_bench_packetsim_reference_scalar": ("packet_incast", "reference"),
     "test_bench_packetsim_vectorized_engine": ("packet_incast", "engine"),
     "test_bench_stream_sustained": ("stream_sustained", "stream"),
@@ -89,7 +83,6 @@ SPEEDUPS = {
     "fig02_permutation": ("reference", "engine"),
     "incast_staggered": ("full", "incremental"),
     "incast_dense": ("incremental", "bottleneck"),
-    "fault_recovery": ("rebuild", "derived"),
     "packet_incast": ("reference", "engine"),
     "spain_build": ("reference", "batched"),
 }
