@@ -1,9 +1,10 @@
 """Shared helpers for the benchmark harness.
 
-Each paper table/figure has one benchmark module that regenerates it via the experiment
-harness (``repro.experiments``).  Experiment benchmarks run a single round (they are
-end-to-end reproductions, not microbenchmarks); the microbenchmarks in
-``test_bench_kernels.py`` use pytest-benchmark's default calibration.
+``test_bench_scenarios.py`` regenerates every registered scenario (each paper
+table/figure and the workload scenarios) via the experiment harness
+(``repro.experiments``).  Experiment benchmarks run a single round (they are end-to-end
+reproductions, not microbenchmarks); the microbenchmarks in ``test_bench_kernels.py``
+use pytest-benchmark's default calibration.
 
 Set the environment variable ``FATPATHS_BENCH_SCALE`` to ``small`` or ``medium`` to run
 the benchmarks closer to the paper's instance sizes (default: ``tiny``).

@@ -10,8 +10,8 @@ in-process and once split across a two-worker pool, and pins the split contract
 The executor pair times the same healthy pooled sweep under a bare
 ``ProcessPoolExecutor.map`` over the resilient executor's own per-cell function
 (built here, as the baseline) and under the fault-tolerant executor
-(:mod:`repro.experiments.resilient`: future-based dispatch, per-cell deadlines,
-retry bookkeeping) and asserts the resilient path stays within **1.15x** of
+(:mod:`repro.experiments.resilient`: owned workers holding one cell each, per-cell
+deadlines, retry bookkeeping) and asserts the resilient path stays within **1.15x** of
 plain — fault tolerance must be effectively free when nothing fails.  The pair
 is consolidated into ``BENCH_flowsim.json`` (section ``grid_executor``) by
 ``tools/bench_report.py``.
@@ -46,8 +46,8 @@ def _cells(scale):
 def _plain_pool(cells):
     """The healthy sweep as a bare two-worker ``pool.map``: one attempt per cell,
     no deadlines, retries or journal (one crashed worker would abort the sweep).
-    The pool is built like the resilient executor's, so the ratio isolates its
-    bookkeeping."""
+    Both executors start two workers with the default start method, so the ratio
+    isolates dispatch and bookkeeping."""
     run_once = functools.partial(resilient._run_cell_attempt, attempt=1, chaos=None)
     with ProcessPoolExecutor(max_workers=2) as pool:
         return [result for result, _ in pool.map(run_once, cells)]

@@ -65,10 +65,6 @@ class FatPathsRouting:
     def num_layers(self) -> int:
         return len(self.layer_set)
 
-    def layer_edge_fractions(self) -> List[float]:
-        """Fraction of links per layer (layer 0 is always 1.0)."""
-        return self.layer_set.edge_fractions()
-
     # ------------------------------------------------------------------ paths
     def router_paths(self, source_router: int, target_router: int,
                      unique: bool = True) -> List[List[int]]:
@@ -88,10 +84,6 @@ class FatPathsRouting:
         rs = self.topology.router_of_endpoint(source_endpoint)
         rt = self.topology.router_of_endpoint(target_endpoint)
         return self.router_paths(rs, rt)
-
-    def path_in_layer(self, layer: int, source_router: int, target_router: int) -> Optional[List[int]]:
-        """The (single) path of one layer, with full-layer fallback for missing routes."""
-        return self.tables.path(layer, source_router, target_router)
 
     def minimal_distance(self, source_router: int, target_router: int) -> int:
         """Shortest-path distance in the full network (layer 0)."""

@@ -1,18 +1,23 @@
 """Transport-layer models (paper §III-C and §VIII).
 
-The simulators in :mod:`repro.sim` are flow-level: they resolve bandwidth sharing and
-path choice, and charge each flow an analytic transport overhead that captures the
-behavioural differences the paper relies on:
+The flow-level simulators in :mod:`repro.sim` resolve bandwidth sharing and path
+choice, and charge each flow an analytic transport startup cost:
 
 * **Purified / NDP-like transport** — senders start at line rate (no probing), headers
   are never dropped, and retransmitted/trimmed packets are prioritised, so the only
-  startup cost is a single RTT of receiver-driven pull latency and congestion costs
-  essentially no extra timeouts.
+  startup cost is a single RTT of receiver-driven pull latency.
 * **TCP** — slow start costs ``~log2`` RTTs before the window covers the
-  bandwidth-delay product, and loss recovery under congestion costs extra RTTs.
-* **DCTCP** — TCP with ECN: same slow start, but much cheaper congestion reaction.
+  bandwidth-delay product.
+* **DCTCP** — TCP with ECN: the same slow start.
 
-A :class:`TransportModel` is a small value object consumed by the simulator; the
+The congestion reaction is *not* charged in flow-level runs: the simulators count
+congestion episodes per flow but never call :meth:`TransportModel.congestion_delay`,
+so ``congestion_rtt_penalty`` and ``ecn`` change no flow-level record, and TCP and
+DCTCP complete identically there.  Only the packet-level simulator models loss
+recovery, by mechanism (a TCP tail drop waits for the retransmission timeout, NDP
+trims payloads and NACKs).
+
+A :class:`TransportModel` is a small value object consumed by the simulators; the
 factory functions encode the three stacks above.
 """
 
@@ -37,13 +42,14 @@ class TransportModel:
     slow_start_doubling:
         True if the window doubles each RTT until reaching the BDP.
     congestion_rtt_penalty:
-        Extra RTTs charged per congestion event (timeouts / fast retransmits for TCP,
-        ~0 for NDP where trimming preserves headers).
+        Extra RTTs per congestion event (timeouts / fast retransmits for TCP, ~0 for
+        NDP where trimming preserves headers), as priced by
+        :meth:`congestion_delay`; no simulator charges it yet.
     header_preserving:
         True if packet trimming keeps headers (NDP) — used by the packet simulator.
     ecn:
         True if ECN-style early congestion feedback is available (DCTCP / FatPaths
-        layer-switch signal).
+        layer-switch signal); no simulator reads it yet.
     """
 
     name: str

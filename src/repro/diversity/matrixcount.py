@@ -28,12 +28,6 @@ from repro.kernels.paths import next_hop_sets_from_distances, walk_count_matrix
 from repro.topologies.base import Topology
 
 
-def adjacency_matrix(topology: Topology) -> np.ndarray:
-    """Dense symmetric 0/1 adjacency matrix of the router graph."""
-    adj = kernels_for(topology).csr.scipy_adjacency(dtype=np.int64)
-    return np.asarray(adj.todense(), dtype=np.int64)
-
-
 def count_paths_matrix(topology: Topology, length: int) -> np.ndarray:
     """Number of walks of exactly ``length`` steps between every router pair.
 

@@ -80,5 +80,3 @@ SCENARIO = ScenarioSpec(
         "a shuffle workload.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -100,5 +100,3 @@ SCENARIO = ScenarioSpec(
         "than static ECMP hashing's.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -102,5 +102,3 @@ SCENARIO = ScenarioSpec(
         "median than at the tail.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -76,5 +76,3 @@ SCENARIO = ScenarioSpec(
         "randomized workloads; the advantage is largest for big flows.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -60,5 +60,3 @@ SCENARIO = ScenarioSpec(
         ">1% of pairs.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -55,5 +55,3 @@ SCENARIO = ScenarioSpec(
         "'smoothed out'.",
     ),
 )
-
-run = SCENARIO.runner()

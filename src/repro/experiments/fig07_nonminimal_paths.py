@@ -67,5 +67,3 @@ SCENARIO = ScenarioSpec(
         "essentially all pairs have >= 3 disjoint paths.",
     ),
 )
-
-run = SCENARIO.runner()

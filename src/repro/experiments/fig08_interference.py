@@ -62,5 +62,3 @@ SCENARIO = ScenarioSpec(
         "to symmetry and high path diversity; little PI remains at l=5.",
     ),
 )
-
-run = SCENARIO.runner()

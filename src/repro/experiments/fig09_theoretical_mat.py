@@ -106,5 +106,3 @@ SCENARIO = ScenarioSpec(
         "improves on random edge sampling.",
     ),
 )
-
-run = SCENARIO.runner()

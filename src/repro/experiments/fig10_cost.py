@@ -44,5 +44,3 @@ SCENARIO = ScenarioSpec(
         "HyperX is notably more expensive due to its very high router radix.",
     ),
 )
-
-run = SCENARIO.runner()

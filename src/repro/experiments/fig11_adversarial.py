@@ -75,5 +75,3 @@ SCENARIO = ScenarioSpec(
         "the gain is largest on SF/DF (single shortest paths) and smallest on HyperX.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -80,5 +80,3 @@ SCENARIO = ScenarioSpec(
         "D=1 clique needs more layers; with many layers a higher rho is better.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -93,5 +93,3 @@ SCENARIO = ScenarioSpec(
         "(flow-level Python simulator); see DESIGN.md substitution table.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -104,5 +104,3 @@ SCENARIO = ScenarioSpec(
         "topologies rho=1 FatPaths adaptivity still beats ECMP/LetFlow.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -82,5 +82,3 @@ SCENARIO = ScenarioSpec(
         "prediction; ECMP shows a long tail of colliding flows (larger p99/mean ratio).",
     ),
 )
-
-run = SCENARIO.runner()

@@ -77,5 +77,3 @@ SCENARIO = ScenarioSpec(
         "see little or no benefit from lowering rho.",
     ),
 )
-
-run = SCENARIO.runner()

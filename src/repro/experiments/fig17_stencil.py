@@ -93,5 +93,3 @@ SCENARIO = ScenarioSpec(
         "total completion time on JF-like topologies due to losses.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -49,5 +49,3 @@ SCENARIO = ScenarioSpec(
         "SF needs a lower radix than HyperX for the same N.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -76,5 +76,3 @@ SCENARIO = ScenarioSpec(
         "for the TCP/NDP simulations.",
     ),
 )
-
-run = SCENARIO.runner()

@@ -3,9 +3,10 @@
 An experiment *grid* is the cross product of experiment names, scales and seeds (plus
 optional per-cell keyword arguments) — exactly the sweeps the paper's figures are
 built from.  Cells are independent (each builds its own topologies, layers and
-routing state), so they parallelise embarrassingly over a ``ProcessPoolExecutor``;
-each worker process grows its own :mod:`repro.kernels` path cache, which repeated
-cells on the same topology then share.
+routing state), so they parallelise embarrassingly over worker processes (see
+:mod:`repro.experiments.resilient`); each worker process grows its own
+:mod:`repro.kernels` path cache, which repeated cells on the same topology then
+share.
 
 Experiments that iterate several topology families inside one run used to be the
 slowest cells and bound the pool's wall clock.  :func:`split_heavy_cells` fans every
@@ -74,8 +75,8 @@ class GridCellResult:
     ``attempts`` and ``outcome`` record the resilient executor's bookkeeping
     (see :mod:`repro.experiments.resilient`): ``"ok"``, ``"failed"``
     (deterministic error or retries exhausted), ``"timeout"`` (wall-clock limit
-    exceeded), ``"poisoned"`` (quarantined after repeatedly crashing the
-    pool) or ``"journal"`` (skipped on resume, result restored from the
+    exceeded), ``"poisoned"`` (quarantined after repeatedly crashing its
+    worker) or ``"journal"`` (skipped on resume, result restored from the
     journal).  ``traceback`` carries the remote cell's full formatted
     traceback (the CLI surfaces it behind ``--verbose-errors``).
     """

@@ -78,5 +78,3 @@ SCENARIO = ScenarioSpec(
         "in-network collisions that static hashing leaves.",
     ),
 )
-
-run = SCENARIO.runner()

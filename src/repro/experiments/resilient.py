@@ -1,4 +1,4 @@
-"""Fault-tolerant grid execution: crash-surviving pool, retries, journal, resume.
+"""Fault-tolerant grid execution: owned workers, retries, journal, resume.
 
 ``run_experiment_grid`` used to be a bare ``pool.map``: one OOM-killed or
 segfaulted worker raised :class:`~concurrent.futures.process.BrokenProcessPool`
@@ -12,19 +12,16 @@ append-only journal with bit-identical results.
 Four pieces, all wired through :func:`repro.experiments.grid.run_experiment_grid`
 and the ``fatpaths-experiment`` CLI:
 
-* **Crash-surviving dispatch** — cells are submitted future-by-future (at most
-  one outstanding cell per worker).  When the pool breaks, the executor respawns
-  it, re-enqueues every in-flight cell, and *attributes* the crash: with several
-  cells in flight the blame is uncertain, so all of them become **suspects** and
-  re-run one at a time; a cell that crashes the pool while running alone is
-  certainly the offender, and after ``RetryPolicy.crash_retries`` such solo
-  crashes it is quarantined with outcome ``"poisoned"`` instead of wedging the
-  sweep.
+* **Crash-surviving dispatch** — the executor starts ``jobs`` worker processes
+  itself, one pipe each, and hands each worker at most one cell at a time.  A
+  worker that dies therefore names the cell it held: only that cell is charged
+  against ``RetryPolicy.crash_retries`` (after which it is quarantined with
+  outcome ``"poisoned"`` instead of wedging the sweep), only that worker is
+  replaced, and every other worker keeps its cell and its warm path cache.
 * **Per-cell wall-clock timeouts** — scale-aware defaults
-  (:data:`DEFAULT_CELL_TIMEOUTS`), enforced by killing the stuck pool and
-  re-enqueueing the innocent in-flight cells (no blame); a cell that times out
-  more than ``RetryPolicy.timeout_retries`` times ends with outcome
-  ``"timeout"``.
+  (:data:`DEFAULT_CELL_TIMEOUTS`), enforced by killing and replacing the hung
+  cell's worker alone; a cell that times out more than
+  ``RetryPolicy.timeout_retries`` times ends with outcome ``"timeout"``.
 * **Retry policy with error taxonomy** — exceptions raised *inside* a cell are
   classified: :class:`TransientCellError` (and :data:`TRANSIENT_EXCEPTIONS`)
   retry with exponential backoff and deterministic per-cell jitter
@@ -34,8 +31,10 @@ and the ``fatpaths-experiment`` CLI:
 * **Journaled resume** — completed cells append one JSON line to a
   :class:`CellJournal` keyed by :func:`cell_fingerprint` (name, scale, seed,
   kwargs — deliberately code-irrelevant).  Lines are written atomically
-  (single ``write`` + flush + fsync), the loader tolerates a truncated tail and
-  duplicate cells (last wins), and ``resume=True`` skips journaled cells.
+  (single ``write`` + flush + fsync) with a format version and a SHA-256 of
+  their content, the loader refuses any line that fails either check (a
+  truncated tail, a changed value) and lets duplicate cells resolve last-wins,
+  and ``resume=True`` skips journaled cells.
   Because every scenario derives its rows from per-``(seed, family)`` random
   streams, a resumed run's combined tables are bit-identical to an
   uninterrupted run — ``tools/chaos_grid.py`` proves it under forced aborts.
@@ -49,16 +48,15 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import os
 import signal
 import time
 import traceback
 import zlib
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor
-from concurrent.futures import wait as futures_wait
-from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from multiprocessing.connection import wait as connection_wait
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
@@ -125,8 +123,8 @@ class RetryPolicy:
     """How failures retry: attempt budgets per taxonomy bucket plus backoff shape.
 
     ``max_attempts`` bounds *transient* in-cell failures; ``crash_retries`` is
-    the number of certain (solo) pool crashes a cell may cause before it is
-    quarantined as poisoned; ``timeout_retries`` the number of wall-clock
+    the number of worker crashes a cell may cause before it is quarantined as
+    poisoned; ``timeout_retries`` the number of wall-clock
     timeouts before the cell ends with outcome ``"timeout"``.  Backoff grows
     exponentially from ``backoff_base`` by ``backoff_factor`` up to
     ``backoff_cap``, with multiplicative jitter in ``[0, jitter]`` drawn from a
@@ -220,16 +218,29 @@ def _decode(value):
     return value
 
 
+#: Journal line format version; lines of any other version are refused.
+JOURNAL_VERSION = 1
+
+
+def _line_digest(record: dict) -> str:
+    """SHA-256 of a journal line's canonical JSON, its own ``sha256`` field excluded."""
+    body = {key: value for key, value in record.items() if key != "sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 class CellJournal:
     """Append-only JSONL journal of completed grid cells, keyed by fingerprint.
 
-    One line per completed cell: the fingerprint, a human-readable cell label,
-    attempt/elapsed bookkeeping and the full serialized
-    :class:`~repro.experiments.common.ExperimentResult`.  Lines are written in
-    a single ``write`` call and fsynced, so a crash can at worst truncate the
-    final line — the loader skips undecodable lines (counted in
-    ``corrupt_lines``) and lets duplicates resolve last-wins, which makes
-    re-journaling a re-run cell safe.
+    One line per completed cell: the format version (:data:`JOURNAL_VERSION`),
+    the fingerprint, a human-readable cell label, attempt/elapsed bookkeeping,
+    the full serialized :class:`~repro.experiments.common.ExperimentResult` and a
+    ``sha256`` of the rest of the line (:func:`_line_digest`).  Lines are
+    written in a single ``write`` call and fsynced, so a crash can at worst
+    truncate the final line.  The loader refuses every line that does not
+    parse, has another version, or lacks or fails its checksum (counted in
+    ``corrupt_lines``; the cell re-runs on resume), and lets duplicates resolve
+    last-wins, which makes re-journaling a re-run cell safe.
     """
 
     def __init__(self, path) -> None:
@@ -240,7 +251,7 @@ class CellJournal:
         self._load()
 
     def _load(self) -> None:
-        """Read existing journal lines, tolerating a truncated/corrupt tail."""
+        """Read existing journal lines, refusing corrupt ones (a truncated tail too)."""
         if not os.path.exists(self.path):
             return
         with open(self.path, "rb") as fh:
@@ -248,7 +259,11 @@ class CellJournal:
                 try:
                     record = json.loads(raw.decode("utf-8"))
                     fingerprint = record["fingerprint"]
-                except (ValueError, KeyError, UnicodeDecodeError):
+                    intact = (record.get("v") == JOURNAL_VERSION
+                              and record.get("sha256") == _line_digest(record))
+                except (ValueError, KeyError, TypeError, UnicodeDecodeError):
+                    intact = False
+                if not intact:
                     self.corrupt_lines += 1
                     continue
                 self._records[fingerprint] = record
@@ -270,6 +285,7 @@ class CellJournal:
             return
         try:
             payload = {
+                "v": JOURNAL_VERSION,
                 "fingerprint": cell_fingerprint(cell),
                 "label": cell.label(),
                 "attempts": result.attempts,
@@ -283,6 +299,7 @@ class CellJournal:
                     "meta": _encode(result.result.meta),
                 },
             }
+            payload["sha256"] = _line_digest(payload)
             line = (json.dumps(payload, separators=(",", ":")) + "\n").encode("utf-8")
         except TypeError:
             return
@@ -320,7 +337,7 @@ class CellJournal:
 class ChaosSpec:
     """Injectable worker faults, matched by substring against ``cell.label()``.
 
-    ``kill`` SIGKILLs the worker on a cell's first attempt (one pool crash,
+    ``kill`` SIGKILLs the worker on a cell's first attempt (one worker crash,
     then recovery); ``poison`` SIGKILLs on *every* attempt (the cell can never
     complete — it must end quarantined); ``hang`` sleeps ``hang_seconds`` on
     the first attempt (drives the timeout path); ``transient`` raises
@@ -363,6 +380,13 @@ class ChaosSpec:
 
 
 # -------------------------------------------------------------------- workers
+def _failure(cell: GridCell, exc: BaseException, elapsed: float = 0.0) -> GridCellResult:
+    """A ``failed`` result for ``cell`` carrying ``exc`` and the traceback being handled."""
+    return GridCellResult(cell=cell, error=f"{type(exc).__name__}: {exc}",
+                          traceback=traceback.format_exc(), outcome="failed",
+                          elapsed_seconds=elapsed)
+
+
 def _run_cell_attempt(cell: GridCell, attempt: int,
                       chaos: Optional[ChaosSpec]) -> Tuple[GridCellResult, str]:
     """Execute one attempt of one cell (module-level so workers can import it).
@@ -379,20 +403,51 @@ def _run_cell_attempt(cell: GridCell, attempt: int,
         return GridCellResult(cell=cell, result=result,
                               elapsed_seconds=time.perf_counter() - start), "ok"
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return GridCellResult(cell=cell, error=f"{type(exc).__name__}: {exc}",
-                              traceback=traceback.format_exc(), outcome="failed",
-                              elapsed_seconds=time.perf_counter() - start), \
-            classify_error(exc)
+        return _failure(cell, exc, time.perf_counter() - start), classify_error(exc)
 
 
-def _kill_pool(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL every worker and discard the pool (used for timeouts and crashes)."""
-    for process in list(getattr(pool, "_processes", {}).values()):
+def _worker_loop(conn, chaos: Optional[ChaosSpec]) -> None:
+    """An owned worker: run each ``(cell, attempt)`` received on ``conn``, send back the result.
+
+    Returns when the executor closes its end of the pipe.  Pickling a reply
+    fails before any byte is written, so an unpicklable result is answered by a
+    ``failed`` result in its place (a re-run would fail the same way).
+    """
+    while True:
         try:
-            process.kill()
-        except OSError:  # already gone
-            pass
-    pool.shutdown(wait=False, cancel_futures=True)
+            cell, attempt = conn.recv()
+        except EOFError:
+            return
+        reply = _run_cell_attempt(cell, attempt, chaos)
+        try:
+            conn.send(reply)
+        except Exception as exc:  # noqa: BLE001 - the unpicklable result fails its cell alone
+            conn.send((_failure(cell, exc, reply[0].elapsed_seconds), "deterministic"))
+
+
+class _Worker:
+    """One worker process the executor owns, its pipe, and the one cell it holds."""
+
+    def __init__(self, chaos: Optional[ChaosSpec]) -> None:
+        # the default start method: under fork a replacement worker starts
+        # without re-importing numpy and the scenario modules
+        self.conn, child = multiprocessing.Pipe()
+        self.process = multiprocessing.Process(target=_worker_loop, args=(child, chaos),
+                                               daemon=True)
+        self.process.start()
+        child.close()
+        self.index: Optional[int] = None
+        self.deadline = float("inf")
+
+    def kill(self) -> None:
+        """SIGKILL the process and drop its pipe.
+
+        Deliberately not joined: waiting for the kernel to reap a killed worker
+        stalls the sweep, and ``multiprocessing`` reaps it when the next worker
+        starts.
+        """
+        self.process.kill()
+        self.conn.close()
 
 
 @dataclass
@@ -402,7 +457,6 @@ class _CellState:
     attempts: int = 0
     crashes: int = 0
     timeouts: int = 0
-    suspect: bool = False
 
 
 # ------------------------------------------------------------------- executor
@@ -416,9 +470,9 @@ def run_resilient_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *,
 
     Serial mode (``jobs`` absent or ``<= 1``) applies the retry policy and the
     journal but cannot preempt a cell, so wall-clock timeouts (and chaos hooks
-    that kill or block the process) require a pool.  ``resume=True`` with a
-    ``journal`` path skips already-journaled cells, returning their stored
-    results with outcome ``"journal"``.
+    that kill or block the process) require worker processes.  ``resume=True``
+    with a ``journal`` path skips already-journaled cells, returning their
+    stored results with outcome ``"journal"``.
     """
     cell_list = list(cells)
     policy = policy or RetryPolicy()
@@ -473,173 +527,90 @@ def _run_serial(cell_list, todo, results, policy, chaos, journal_obj) -> None:
 
 def _run_pooled(cell_list, todo, results, workers, policy, timeout, chaos,
                 journal_obj) -> None:
-    """Future-based pool execution surviving crashes, hangs and transient errors.
+    """Execution on ``workers`` owned processes, surviving crashes, hangs and transient errors.
 
-    The scheduler keeps at most one outstanding cell per worker so crash blame
-    stays tight.  While any *suspect* exists (a cell that was in flight during
-    an uncertain pool crash), the pool drains and suspects re-run one at a
-    time: a solo crash is certain attribution, counted against
-    ``policy.crash_retries``.
+    Each worker holds at most one cell, so a worker that dies names its cell:
+    only that cell is charged against ``policy.crash_retries`` and only that
+    worker is replaced.  A cell past its deadline likewise has its own worker
+    killed and replaced; every other worker keeps its cell.
     """
     state = {index: _CellState() for index in todo}
     queue = deque(todo)
     waiting: List[Tuple[float, int]] = []   # (ready_at, index) backoff-delayed retries
-    inflight: Dict[object, Tuple[int, float]] = {}  # future -> (index, deadline)
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = [_Worker(chaos) for _ in range(workers)]
 
     def settle(index: int, result: GridCellResult, outcome: str) -> None:
         results[index] = _finalize(result, state[index].attempts, outcome)
         if journal_obj is not None and result.ok:
             journal_obj.record(cell_list[index], results[index])
 
-    def requeue(index: int, backoff_attempt: Optional[int] = None) -> None:
-        if backoff_attempt:
-            delay = policy.backoff(cell_fingerprint(cell_list[index]), backoff_attempt)
-            waiting.append((time.monotonic() + delay, index))
-        else:
-            queue.append(index)
+    def back_off(index: int) -> None:
+        delay = policy.backoff(cell_fingerprint(cell_list[index]), state[index].attempts)
+        waiting.append((time.monotonic() + delay, index))
 
-    def handle_crash(crashed_indices: List[int]) -> None:
-        """Attribute a broken pool: certain when one cell was in flight, else suspects."""
-        if len(crashed_indices) == 1:
-            index = crashed_indices[0]
-            cell_state = state[index]
-            cell_state.suspect = True
-            cell_state.crashes += 1
-            if cell_state.crashes > policy.crash_retries:
-                cell = cell_list[index]
-                settle(index, GridCellResult(
-                    cell=cell,
-                    error=(f"BrokenProcessPool: cell crashed the worker "
-                           f"{cell_state.crashes} times; quarantined")), "poisoned")
-            else:
-                requeue(index, backoff_attempt=cell_state.attempts)
-            return
-        for index in crashed_indices:
-            state[index].suspect = True
-            requeue(index)
+    def charge(index: int, count: int, budget: int, outcome: str, error: str) -> None:
+        """Re-run a cell whose worker was lost, or end it once ``count`` exceeds ``budget``."""
+        if count > budget:
+            settle(index, GridCellResult(cell=cell_list[index], error=error), outcome)
+        else:
+            back_off(index)
 
     try:
-        while queue or waiting or inflight:
+        while queue or waiting or any(worker.index is not None for worker in pool):
             now = time.monotonic()
-            still_waiting = []
-            for ready_at, index in waiting:
-                (queue.append(index) if ready_at <= now
-                 else still_waiting.append((ready_at, index)))
-            waiting = still_waiting
-
-            # Submission: a *ready* suspect runs alone (drain first, then solo,
-            # so a repeat crash is certain attribution); otherwise fill the
-            # pool with ordinary cells.
-            while queue and len(inflight) < workers:
-                if any(state[i].suspect for i, _ in inflight.values()):
-                    break  # a suspect is running alone; nothing rides along
-                ready_suspects = [i for i in queue if state[i].suspect]
-                if ready_suspects and inflight:
-                    break  # drain before running a suspect alone
-                solo = bool(ready_suspects)
-                if solo:
-                    index = ready_suspects[0]
-                    queue.remove(index)
-                else:
+            queue.extend(index for ready_at, index in waiting if ready_at <= now)
+            waiting = [(ready_at, index) for ready_at, index in waiting if ready_at > now]
+            for worker in pool:
+                while worker.index is None and queue:
                     index = queue.popleft()
-                state[index].attempts += 1
-                cell = cell_list[index]
-                try:
-                    future = pool.submit(_run_cell_attempt, cell,
-                                         state[index].attempts, chaos)
-                except BrokenProcessPool:
-                    # the pool broke between loops; put the cell back, blame the
-                    # in-flight cells, and respawn before resubmitting
-                    state[index].attempts -= 1
-                    queue.appendleft(index)
-                    crashed = [i for i, _ in inflight.values()]
-                    inflight.clear()
-                    if crashed:
-                        handle_crash(crashed)
-                    _kill_pool(pool)
-                    pool = ProcessPoolExecutor(max_workers=workers)
-                    break
-                inflight[future] = (index, now + resolve_timeout(cell, timeout))
-                if solo:
-                    break  # exactly one suspect in flight at a time
+                    state[index].attempts += 1
+                    cell = cell_list[index]
+                    try:
+                        worker.conn.send((cell, state[index].attempts))
+                    except Exception as exc:  # noqa: BLE001 - an unpicklable cell fails alone
+                        settle(index, _failure(cell, exc), "failed")
+                        continue
+                    worker.index = index
+                    worker.deadline = now + resolve_timeout(cell, timeout)
+            if not waiting and all(worker.index is None for worker in pool):
+                continue  # the last queued cells failed to send: nothing to wait for
 
-            if not inflight:
-                if queue:
-                    continue
-                if waiting:
-                    time.sleep(max(0.0, min(t for t, _ in waiting) - time.monotonic()))
-                continue
-
-            next_deadline = min(deadline for _, deadline in inflight.values())
-            budget = next_deadline - time.monotonic()
-            if waiting:
-                budget = min(budget, min(t for t, _ in waiting) - time.monotonic())
-            wait_timeout = None if budget == float("inf") else max(0.0, budget)
-            done, _ = futures_wait(set(inflight), timeout=wait_timeout,
-                                   return_when=FIRST_COMPLETED)
-
-            crashed_done: List[int] = []
-            for future in done:
-                index, _deadline = inflight.pop(future)
-                cell_state = state[index]
-                exc = future.exception()
-                if exc is not None:
-                    if isinstance(exc, BrokenProcessPool):
-                        crashed_done.append(index)
+            # idle workers are waited on too: a ready idle pipe means its worker died
+            wake = min([w.deadline for w in pool] + [t for t, _ in waiting]) - time.monotonic()
+            ready = connection_wait([w.conn for w in pool],
+                                    timeout=None if wake == float("inf") else max(0.0, wake))
+            now = time.monotonic()
+            for slot, worker in enumerate(pool):
+                index = worker.index
+                if worker.conn in ready:
+                    try:
+                        result, kind = worker.conn.recv()
+                    except (EOFError, OSError):  # the worker died
+                        worker.kill()
+                        pool[slot] = _Worker(chaos)
+                        if index is not None:
+                            cell_state = state[index]
+                            cell_state.crashes += 1
+                            charge(index, cell_state.crashes, policy.crash_retries, "poisoned",
+                                   f"WorkerCrash: cell killed its worker "
+                                   f"{cell_state.crashes} times; quarantined")
+                        continue
+                    worker.index, worker.deadline = None, float("inf")
+                    if result.ok:
+                        settle(index, result, "ok")
+                    elif kind == "transient" and state[index].attempts < policy.max_attempts:
+                        back_off(index)
                     else:
-                        # infrastructure error (e.g. unpicklable payload): the
-                        # retry would fail identically, so fail fast
-                        settle(index, GridCellResult(
-                            cell=cell_list[index],
-                            error=f"{type(exc).__name__}: {exc}",
-                            traceback=traceback.format_exc()), "failed")
-                    continue
-                result, kind = future.result()
-                cell_state.suspect = False
-                if result.ok:
-                    settle(index, result, "ok")
-                elif kind == "transient" and cell_state.attempts < policy.max_attempts:
-                    requeue(index, backoff_attempt=cell_state.attempts)
-                else:
-                    settle(index, result, "failed")
-
-            if crashed_done:
-                # every cell still in flight shares the broken pool; re-enqueue
-                # all of them and attribute the crash
-                survivors = [index for index, _ in inflight.values()]
-                inflight.clear()
-                handle_crash(crashed_done + survivors)
-                _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
-                continue
-
-            if not done:
-                now = time.monotonic()
-                expired = [(future, index) for future, (index, deadline)
-                           in inflight.items() if deadline <= now]
-                if not expired:
-                    continue
-                # a worker is stuck: kill the whole pool, charge the timed-out
-                # cells, and re-enqueue the innocent in-flight cells unblamed
-                expired_indices = {index for _, index in expired}
-                for future, (index, _deadline) in list(inflight.items()):
+                        settle(index, result, "failed")
+                elif worker.deadline <= now:
+                    worker.kill()
+                    pool[slot] = _Worker(chaos)
                     cell_state = state[index]
-                    if index in expired_indices:
-                        cell_state.timeouts += 1
-                        if cell_state.timeouts > policy.timeout_retries:
-                            limit = resolve_timeout(cell_list[index], timeout)
-                            settle(index, GridCellResult(
-                                cell=cell_list[index],
-                                error=(f"Timeout: cell exceeded {limit:.0f}s "
-                                       f"wall clock {cell_state.timeouts} times")),
-                                "timeout")
-                        else:
-                            requeue(index, backoff_attempt=cell_state.attempts)
-                    else:
-                        requeue(index)
-                inflight.clear()
-                _kill_pool(pool)
-                pool = ProcessPoolExecutor(max_workers=workers)
+                    cell_state.timeouts += 1
+                    limit = resolve_timeout(cell_list[index], timeout)
+                    charge(index, cell_state.timeouts, policy.timeout_retries, "timeout",
+                           f"Timeout: cell exceeded {limit:.0f}s wall clock "
+                           f"{cell_state.timeouts} times")
     finally:
-        _kill_pool(pool)
+        for worker in pool:
+            worker.kill()

@@ -68,12 +68,13 @@ def main(argv: Optional[List[str]] = None) -> int:
       reported in the summary (exit code 1) instead of aborting the sweep.
 
     Grid mode runs on the fault-tolerant executor
-    (:mod:`repro.experiments.resilient`): worker crashes respawn the pool,
-    hung cells are killed at a scale-aware ``--cell-timeout``, transient errors
-    retry up to ``--retries`` times with backoff, ``--journal PATH`` appends
-    completed cells to a JSONL journal and ``--resume`` skips them on a rerun
-    (bit-identical combined tables); ``--verbose-errors`` prints failed cells'
-    remote tracebacks.  See ``docs/resilience.md``.
+    (:mod:`repro.experiments.resilient`): a crashed worker is replaced and only
+    its cell re-runs, a hung cell's worker is killed at a scale-aware
+    ``--cell-timeout``, transient errors retry up to ``--retries`` times with
+    backoff, ``--journal PATH`` appends completed cells to a JSONL journal and
+    ``--resume`` skips them on a rerun (bit-identical combined tables);
+    ``--verbose-errors`` prints failed cells' remote tracebacks.  See
+    ``docs/resilience.md``.
     """
     parser = argparse.ArgumentParser(
         prog="fatpaths-experiment",

@@ -26,8 +26,8 @@ process pool, and the concatenated split rows equal the unsplit run's rows exact
 (pinned by ``tests/experiments/test_scenario.py``).
 
 The central registry maps scenario names to their defining modules; each module
-exposes a module-level ``SCENARIO`` spec and a thin ``run()`` alias
-(``SCENARIO.runner()``) for direct use.
+exposes a module-level ``SCENARIO`` spec, which :func:`run_scenario` (or
+:func:`repro.experiments.common.run_experiment` by name) executes.
 """
 
 from __future__ import annotations
@@ -228,15 +228,6 @@ class ScenarioSpec:
         if self.scale_families is None:
             return self.topology_names
         return tuple(self.scale_families(Scale(scale)))
-
-    def runner(self) -> Callable[..., ExperimentResult]:
-        """A module-level ``run(scale, seed, **kwargs)`` entry point for this spec."""
-        def run(scale: Scale | str = Scale.TINY, seed: int = 0,
-                **kwargs) -> ExperimentResult:
-            """Run this scenario through the shared pipeline."""
-            return run_scenario(self, scale=scale, seed=seed, **kwargs)
-        run.__doc__ = f"Run the {self.name} scenario ({self.title})."
-        return run
 
 
 def normalized_rows(rows: Iterable[Row]) -> List[Row]:

@@ -99,5 +99,3 @@ SCENARIO = ScenarioSpec(
         "arrival count.",
     ),
 )
-
-run = SCENARIO.runner()

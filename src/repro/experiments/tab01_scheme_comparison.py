@@ -25,5 +25,3 @@ SCENARIO = ScenarioSpec(
     plan=_plan,
     base_columns=("name",),
 )
-
-run = SCENARIO.runner()

@@ -69,5 +69,3 @@ SCENARIO = ScenarioSpec(
         "tail, all % of k').",
     ),
 )
-
-run = SCENARIO.runner()

@@ -40,5 +40,3 @@ SCENARIO = ScenarioSpec(
         "(Nr=722, k'=29), XP (1056, 32), HX3 (1331, 30) and DF (2064, 23).",
     ),
 )
-
-run = SCENARIO.runner()

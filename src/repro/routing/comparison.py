@@ -44,10 +44,6 @@ class SchemeFeatures:
     def supports_all(self) -> bool:
         return all(getattr(self, f) == YES for f in FEATURES)
 
-    def score(self) -> int:
-        """Count of fully supported aspects (used for sanity checks / sorting)."""
-        return sum(getattr(self, f) == YES for f in FEATURES)
-
     def as_row(self) -> Dict[str, str]:
         return asdict(self)
 

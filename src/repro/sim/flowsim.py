@@ -10,7 +10,9 @@ The simulator resolves, over time, how concurrently active flows share link band
 * flows may switch candidate paths at flowlet boundaries or when their path is
   congested, according to the configured :class:`repro.core.loadbalance.PathSelector`;
 * per-flow completion times additionally include per-hop latency and the transport
-  model's startup/congestion delays (slow start for TCP, a single pull RTT for NDP).
+  model's startup delay (slow start for TCP, a single pull RTT for NDP).  Congestion
+  episodes are counted per flow (``FlowRecord.congestion_events``) but cost no time:
+  no flow-level simulator charges ``TransportModel.congestion_delay``.
 
 This captures the effects the paper's evaluation hinges on — path collisions on
 low-diversity topologies, the benefit of non-minimal multipathing, flowlet adaptivity

@@ -288,7 +288,8 @@ class FlowLevelSimulator:
                     self._link_util[link] += state.rate / self.capacities[link]
             for state in states:
                 # A congestion *episode* starts when the flow's rate drops below the
-                # threshold (edge-triggered): this is what a loss/ECN reaction costs.
+                # threshold (edge-triggered).  Episodes are only counted: _record
+                # charges no latency for them.
                 congested = state.rate < self.config.congestion_rate_fraction * line_rate
                 if congested and not state.currently_congested:
                     state.congestion_events += 1

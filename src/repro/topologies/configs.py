@@ -18,7 +18,6 @@ This module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Tuple
 
@@ -46,15 +45,6 @@ def default_concentration(network_radix: int, diameter: int) -> int:
     if diameter < 1:
         raise ValueError("diameter must be >= 1")
     return max(1, math.ceil(network_radix / diameter))
-
-
-@dataclass(frozen=True)
-class TopologySpec:
-    """Constructor parameters for one topology in one size class."""
-
-    short_name: str
-    size_class: SizeClass
-    params: Dict[str, int]
 
 
 # Parameter choices per class.  Chosen so that, within a class, endpoint counts are

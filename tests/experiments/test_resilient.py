@@ -1,10 +1,15 @@
 """Tests for the fault-tolerant grid executor (``repro.experiments.resilient``)."""
 
+import hashlib
 import json
+import multiprocessing
 import os
+import time
 
 import pytest
 
+from repro.experiments import resilient
+from repro.experiments.common import ExperimentResult
 from repro.experiments.grid import (
     GridCell,
     GridSummary,
@@ -37,6 +42,24 @@ def clean_results():
     results = run_experiment_grid(_cells(), jobs=None)
     assert all(r.ok for r in results)
     return results
+
+
+#: Tests that monkeypatch ``run_experiment`` reach the workers only through fork.
+needs_fork = pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                                reason="workers inherit the monkeypatch only under fork")
+
+
+def _stub(name, **meta):
+    """A tiny stand-in experiment result."""
+    return ExperimentResult(name=name, description="stub", paper_reference="-",
+                            rows=[{"x": 1}], meta=meta)
+
+
+def _line_checksum(record):
+    """The journal-line checksum, restated from the format's definition."""
+    body = {key: value for key, value in record.items() if key != "sha256"}
+    canonical = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def _assert_combined_equal(expected, actual):
@@ -173,6 +196,39 @@ class TestJournal:
         assert reloaded.lookup(clean_results[0].cell).result.rows \
             == clean_results[0].result.rows
 
+    def test_lines_carry_version_and_checksum(self, tmp_path, clean_results):
+        path = tmp_path / "j.jsonl"
+        journal = CellJournal(path)
+        journal.record(clean_results[0].cell, clean_results[0])
+        journal.close()
+        record = json.loads(path.read_bytes())
+        assert record["v"] == 1
+        assert record["sha256"] == _line_checksum(record)
+
+    @pytest.mark.parametrize("tamper", ["changed_value", "wrong_version", "no_checksum"])
+    def test_tampered_line_refused_and_cell_reruns(self, tmp_path, clean_results, tamper):
+        tab05 = clean_results[-1]
+        assert tab05.cell.name == "tab05" and tab05.result.rows[0]["Nr"] == 50
+        path = tmp_path / "j.jsonl"
+        journal = CellJournal(path)
+        journal.record(tab05.cell, tab05)
+        journal.close()
+        record = json.loads(path.read_bytes())
+        if tamper == "changed_value":
+            record["result"]["rows"][0]["Nr"] = 51  # the checksum is now stale
+        elif tamper == "wrong_version":
+            record["v"] = 2
+            record["sha256"] = _line_checksum(record)
+        else:
+            del record["sha256"]
+        path.write_text(json.dumps(record, separators=(",", ":")) + "\n")
+        reloaded = CellJournal(path)
+        assert reloaded.corrupt_lines == 1
+        assert reloaded.lookup(tab05.cell) is None
+        rerun = run_experiment_grid([tab05.cell], journal=str(path), resume=True)
+        assert rerun[0].outcome == "ok"
+        assert rerun[0].result.rows == tab05.result.rows
+
     def test_failed_cells_are_not_journaled(self, tmp_path):
         path = tmp_path / "j.jsonl"
         results = run_experiment_grid([GridCell(name="nope")], journal=str(path))
@@ -262,6 +318,51 @@ class TestPooledResilience:
         assert results[1].outcome == "timeout" and not results[1].ok
         assert "Timeout" in results[1].error
         assert results[0].ok and results[2].ok
+
+    def test_crash_reruns_only_its_own_cell(self, clean_results):
+        cells = _cells()
+        chaos = ChaosSpec(kill=(cells[0].label(),))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos,
+                                      policy=RetryPolicy(backoff_base=0.01))
+        assert [r.attempts for r in results] == [2, 1, 1, 1, 1, 1]
+        for want, got in zip(clean_results, results):
+            assert got.outcome == "ok" and want.result.rows == got.result.rows
+
+    @needs_fork
+    def test_timeout_kills_only_the_hung_cells_worker(self, monkeypatch):
+        real = resilient.run_experiment
+
+        def slow_at_small(name, scale, seed, **kwargs):
+            if scale == "small":
+                time.sleep(3.0)
+                return _stub(name)
+            return real(name, scale=scale, seed=seed, **kwargs)
+
+        monkeypatch.setattr(resilient, "run_experiment", slow_at_small)
+        hung = GridCell(name="tab05", scale="tiny")
+        slow = GridCell(name="tab05", scale="small")  # keeps the 1,800 s default limit
+        results = run_experiment_grid(
+            [hung, slow], jobs=2, timeout={"tiny": 1.5},
+            chaos=ChaosSpec(hang=(hung.label(),), hang_seconds=60.0),
+            policy=RetryPolicy(backoff_base=0.01))
+        assert [r.outcome for r in results] == ["ok", "ok"]
+        assert [r.attempts for r in results] == [2, 1]
+
+    @needs_fork
+    def test_unpicklable_result_fails_its_cell_once(self, monkeypatch):
+        real = resilient.run_experiment
+
+        def unpicklable_at_small(name, scale, seed, **kwargs):
+            if scale == "small":
+                return _stub(name, hook=lambda: None)
+            return real(name, scale=scale, seed=seed, **kwargs)
+
+        monkeypatch.setattr(resilient, "run_experiment", unpicklable_at_small)
+        cells = [GridCell(name="tab05", scale="small"), GridCell(name="tab05")]
+        results = run_experiment_grid(cells, jobs=2, policy=RetryPolicy(backoff_base=0.01))
+        assert results[0].outcome == "failed" and results[0].attempts == 1
+        assert "pickle" in results[0].error.lower()
+        assert results[1].ok and results[1].attempts == 1
 
 
 class TestResumeEqualsUninterrupted:

@@ -71,13 +71,6 @@ class TestRegistryCompleteness:
                 assert spec.splittable
                 assert len(spec.topology_names) >= 2
 
-    def test_every_module_keeps_a_run_alias(self):
-        import importlib
-
-        for module_path in SCENARIO_MODULES.values():
-            module = importlib.import_module(module_path)
-            assert callable(module.run)
-
     def test_splittable_families_come_from_specs(self):
         for name, spec in all_scenario_specs().items():
             assert splittable_families(name) == spec.topology_names

@@ -55,7 +55,8 @@ REPO = Path(__file__).resolve().parent.parent
 DEFAULT_OUT = REPO / "BENCH_flowsim.json"
 BENCH_FILES = ("benchmarks/test_bench_flowsim.py", "benchmarks/test_bench_packetsim.py",
                "benchmarks/test_bench_stream.py", "benchmarks/test_bench_grid.py",
-               "benchmarks/test_bench_kernels.py", "benchmarks/test_bench_fig09.py")
+               "benchmarks/test_bench_kernels.py",
+               "benchmarks/test_bench_scenarios.py::test_bench_scenario[fig09]")
 
 #: benchmark test name -> (report section, role key)
 BENCHMARKS = {
@@ -72,7 +73,7 @@ BENCHMARKS = {
     "test_bench_grid_resilient_pool": ("grid_executor", "resilient"),
     "test_bench_spain_build_reference_scalar": ("spain_build", "reference"),
     "test_bench_spain_build_batched": ("spain_build", "batched"),
-    "test_bench_fig09": ("spain_build", "fig09_cell"),
+    "test_bench_scenario[fig09]": ("spain_build", "fig09_cell"),
 }
 
 #: extra_info keys copied verbatim into a section (beyond the shared "events").
@@ -149,7 +150,7 @@ def main(argv=None) -> int:
                         choices=["tiny", "small", "medium"])
     parser.add_argument("--files", nargs="+", default=list(BENCH_FILES),
                         choices=list(BENCH_FILES),
-                        help="restrict the run to these benchmark modules "
+                        help="restrict the run to these benchmark modules or nodes "
                              "(other sections of the scale are preserved)")
     parser.add_argument("--out", type=Path, default=DEFAULT_OUT)
     args = parser.parse_args(argv)
