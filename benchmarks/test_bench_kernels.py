@@ -6,7 +6,9 @@ counting, the flow simulator event loop) whose performance determines how far th
 reproduction scales.
 """
 
+import copy
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,18 +16,24 @@ import pytest
 from repro.core.config import FatPathsConfig
 from repro.core.fatpaths import FatPathsRouting
 from repro.core.forwarding import build_forwarding_tables
+from repro.core.loadbalance import FlowletSelector, PathSelector
 from repro.core.layers import build_layers, random_edge_sampling_layers
 from repro.diversity.disjoint_paths import disjoint_path_distribution
+from repro.experiments.common import run_experiment
+from repro.experiments.simcommon import build_stack
 from repro.kernels import batch_disjoint_paths, global_cache, kernels_for, next_hop_table
 from repro.kernels import reference as legacy
 from repro.kernels.paths import shortest_path_counts
 from repro.routing import EcmpRouting
 from repro.routing.spain import build_spain_layers
-from repro.sim.fairshare import max_min_fair_rates
+from repro.sim import allocstate
+from repro.sim.fairshare import leveled_fill, max_min_fair_rates
 from repro.sim.flowsim import simulate_workload
-from repro.topologies import slim_fly
+from repro.sim.stream import StreamConfig, StreamSimulator
+from repro.topologies import configs, slim_fly
 from repro.traffic.flows import uniform_size_workload
 from repro.traffic.patterns import random_permutation
+from repro.traffic.streams import poisson_flow_stream
 
 @pytest.fixture(scope="module")
 def sf():
@@ -279,3 +287,159 @@ def test_spain_build_speedup_and_equivalence(kgraph, scale):
           f"{scalar_seconds:.2f} s, batched {batched_seconds:.2f} s, speedup {speedup:.1f}x")
     if scale.value != "tiny":
         assert speedup >= _SPAIN_SPEEDUP_FLOOR
+
+
+# --------------------------------------------------------------------------------------
+# Capture and replay of the flow engine's two per-event kernels: the progressive fill
+# (``fairshare.leveled_fill``) and the adaptive selector draw
+# (``FlowletSelector.next_path_batch``).  A module fixture records their inputs on two
+# real runs; the replays are checked against the scalar forms and timed on their own,
+# so a change to either kernel is judged on real inputs.  tools/bench_report.py folds
+# the timings into BENCH_flowsim.json as the ``engine_replay`` section.
+
+#: Pushes of two flows each in the captured stream (perfbench's stream settings).
+_REPLAY_PUSHES = 2000
+
+#: Every n-th fill and every n-th adaptive draw is kept, per captured run.
+_STREAM_STRIDE = 5
+_FIG17_STRIDE = 10
+
+
+def _captured(run, stride: int) -> SimpleNamespace:
+    """Run ``run()`` with every ``stride``-th fill and adaptive draw recorded.
+
+    A fill is recorded as its positional arguments; a draw as the selector's seed,
+    threshold and RNG state before the call, its arguments and its choices.
+    """
+    fills, draws = [], []
+    seen = {"fills": 0, "draws": 0}
+    batch = FlowletSelector.next_path_batch
+
+    def kept(kind):
+        """Count one call of ``kind``; keep the first and every ``stride``-th after."""
+        seen[kind] += 1
+        return (seen[kind] - 1) % stride == 0
+
+    def fill(*args):
+        if kept("fills"):
+            fills.append(tuple(copy.copy(a) for a in args))
+        return leveled_fill(*args)
+
+    def draw(self, *args):
+        if not (self.adaptive and kept("draws")):
+            return batch(self, *args)
+        state = copy.deepcopy(self._rng.bit_generator.state)
+        chosen = batch(self, *args)
+        draws.append((self.seed, self.congestion_threshold, state,
+                       tuple(np.array(a) for a in args), chosen.copy()))
+        return chosen
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(allocstate, "leveled_fill", fill)
+        patch.setattr(FlowletSelector, "next_path_batch", draw)
+        run()
+    return SimpleNamespace(fills=fills, draws=draws)
+
+
+def _stream_run(scale):
+    """One fatpaths stream on SF with perfbench's stream generator settings."""
+    topology = configs.build("SF", scale.size_class())
+    rng = np.random.default_rng([0, 0])
+    pattern = random_permutation(topology.num_endpoints, rng).subsample(0.5, rng)
+    flows = list(poisson_flow_stream(pattern, 400.0, rng=rng,
+                                     max_flows=2 * _REPLAY_PUSHES))
+    stack = build_stack(topology, "fatpaths", seed=0, routing_cache={})
+    service = StreamSimulator(topology, stack.routing, selector=stack.selector,
+                              transport=stack.transport, seed=0,
+                              stream_config=StreamConfig(window=0.001))
+    batches = [flows[i:i + 2] for i in range(0, len(flows), 2)]
+    for i, batch in enumerate(batches):
+        service.push(batch)
+        if i + 1 < len(batches):
+            service.advance(batches[i + 1][0].start_time, inclusive=False)
+        else:
+            service.finish()
+
+
+@pytest.fixture(scope="module")
+def engine_captures(scale):
+    """A sample of the fills and adaptive draws of one stream and one fig17 cell."""
+    stream = _captured(lambda: _stream_run(scale), _STREAM_STRIDE)
+    fig17 = _captured(lambda: run_experiment("fig17", scale=scale, seed=0,
+                                             topologies=("SF",)), _FIG17_STRIDE)
+    captures = SimpleNamespace(fills=stream.fills + fig17.fills,
+                               draws=stream.draws + fig17.draws)
+    assert captures.fills and captures.draws
+    return captures
+
+
+def _flow_link_lists(entry_flows, compressed):
+    """Each filled flow's link list (entry order) and the flows that have entries."""
+    order = np.argsort(entry_flows, kind="stable")
+    flows = entry_flows[order]
+    bounds = np.flatnonzero(np.diff(flows)) + 1
+    present = flows[np.concatenate(([0], bounds))] if flows.size else flows
+    return [part.tolist() for part in np.split(compressed[order], bounds)], present
+
+
+def test_replayed_fills_match_scalar_reference(engine_captures):
+    """Every captured fill equals ``max_min_fair_rates`` bit for bit."""
+    mismatches = 0
+    for entry_flows, num_flows, caps, compressed, num_touched in engine_captures.fills:
+        rates = leveled_fill(entry_flows, num_flows, caps, compressed, num_touched)[0]
+        paths, present = _flow_link_lists(entry_flows, compressed)
+        if not np.array_equal(rates[present], max_min_fair_rates(paths, caps)):
+            mismatches += 1
+    assert mismatches == 0, f"{mismatches} of {len(engine_captures.fills)} fills differ"
+
+
+def _replay_draw(record, batched: bool):
+    """Replay one captured draw from its RNG state; (choices, state after)."""
+    seed, threshold, state, args, _ = record
+    selector = FlowletSelector(seed=seed, adaptive=True, congestion_threshold=threshold)
+    selector._rng.bit_generator.state = copy.deepcopy(state)
+    if batched:
+        chosen = selector.next_path_batch(*args)
+    else:
+        chosen = PathSelector.next_path_batch(selector, *args)
+    return chosen, selector._rng.bit_generator.state
+
+
+def test_replayed_draws_match_scalar_calls(engine_captures):
+    """Every captured draw equals one scalar ``next_path`` per row: the same
+    choices (also as captured) and the same RNG state afterwards."""
+    mismatches = 0
+    for record in engine_captures.draws:
+        fast, fast_state = _replay_draw(record, batched=True)
+        slow, slow_state = _replay_draw(record, batched=False)
+        if not (np.array_equal(fast, slow) and np.array_equal(fast, record[4])
+                and fast_state == slow_state):
+            mismatches += 1
+    assert mismatches == 0, f"{mismatches} of {len(engine_captures.draws)} draws differ"
+
+
+def test_bench_fill_replay(benchmark, engine_captures):
+    fills = engine_captures.fills
+
+    def run():
+        for args in fills:
+            leveled_fill(*args)
+
+    benchmark.extra_info["calls"] = len(fills)
+    benchmark(run)
+
+
+def test_bench_draw_replay(benchmark, engine_captures):
+    # selectors are made and seeded outside the timed region; each round re-seeds
+    # them from the captured states, which costs a small fixed share of a draw
+    records = engine_captures.draws
+    selectors = [FlowletSelector(seed=seed, adaptive=True, congestion_threshold=threshold)
+                 for seed, threshold, *_ in records]
+
+    def run():
+        for selector, (_, _, state, args, _) in zip(selectors, records):
+            selector._rng.bit_generator.state = state
+            selector.next_path_batch(*args)
+
+    benchmark.extra_info["calls"] = len(records)
+    benchmark(run)

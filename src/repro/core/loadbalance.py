@@ -48,6 +48,10 @@ class PathSelector(abc.ABC):
     #: True if the selector distributes a flow over all paths simultaneously.
     sprays: bool = False
 
+    #: False if :meth:`next_path` never moves a flow, so a simulator can skip
+    #: evaluating switches for it altogether.
+    reroutes: bool = True
+
     @abc.abstractmethod
     def initial_path(self, flow_id: int, num_paths: int,
                      path_lengths: Optional[Sequence[int]] = None) -> int:
@@ -99,6 +103,7 @@ class EcmpSelector(PathSelector):
     """Static flow-level hashing over the candidate paths (classic ECMP)."""
 
     seed: int = 0
+    reroutes = False   # a class constant, not a dataclass field
 
     def initial_path(self, flow_id, num_paths, path_lengths=None):
         if num_paths < 1:
@@ -200,17 +205,22 @@ class FlowletSelector(PathSelector):
             return self._next_path_row(loads, path_lengths, num_paths, flow_ids,
                                        currents)
         if self.adaptive:
-            acceptable = loads < self.congestion_threshold
             # rows with an acceptable path pick uniformly among the shortest of
-            # those; fully congested rows pick uniformly among the least loaded
-            masked_lengths = np.where(acceptable, path_lengths, np.inf)
-            pool = masked_lengths == masked_lengths.min(axis=1)[:, None]
-            any_acceptable = acceptable.any(axis=1)
-            if not any_acceptable.all():
-                pool = np.where(any_acceptable[:, None], pool,
-                                loads == loads.min(axis=1)[:, None])
-            draws = self._rng.integers(0, pool.sum(axis=1))
-            return (pool.cumsum(axis=1) == (draws + 1)[:, None]).argmax(axis=1)
+            # those; fully congested rows (shortest acceptable length +inf) pick
+            # uniformly among the least loaded
+            rows = np.arange(len(currents))
+            masked = np.where(loads < self.congestion_threshold, path_lengths, np.inf)
+            shortest = masked[rows, masked.argmin(axis=1)]
+            pool = masked == shortest[:, None]
+            if shortest[shortest.argmax()] == np.inf:
+                least = loads[rows, loads.argmin(axis=1)]
+                pool = np.where((shortest == np.inf)[:, None],
+                                loads == least[:, None], pool)
+            # the draw-th member of each row's pool, in column order
+            member_rows, member_cols = pool.nonzero()
+            sizes = np.bincount(member_rows, minlength=rows.size)
+            draws = self._rng.integers(0, sizes)
+            return member_cols[sizes.cumsum() - sizes + draws]
         # non-adaptive: choice(n, p=uniform) consumes one double per flow
         # and inverts the uniform CDF (searchsorted from the right = count of
         # partial sums <= u); padded columns carry weight 0 so the row CDF matches

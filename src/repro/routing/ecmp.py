@@ -44,7 +44,8 @@ class EcmpRouting(MultiPathRouting):
         key = (source_router, target_router)
         if key in self._cache:
             return self._cache[key]
-        dist_to_target = self._distances_from(target_router)
+        # plain ints: the walk below compares one per neighbour
+        dist_to_target = self._distances_from(target_router).tolist()
         if dist_to_target[source_router] < 0:
             self._cache[key] = []
             return []
@@ -60,8 +61,8 @@ class EcmpRouting(MultiPathRouting):
             current = source_router
             reused = False
             while current != target_router:
-                next_candidates = [v for v in adj[current]
-                                   if dist_to_target[v] == dist_to_target[current] - 1]
+                closer = dist_to_target[current] - 1
+                next_candidates = [v for v in adj[current] if dist_to_target[v] == closer]
                 fresh = [v for v in next_candidates
                          if (min(current, v), max(current, v)) not in used_edges]
                 pool = fresh if fresh else next_candidates
@@ -70,7 +71,8 @@ class EcmpRouting(MultiPathRouting):
                     break
                 if not fresh:
                     reused = True
-                current = int(self._rng.choice(pool))
+                # the draw rng.choice(pool) makes, without its array conversion
+                current = pool[int(self._rng.integers(0, len(pool)))]
                 path.append(current)
             if path is None:
                 break

@@ -10,11 +10,12 @@ layers:
 * :class:`AllocationState` — the pooled ``(entry_links, entry_slots)`` incidence kept
   **alive across events** and amended O(delta): each flow owns one fixed segment of a
   growing pool (sized for its longest candidate path, so path switches rewrite in
-  place), arrivals append, completions and switch slack mark entries *dead* by
-  pointing them at a sentinel slot.  Live entries always sit in ascending arrival
-  order, so :class:`FullAllocator`, which drops the dead entries and refills every
-  live one each event, is **bit-identical by construction** to the former
-  rebuild-per-event engine (and therefore to the scalar reference simulator).
+  place), arrivals append, and completions and the entries a shorter path leaves
+  behind are marked *dead* by pointing them at a sentinel slot.  Live entries
+  always sit in ascending arrival order, so :class:`FullAllocator`, which drops the
+  dead entries and refills every live one each event, is **bit-identical by
+  construction** to the former rebuild-per-event engine (and therefore to the
+  scalar reference simulator).
 * :class:`IncrementalAllocator` — dirty-**component** refiltering behind
   ``FlowSimConfig(allocator="incremental")``.  Connected components of the link–flow
   incidence graph are tracked by a union-find over links, amended per event; on an
@@ -36,10 +37,11 @@ on the same persistent state but decomposes by *saturated* links instead of
 topological connectivity, which keeps per-event cost O(perturbation) even when the
 incidence is one giant component — see that module's docstring.
 
-All three allocators fill through one kernel: :func:`_compress_links` narrows the
-entries to the links they touch and :func:`repro.sim.fairshare.leveled_fill` runs
-the progressive filling over them, whether the entries are the whole live pool, one
-component (a singleton included) or one bottleneck region.
+All three allocators fill through one kernel, :func:`repro.sim.fairshare.leveled_fill`,
+whether the entries are the whole live pool, one component (a singleton included)
+or one bottleneck region.  The pool and a region fill over the links
+:func:`_compress_links` finds them touching; a component fills over its root's own
+link list.
 """
 
 from __future__ import annotations
@@ -101,7 +103,6 @@ class AllocationState:
         self.pool_links = np.zeros(_MIN_POOL, dtype=np.int64)
         self.pool_slots = np.full(_MIN_POOL, self.sentinel, dtype=np.int64)
         self.used = 0
-        self.live = 0
         self.active_caps = 0
         self.seg_start = np.zeros(num_flows, dtype=np.int64)
         self.seg_cap = np.zeros(num_flows, dtype=np.int64)
@@ -173,13 +174,11 @@ class AllocationState:
         n = len(links)
         self.pool_links[start:start + n] = links
         self.pool_slots[start:start + n] = slot
-        self.pool_links[start + n:start + capacity] = 0
         # trailing slack is pre-marked dead by _grow's sentinel fill
         self.seg_start[slot] = start
         self.seg_cap[slot] = capacity
         self.seg_len[slot] = n
         self.used += capacity
-        self.live += n
         self.active_caps += capacity
         self.active_mask[slot] = True
 
@@ -188,47 +187,40 @@ class AllocationState:
         start = int(self.seg_start[slot])
         n = int(self.seg_len[slot])
         self.pool_slots[start:start + n] = self.sentinel
-        self.live -= n
         self.active_caps -= int(self.seg_cap[slot])
         self.active_mask[slot] = False
 
-    def replace_paths(self, slots: np.ndarray, inj: np.ndarray, ej: np.ndarray,
-                      mid_pool: np.ndarray, mid_starts: np.ndarray,
-                      mid_lens: np.ndarray) -> None:
-        """Rewrite the segments of ``slots`` to ``[inj, mids..., ej]`` in place.
+    def replace_paths(self, slots: np.ndarray, ej: np.ndarray, mid_pool: np.ndarray,
+                      mid_starts: np.ndarray, mid_lens: np.ndarray) -> None:
+        """Rewrite the segments of ``slots`` to ``[inject, mids..., ej]`` in place.
 
         ``mid_starts``/``mid_lens`` slice the candidate bank's ``mid_pool``; every
-        new path fits because segment capacities cover the longest candidate.
+        new path fits because segment capacities cover the longest candidate.  A
+        flow keeps its injection link, so the segment's first entry stays as it
+        is.  The entries a shorter path leaves behind go dead; their links are
+        left in place (a dead entry's link is never read).
         """
         if not slots.size:
             return
         starts = self.seg_start[slots]
-        caps = self.seg_cap[slots]
-        old_lens = self.seg_len[slots]
-        new_lens = mid_lens + 2
         mid_ends = mid_lens.cumsum()
         mid_total = int(mid_ends[-1])
         if mid_total:
             offsets = mid_ends - mid_lens
             idx = np.arange(mid_total)
-            src = (mid_starts - offsets).repeat(mid_lens) + idx
             dst = (starts + 1 - offsets).repeat(mid_lens) + idx
-            self.pool_links[dst] = mid_pool[src]
+            self.pool_links[dst] = mid_pool[(mid_starts - offsets).repeat(mid_lens) + idx]
             self.pool_slots[dst] = slots.repeat(mid_lens)
-        self.pool_links[starts] = inj
-        self.pool_slots[starts] = slots
-        self.pool_links[starts + new_lens - 1] = ej
-        self.pool_slots[starts + new_lens - 1] = slots
-        slack = caps - new_lens
-        slack_ends = slack.cumsum()
-        slack_total = int(slack_ends[-1])
-        if slack_total:
-            idx = np.arange(slack_total)
-            dst = (starts + new_lens - slack_ends + slack).repeat(slack) + idx
-            self.pool_links[dst] = 0
-            self.pool_slots[dst] = self.sentinel
+        new_lens = mid_lens + 2
+        ends = starts + new_lens
+        self.pool_links[ends - 1] = ej
+        self.pool_slots[ends - 1] = slots
+        left = self.seg_len[slots] - new_lens
         self.seg_len[slots] = new_lens
-        self.live += mid_total + 2 * slots.size - int(old_lens.sum())
+        most = left[left.argmax()]
+        if most > 0:
+            cols = np.arange(most)
+            self.pool_slots[(ends[:, None] + cols)[cols < left[:, None]]] = self.sentinel
 
     def compact(self, order: np.ndarray) -> None:
         """Rebuild the pool tightly over ``order`` (the ascending active slots)."""
@@ -251,7 +243,6 @@ class AllocationState:
         self.pool_links, self.pool_slots = links, slots
         self.seg_start[order] = new_starts
         self.used = total
-        self.live = n_live
         self.compactions += 1
 
     def maybe_compact(self, order: np.ndarray) -> bool:
@@ -269,18 +260,17 @@ def _full_fill(state: AllocationState, capacities: np.ndarray, line_rate: float,
     Dead entries are dropped once, up front, and the live entries keep their
     ascending arrival order, so rates *and* the utilisation ``bincount`` (whose
     per-link sums see the same live terms in the same order) are bit-identical to
-    a fill over a freshly gathered active incidence.  Flow slots are relabelled to
-    positions in ``active`` (ascending, so ``searchsorted`` is exact) to keep the
-    per-round flow arrays O(|active|) instead of O(total flows).
+    a fill over a freshly gathered active incidence.  The fill runs over the slot
+    ids themselves: a flow's rate does not depend on its label, and the fill
+    touches per-flow arrays only through the entries.
     """
     entry_links, entry_slots = state.live_entries()
-    local = active.searchsorted(entry_slots)
     touched, compressed = _compress_links(entry_links, capacities.shape[0])
-    fair = leveled_fill(local, active.size, capacities[touched], compressed,
+    fair = leveled_fill(entry_slots, state.num_flows, capacities[touched], compressed,
                         touched.size)[0]
     np.minimum(fair, line_rate, out=fair)
-    rates_out[active] = fair
-    return np.bincount(entry_links, weights=fair[local] / capacities[entry_links],
+    rates_out[active] = fair[active]
+    return np.bincount(entry_links, weights=fair[entry_slots] / capacities[entry_links],
                        minlength=capacities.shape[0])
 
 
@@ -317,11 +307,10 @@ class FullAllocator:
         """Record one completion."""
         self.state.remove(slot)
 
-    def switch(self, slots: np.ndarray, inj: np.ndarray, ej: np.ndarray,
-               mid_pool: np.ndarray, mid_starts: np.ndarray,
-               mid_lens: np.ndarray) -> None:
+    def switch(self, slots: np.ndarray, ej: np.ndarray, mid_pool: np.ndarray,
+               mid_starts: np.ndarray, mid_lens: np.ndarray) -> None:
         """Record path switches (in-place segment rewrites)."""
-        self.state.replace_paths(slots, inj, ej, mid_pool, mid_starts, mid_lens)
+        self.state.replace_paths(slots, ej, mid_pool, mid_starts, mid_lens)
 
     def idle(self) -> None:
         """No active flows: all utilisations are zero."""
@@ -374,6 +363,7 @@ class IncrementalAllocator:
         self._members: Dict[int, List[int]] = {}     # root -> flow slots (may be stale)
         self._comp_links: Dict[int, List[int]] = {}  # root -> links owned by the root
         self._link_seen = np.zeros(num_links, dtype=bool)
+        self._relabel = np.zeros(num_links, dtype=np.int64)   # link -> position in its list
         self._dirty: set = set()
         self._ops = 0
         self._needs_full = True
@@ -447,11 +437,10 @@ class IncrementalAllocator:
         # removal can split the true component; only a rebuild re-separates it
         self._ops += 1
 
-    def switch(self, slots: np.ndarray, inj: np.ndarray, ej: np.ndarray,
-               mid_pool: np.ndarray, mid_starts: np.ndarray,
-               mid_lens: np.ndarray) -> None:
+    def switch(self, slots: np.ndarray, ej: np.ndarray, mid_pool: np.ndarray,
+               mid_starts: np.ndarray, mid_lens: np.ndarray) -> None:
         """Record path switches: rewrite segments, union new links into the roots."""
-        self.state.replace_paths(slots, inj, ej, mid_pool, mid_starts, mid_lens)
+        self.state.replace_paths(slots, ej, mid_pool, mid_starts, mid_lens)
         for slot in np.asarray(slots, dtype=np.int64):
             # the flow's old links already share its root; new middle links may
             # pull other components in (a merge) — all end up in one dirty root
@@ -522,15 +511,18 @@ class IncrementalAllocator:
             return np.empty(0, dtype=np.int64)
         member = np.asarray(alive, dtype=np.int64)
         entry_links, entry_flows = state.segment_entries(member)
-        touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
-        fair = leveled_fill(entry_flows, member.size, self.capacities[touched],
-                            compressed, touched.size)[0]
+        # fill over the root's whole link list (each link sits in one list): a
+        # link no member crosses carries no load, retires before the first
+        # round and reads utilisation 0
+        self._relabel[comp_links] = np.arange(comp_links.size)
+        compressed = self._relabel[entry_links]
+        fair = leveled_fill(entry_flows, member.size, self.capacities[comp_links],
+                            compressed, comp_links.size)[0]
         np.minimum(fair, self.line_rate, out=fair)
         rates_out[member] = fair
-        util = np.bincount(compressed, weights=fair[entry_flows]
-                           / self.capacities[entry_links], minlength=touched.size)
-        self.link_util[comp_links] = 0.0
-        self.link_util[touched] = util
+        self.link_util[comp_links] = np.bincount(
+            compressed, weights=fair[entry_flows] / self.capacities[entry_links],
+            minlength=comp_links.size)
         return member
 
     def _rebuild(self, active: np.ndarray, rates_out: np.ndarray) -> np.ndarray:

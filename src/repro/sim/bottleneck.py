@@ -162,9 +162,8 @@ class BottleneckAllocator:
         self._rates[slot] = 0.0
         self._seed_links.update(links)
 
-    def switch(self, slots: np.ndarray, inj: np.ndarray, ej: np.ndarray,
-               mid_pool: np.ndarray, mid_starts: np.ndarray,
-               mid_lens: np.ndarray) -> None:
+    def switch(self, slots: np.ndarray, ej: np.ndarray, mid_pool: np.ndarray,
+               mid_starts: np.ndarray, mid_lens: np.ndarray) -> None:
         """Record path switches: release old links' load, join the new links."""
         state = self.state
         slots = np.asarray(slots, dtype=np.int64)
@@ -172,7 +171,7 @@ class BottleneckAllocator:
             self._release(slot)
             self._dirty_slots.add(slot)
             self._ops += 1
-        state.replace_paths(slots, inj, ej, mid_pool, mid_starts, mid_lens)
+        state.replace_paths(slots, ej, mid_pool, mid_starts, mid_lens)
         for slot in slots.tolist():
             for link in set(state.flow_links(slot).tolist()):
                 self.link_members.setdefault(link, []).append(slot)
@@ -345,21 +344,20 @@ class BottleneckAllocator:
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """One full fill over the live pool entries; refresh every per-link cache.
 
-        Fills the same live entries, relabelled the same way and through the
-        same kernel, as :func:`repro.sim.allocstate._full_fill`, but keeps the
+        Fills the same live entries, over slot ids and through the same
+        kernel, as :func:`repro.sim.allocstate._full_fill`, but keeps the
         kernel's saturation rounds, so the saturated set comes out of the fill
         itself instead of being re-derived against a tolerance.  Returns the live
         ``(links, slots)`` entries it filled.
         """
         entry_links, entry_slots = self.state.live_entries()
-        local = active.searchsorted(entry_slots)
         touched, compressed = _compress_links(entry_links, self.capacities.shape[0])
-        fair, link_round, _ = leveled_fill(
-            local, active.size, self.capacities[touched], compressed, touched.size)
+        fair, link_round, _ = leveled_fill(entry_slots, self.state.num_flows,
+                                           self.capacities[touched], compressed,
+                                           touched.size)
         np.minimum(fair, self.line_rate, out=fair)
-        rates_out[active] = fair
-        self._rates[active] = fair
-        load = np.bincount(compressed, weights=fair[local], minlength=touched.size)
+        rates_out[active] = self._rates[active] = fair[active]
+        load = np.bincount(compressed, weights=fair[entry_slots], minlength=touched.size)
         self.link_load[:] = 0.0
         self.link_load[touched] = load
         self.link_util[:] = 0.0

@@ -39,9 +39,11 @@ What changes relative to the reference:
   batched selector call
   (:meth:`~repro.core.loadbalance.PathSelector.next_path_batch`) whose vectorized
   draws consume the selector RNG exactly as per-flow calls in arrival order would —
-  no per-flow Python callbacks on the hot path.  Faulted and unfaulted runs share
-  this sweep, and arrivals under a fault share the re-placement chooser
-  (survivors, else a detour, else a stall).
+  no per-flow Python callbacks on the hot path.  A selector that never moves a
+  flow (``PathSelector.reroutes`` is False: ECMP) skips the sweep, whose only
+  effect on it would be resetting flowlet byte counters that nothing else reads.
+  Faulted and unfaulted runs share this sweep, and arrivals under a fault share
+  the re-placement chooser (survivors, else a detour, else a stall).
 * **Shared link space** — the directed-link index space of a topology is built once
   and cached on the topology's :class:`~repro.kernels.cache.GraphKernels` entry
   (:func:`link_space_for`), so the many cells of a figure sweep stop rebuilding it.
@@ -431,9 +433,9 @@ class EngineCore:
     Slots are arrival positions.  The ``active`` array is ascending, and —
     because ingestion appends in start-time order and slot compaction renumbers
     order-preservingly — ascending slot order *is* arrival order: the invariant
-    both the full allocator's float accumulation (``searchsorted`` relabelling in
-    :func:`repro.sim.allocstate._full_fill`) and the selector RNG stream (batched
-    calls consume draws in arrival order) rely on.
+    both the full allocator's float accumulation (the pool's live entries sit in
+    ascending slot order, see :func:`repro.sim.allocstate._full_fill`) and the
+    selector RNG stream (batched calls consume draws in arrival order) rely on.
     """
 
     def __init__(self, sim: "FlowEngine", capacity: int,
@@ -464,6 +466,9 @@ class EngineCore:
             setattr(self, name, np.full(capacity, fill, dtype=dtype))
 
         self.active = np.empty(0, dtype=np.int64)   # arrival positions, ascending
+        #: Link utilisation as the switch sweep reads it: the allocator's, then
+        #: the bank's two sentinel links (:data:`_SENTINEL_UTIL`).
+        self.util = np.concatenate((np.zeros(self.num_links), _SENTINEL_UTIL))
         self.now = 0.0
         self.events = 0
         # persistent incidence + rate allocator (full: reference-equivalent refill
@@ -599,7 +604,9 @@ class EngineCore:
             if not (self.faults_on and self.stalled[completing]):
                 self.alloc.remove(completing)
             self.sink(self.make_record(completing, self.now))
-        if self.faults_on and self.faultrt.failed_links:
+        if not self.selector.reroutes:
+            pass    # a static selector (ECMP) never moves a flow: no sweep
+        elif self.faults_on and self.faultrt.failed_links:
             self.maybe_switch_paths_faulted()
         else:
             self.maybe_switch_paths()
@@ -613,11 +620,11 @@ class EngineCore:
         active = self.active
         if dt <= 0 or active.size == 0:
             return
-        remaining = self.remaining
         r = self.rate[active]
-        transferred = np.where(np.isfinite(r), r * dt, remaining[active])
-        np.minimum(transferred, remaining[active], out=transferred)
-        remaining[active] -= transferred
+        left = self.remaining[active]
+        transferred = np.where(np.isfinite(r), r * dt, left)
+        np.minimum(transferred, left, out=transferred)
+        self.remaining[active] = left - transferred
         self.bytes_since_switch[active] += transferred
 
     def admit_pending(self) -> None:
@@ -688,15 +695,13 @@ class EngineCore:
         in column ``path_index`` (see :meth:`_switch_sweep`).
         """
         active = self.active
-        if active.size == 0:
-            return
         counts = self.num_candidates[active]
         several = counts > 1
         rows = active[several]
         if rows.size == 0:
             return
         counts = counts[several]
-        cols = np.arange(int(counts.max()))
+        cols = np.arange(counts[counts.argmax()])
         ids = np.where(cols < counts[:, None], self.cand_first[rows][:, None] + cols, -1)
         self._switch_sweep(rows, ids, counts, self.path_index[rows])
 
@@ -744,30 +749,31 @@ class EngineCore:
         chosen table id minus ``cand_first``.
         """
         bank = self.bank
-        util = np.concatenate((self.alloc.link_util, _SENTINEL_UTIL))
+        util = self.util
+        util[:self.num_links] = self.alloc.link_util
         congestion = np.maximum.reduce(util.take(bank.hop_links.take(ids, axis=1)))
-        eligible_rows = (self.bytes_since_switch[rows] >= self.config.flowlet_bytes) \
-            | (congestion[np.arange(rows.size), currents] >= 1.0)
-        eligible = rows[eligible_rows]
-        if eligible.size == 0:
+        # integer positions, not boolean masks: ``take`` gathers 2-D rows faster
+        picked = ((self.bytes_since_switch[rows] >= self.config.flowlet_bytes)
+                  | (congestion[np.arange(rows.size), currents] >= 1.0)).nonzero()[0]
+        if picked.size == 0:
             return
-        ids, currents = ids[eligible_rows], currents[eligible_rows]
+        eligible, ids, currents = rows[picked], ids.take(picked, axis=0), currents[picked]
         new = self.selector.next_path_batch(
-            self.fid[eligible], currents, counts[eligible_rows],
-            congestion[eligible_rows], bank.cand_hops.take(ids))
+            self.fid[eligible], currents, counts[picked], congestion.take(picked, axis=0),
+            bank.cand_hops.take(ids))
         self.bytes_since_switch[eligible] = 0.0
-        switched = new != currents
-        changed = eligible[switched]
-        if changed.size:
-            chosen = ids[switched, new[switched]]
+        moved = (new != currents).nonzero()[0]
+        if moved.size:
+            changed = eligible[moved]
+            chosen = ids[moved, new[moved]]
             self.path_index[changed] = chosen - self.cand_first[changed]
             self.num_switches[changed] += 1
-            self.cand_start[changed] = bank.cand_start[chosen]
-            self.cand_len[changed] = bank.cand_len[chosen]
+            starts, lens = bank.cand_start[chosen], bank.cand_len[chosen]
+            self.cand_start[changed] = starts
+            self.cand_len[changed] = lens
             # amend the persistent incidence: switched segments are rewritten
             # in place (capacity covers the longest candidate of the pair)
-            self.alloc.switch(changed, self.inj_link[changed], self.ej_link[changed],
-                              bank.pool, self.cand_start[changed], self.cand_len[changed])
+            self.alloc.switch(changed, self.ej_link[changed], bank.pool, starts, lens)
 
     # ------------------------------------------------------------ fault events
     def alloc_add(self, a: int, capacity: int) -> None:
@@ -839,8 +845,8 @@ class EngineCore:
         elif changed_path:
             if new_len + 2 <= int(alloc.state.seg_cap[a]):
                 slot = np.array([a], dtype=np.int64)
-                alloc.switch(slot, self.inj_link[slot], self.ej_link[slot],
-                             bank.pool, self.cand_start[slot], self.cand_len[slot])
+                alloc.switch(slot, self.ej_link[slot], bank.pool, self.cand_start[slot],
+                             self.cand_len[slot])
             else:   # detour longer than the reserved segment: move to the end
                 alloc.remove(a)
                 self.alloc_add(a, max_links)

@@ -123,49 +123,60 @@ def leveled_fill(entry_flows: np.ndarray, num_flows: int, touched_caps: np.ndarr
     (:mod:`repro.sim.bottleneck`); :func:`bottleneck_levels` is the public
     uncompressed wrapper.
 
-    Two exact shortcuts keep the rounds cheap: the loads are counted once and
-    then lose each newly frozen flow's entries, and each flow receives the
-    running level of the round that froze it, the same sequential float sum the
-    reference's ``rates[unfixed] += increment`` accumulates.  Every flow index
-    in ``0..num_flows-1`` is filled; pass live entries only.
+    Capacities must be finite.  Three exact shortcuts keep each round to a
+    dozen array operations:
+
+    * the loads are recounted from a per-flow ``unfixed`` weight (1.0 until the
+      flow freezes), so a round freezes flows with one scatter;
+    * a link whose load reaches zero retires with ``remaining = +inf``, so its
+      headroom reads ``+inf`` and the round minimum is one ``argmin`` over all
+      touched links, with no active-link mask;
+    * a flow's rate is the level of the first round that saturated one of its
+      links (levels never decrease), gathered once after the last round.  That
+      level is the same sequential float sum the reference's
+      ``rates[unfixed] += increment`` accumulates.
+
+    Every flow index in ``0..num_flows-1`` is filled, and one with no entries
+    gets the final level; pass live entries only.
     """
-    rates = np.zeros(num_flows)
     link_round = np.full(num_touched, -1, dtype=np.int64)
     if compressed.size == 0 or num_touched == 0:
-        return rates, link_round, np.zeros(0)
+        return np.zeros(num_flows), link_round, np.zeros(0)
     level_rates = np.empty(num_touched + 1)
     rounds = 0
-    remaining = touched_caps
-    saturation_threshold = epsilon * remaining + epsilon
-    fixed = np.zeros(num_flows, dtype=bool)
-    load = np.bincount(compressed, minlength=num_touched)
+    remaining = touched_caps.copy()
+    saturation_threshold = epsilon * touched_caps + epsilon
+    unfixed = np.ones(num_flows)
     level = 0.0
     # every productive round permanently saturates at least one touched link (its
-    # live load then stays zero), so ``num_touched`` bounds the round count
+    # load then stays zero), so ``num_touched`` bounds the round count
     for rnd in range(num_touched + 1):
-        active_links = load > 0
-        if not active_links.any():
-            break
-        increment = float((remaining[active_links] / load[active_links]).min())
+        load = np.bincount(compressed, weights=unfixed[entry_flows],
+                           minlength=num_touched)
+        np.putmask(remaining, load == 0, np.inf)
+        headroom = remaining / load
+        k = headroom.argmin()
+        increment = float(headroom[k])
+        if increment == np.inf:
+            break    # every touched link has retired
         if increment <= 0:
             increment = 0.0
         level += increment
-        remaining = remaining - load * increment
-        saturated = active_links & (remaining <= saturation_threshold)
-        if not saturated.any():
+        remaining -= load * increment
+        saturated = remaining <= saturation_threshold
+        # the argmin link saturates up to float slack, so ``any`` rarely runs
+        if not saturated[k] and not saturated.any():
             # no link saturates (should not happen with finite capacities); freeze all
             break
         level_rates[rnd] = level
         rounds = rnd + 1
         # a saturated link loses all its flows this round, so it saturates once
         link_round[saturated] = rnd
-        hit = entry_flows[saturated[compressed]]
-        frozen = np.zeros(num_flows, dtype=bool)
-        frozen[hit] = ~fixed[hit]
-        rates[frozen] = level
-        fixed |= frozen
-        load -= np.bincount(compressed[frozen[entry_flows]], minlength=num_touched)
-    rates[~fixed] = level
+        unfixed[entry_flows.compress(saturated[compressed])] = 0.0
+    # links that keep slack (round -1) read the final level
+    level_rates[rounds] = level
+    rates = np.full(num_flows, level)
+    np.minimum.at(rates, entry_flows, level_rates[:rounds + 1][link_round][compressed])
     return rates, link_round, level_rates[:rounds]
 
 

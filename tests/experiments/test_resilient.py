@@ -433,10 +433,6 @@ class TestRunnerFlags:
         assert runner_main(["tab05", "--seeds", "0", "--verbose-errors"]) == 0
         out = capsys.readouterr().out
         assert "traceback" not in out  # healthy cells stay quiet
-        # force a failure: valid experiment, invalid option via bad topology
-        cells_exit = runner_main(
-            ["fig06", "--seeds", "0,1", "--verbose-errors"])
-        assert cells_exit == 0
 
     def test_verbose_errors_surfaces_failed_cell(self, capsys, monkeypatch):
         import repro.experiments.grid as grid_mod

@@ -109,10 +109,10 @@ class SyntheticFlows:
         del self.current[slot]
 
     def switch(self, slot, cand):
-        inj, ej, cands = self.flows[slot]
+        _, ej, cands = self.flows[slot]
         start, k = cands[cand]
-        args = (np.asarray([slot]), np.asarray([inj]), np.asarray([ej]),
-                self.mid_pool, np.asarray([start]), np.asarray([k]))
+        args = (np.asarray([slot]), np.asarray([ej]), self.mid_pool,
+                np.asarray([start]), np.asarray([k]))
         for alloc in (self.full, self.incremental):
             alloc.switch(*args)
         self.current[slot] = cand

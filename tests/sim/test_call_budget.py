@@ -17,6 +17,11 @@ table, the one-sweep switch scan and the live-entry fill, and 100.0 with them
 faulted and unfaulted switching share one sweep method and every allocator fills
 through ``fairshare.leveled_fill`` (which also records saturation rounds), the
 count is 102.5: one more frame per event for the sweep, two allocations per fill.
+Measured again on the same interpreter, that code read 103.0.  Fill rounds that
+retire links with ``np.putmask`` and freeze flows through ``ndarray.compress``,
+and a sweep that subsets rows by ``nonzero`` and ``take``, issue calls where the
+operator forms they replaced issued none, but they cut the time per event: the
+count is 105.2.
 """
 
 import cProfile

@@ -25,6 +25,11 @@ track the performance trajectory across PRs into one committed JSON file:
   ``resilient_overhead`` ratio must stay ≤ 1.15x (asserted in CI by
   ``benchmarks/test_bench_grid.py::test_grid_resilient_overhead``; see
   ``docs/resilience.md``);
+* ``engine_replay`` — the flow engine's two per-event kernels replayed on their
+  own, over inputs captured from one fatpaths stream and one fig17 cell (see
+  ``benchmarks/test_bench_kernels.py``): microseconds per progressive fill
+  (:func:`repro.sim.fairshare.leveled_fill`) and per adaptive selector draw
+  (``FlowletSelector.next_path_batch``), with the number of calls replayed;
 * ``spain_build`` — the scalar SPAIN spec
   (:func:`repro.kernels.reference.spain_layers_python`) vs the batched
   :func:`repro.routing.spain.build_spain_layers` on Figure 9's SPAIN
@@ -74,6 +79,8 @@ BENCHMARKS = {
     "test_bench_spain_build_reference_scalar": ("spain_build", "reference"),
     "test_bench_spain_build_batched": ("spain_build", "batched"),
     "test_bench_scenario[fig09]": ("spain_build", "fig09_cell"),
+    "test_bench_fill_replay": ("engine_replay", "fill"),
+    "test_bench_draw_replay": ("engine_replay", "draw"),
 }
 
 #: extra_info keys copied verbatim into a section (beyond the shared "events").
@@ -129,6 +136,11 @@ def consolidate(scale: str, bench_json: dict) -> dict:
         for key in EXTRA_INFO_KEYS:
             if key in extra:
                 entry[key] = int(extra[key])
+        calls = extra.get("calls")
+        if calls:
+            # a replay of many captured calls: report the time of one
+            entry[f"{role}_calls"] = int(calls)
+            entry[f"{role}_us_per_call"] = round(seconds / int(calls) * 1e6, 1)
     for section, (baseline, fast) in SPEEDUPS.items():
         entry = sections.get(section, {})
         base, quick = entry.get(f"{baseline}_seconds"), entry.get(f"{fast}_seconds")
