@@ -9,7 +9,7 @@
 * :mod:`repro.core.fatpaths` — the :class:`FatPathsRouting` facade that builds layers +
   tables for a topology and exposes multi-path routing to the simulators and LPs.
 * :mod:`repro.core.loadbalance` — flowlet switching, LetFlow, ECMP hashing and
-  per-packet spraying path selectors.
+  oblivious spraying path selectors.
 * :mod:`repro.core.transport` — transport models: purified (NDP-like), TCP, DCTCP.
 * :mod:`repro.core.mapping` — randomized workload mapping.
 """

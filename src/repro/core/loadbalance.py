@@ -10,8 +10,12 @@ next batch of bytes travels on.  The selectors model the schemes compared in the
   congestion- and length-aware (FatPaths: the receiver requests a layer change when it
   observes trimmed payloads, and flowlet elasticity sends more bytes over shorter,
   less congested paths).
-* :class:`PacketSpraySelector` — per-packet / per-chunk oblivious spraying (NDP's
-  default on Clos): all candidate paths are used simultaneously in equal shares.
+* :class:`PacketSpraySelector` — oblivious spraying (NDP's default on Clos): a
+  uniformly random candidate at every switch opportunity, ignoring load and length.
+  A flow still travels one path at a time.  The flow-level simulators offer a switch
+  at each flowlet boundary (64 KiB by default) and when the current path is
+  congested; the packet-level ones at each flowlet boundary (8 packets by default)
+  and on a NACK.
 
 Selectors are deliberately simulator-agnostic: they only need the candidate paths and a
 callable reporting current path congestion, so both the flow-level and the packet-level
@@ -44,9 +48,6 @@ def _fnv1a(value: int) -> int:
 
 class PathSelector(abc.ABC):
     """Interface: pick a candidate-path index for the next flowlet/packet batch."""
-
-    #: True if the selector distributes a flow over all paths simultaneously.
-    sprays: bool = False
 
     #: False if :meth:`next_path` never moves a flow, so a simulator can skip
     #: evaluating switches for it altogether.
@@ -91,11 +92,6 @@ class PathSelector(abc.ABC):
                 congestion=lambda i, values=row_loads: float(values[i]),
                 path_lengths=path_lengths[row, :int(n)])
         return out
-
-    def spray_weights(self, num_paths: int,
-                      path_lengths: Optional[Sequence[int]] = None) -> np.ndarray:
-        """Per-path traffic shares for spraying selectors (uniform by default)."""
-        return np.full(num_paths, 1.0 / num_paths)
 
 
 @dataclass
@@ -299,10 +295,10 @@ class FlowletSelector(PathSelector):
 
 @dataclass
 class PacketSpraySelector(PathSelector):
-    """Per-packet oblivious load balancing (NDP on Clos): equal shares on all paths."""
+    """Oblivious load balancing (NDP on Clos): a uniformly random candidate at the
+    flow's start and at each switch opportunity the simulator offers."""
 
     seed: int = 0
-    sprays: bool = True
 
     def __post_init__(self) -> None:
         self._rng = np.random.default_rng(self.seed)
@@ -323,6 +319,3 @@ class PacketSpraySelector(PathSelector):
             return np.array([self._rng.integers(0, int(num_paths[0]))],
                             dtype=np.int64)
         return self._rng.integers(0, np.asarray(num_paths, dtype=np.int64))
-
-    def spray_weights(self, num_paths, path_lengths=None):
-        return np.full(num_paths, 1.0 / num_paths)

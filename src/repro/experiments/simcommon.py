@@ -11,8 +11,9 @@ Stack names
 ``fatpaths``        FatPaths layered routing + adaptive flowlet balancing + purified (NDP) transport
 ``fatpaths_rho1``   FatPaths with minimal-only layers (rho = 1)
 ``fatpaths_tcp``    FatPaths layers + flowlets on a TCP transport (the §VII-C cloud setting)
-``ndp``             Minimal-path (ECMP-style) candidates + per-packet spraying + NDP transport
-                    (the fat-tree baseline of Handley et al.)
+``ndp``             Minimal-path (ECMP-style) candidates + oblivious spraying (a uniformly
+                    random candidate at each flowlet boundary or congestion signal) + NDP
+                    transport (the fat-tree baseline of Handley et al.)
 ``ecmp``            Minimal-path candidates + static flow hashing + TCP (lower bound)
 ``letflow``         Minimal-path candidates + non-adaptive flowlet switching + TCP
 """

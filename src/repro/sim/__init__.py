@@ -19,8 +19,8 @@
 * :mod:`repro.sim.packetsim` — the packet-level simulation entry point: output queues,
   NDP-style payload trimming and receiver-driven pulls, exercising the purified
   transport mechanics directly.  Runs the vectorized :mod:`repro.sim.packetengine`,
-  which is pinned against the scalar :mod:`repro.sim.packetsim_reference` and replays
-  a run on it when the run exceeds ``max_events``.
+  which is pinned against the scalar :mod:`repro.sim.packetsim_reference`; both
+  raise the same error for a run that exceeds ``max_events``.
 * :mod:`repro.sim.stream` — the streaming service layer over the flow engine:
   open-ended arrival streams with bounded memory (periodic slot/pool/bank
   compaction), checkpoint/restore, and windowed steady-state metrics

@@ -423,7 +423,7 @@ class EngineCore:
     fault runtime and the event counters of a single run.  Two drivers share it:
 
     * :meth:`FlowEngine.run` — the batch driver: ingests the whole (sorted)
-      workload once, steps until every flow is admitted and finished, drains;
+      workload once and steps until every flow is admitted and finished;
       record-for-record identical to the scalar reference simulator.
     * :class:`repro.sim.stream.StreamSimulator` — the streaming driver: ingests
       open-ended arrival chunks (:meth:`ensure_capacity` doubles the arrays),
@@ -907,14 +907,6 @@ class EngineCore:
             path_hops=hops, num_path_switches=int(self.num_switches[a]),
             congestion_events=int(self.congestion_events[a]))
 
-    def drain_record(self, a: int) -> FlowRecord:
-        """The record a still-active flow would get if drained right now
-        (the ``max_events`` truncation path, same rate floor as the reference)."""
-        a = int(a)
-        horizon = self.now + self.remaining[a] / max(float(self.rate[a]),
-                                                     self.config.rate_epsilon)
-        return self.make_record(a, horizon)
-
     def meta(self) -> Dict[str, object]:
         """The run's meta dict (event/fault/allocator counters)."""
         meta: Dict[str, object] = {
@@ -1060,14 +1052,11 @@ class FlowEngine:
         core = EngineCore(self, len(arrivals), records.append)
         core.set_mapping(mapping)
         core.ingest(arrivals)
-        config = self.config
-        while (core.admit_idx < core.count or core.active.size) \
-                and core.events < config.max_events:
+        # Every step admits one arrival instant, completes one flow or applies one
+        # fault epoch, so the loop ends.  A fault epoch after the last completion
+        # is never an event, as in the reference.
+        while core.admit_idx < core.count or core.active.size:
             core.step()
-        # drain any flows left when max_events was hit (same rate floor as the
-        # completion search, matching the reference)
-        for a in core.active:
-            records.append(core.drain_record(int(a)))
         records.sort(key=lambda r: r.flow_id)
         return SimulationResult(records=records, name=workload.name, meta=core.meta())
 

@@ -38,8 +38,9 @@ def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np
     link_capacities:
         Capacity of each link (same unit as the returned rates, e.g. bytes/s).
     weights:
-        Optional per-flow weights (a flow of weight w behaves like w unit flows, used to
-        model packet-spraying subflows); defaults to 1.
+        Optional per-flow weights (a flow of weight w behaves like w unit flows);
+        defaults to 1.  No simulator passes them: every flow is one unit flow on
+        one path at a time.
     epsilon:
         Numerical slack when deciding link saturation.
 

@@ -25,11 +25,11 @@ architecture of :mod:`repro.sim.engine`:
   each link keeps a FIFO of (time, counter) drains that is applied *lazily* right
   before the next admission check reads that link's occupancy, and flushed in bulk
   at the end of the run.
-* **Truncation replays on the reference.**  A ``max_events`` budget truncates the
-  reference after an exact number of *pops*, dequeues included, which the lazy
-  drains never surface.  The loop detects the push counter crossing the budget,
-  rewinds the selector RNG and the trace, and the run is replayed on the scalar
-  :class:`~repro.sim.packetsim_reference.PacketLevelSimulator` over the same stack.
+* **The event budget is a guard.**  A run that needs more than ``max_events``
+  events raises the reference's ``RuntimeError``.  The reference counts pops,
+  dequeues included, which the lazy drains never surface; the loop compares the
+  push counter instead, and both checks fire on the same runs because every
+  pushed event is eventually popped.
 * **Selector calls through** :meth:`~repro.core.loadbalance.PathSelector.next_path_batch`
   with exact per-flow RNG replay: flowlet-boundary switches pass an all-zero load
   row (≡ the reference's ``congestion=None``) and NACK-triggered layer changes a
@@ -63,7 +63,6 @@ from repro.core.loadbalance import FlowletSelector, PathSelector
 from repro.core.transport import TransportModel, ndp_transport
 from repro.sim.engine import candidate_bank_for, link_space_for
 from repro.sim.metrics import FlowRecord, SimulationResult
-from repro.sim.packetsim_reference import PacketLevelSimulator
 from repro.sim.simconfig import PacketSimConfig
 from repro.topologies.base import Topology
 from repro.traffic.flows import Workload
@@ -74,10 +73,6 @@ _START, _HOP, _DELIVERED, _ACK, _NACK, _TIMEOUT = range(6)
 
 #: Head sentinel for the fast loop's queue merge: later than any real event.
 _NEVER = (float("inf"), -1, 0, 0, 0)
-
-
-class _EventBudgetExceeded(Exception):
-    """Raised inside :meth:`PacketEngine._run_fast` when pushes cross ``max_events``."""
 
 
 class PacketEngine:
@@ -103,47 +98,6 @@ class PacketEngine:
         self.final_link_state: Optional[dict] = None
         # (n_arr, lengths_row, n) selector batch rows per candidate entry
         self._sel_rows: Dict[int, Tuple[np.ndarray, np.ndarray, int]] = {}
-
-    # -------------------------------------------------------------------- run
-    def run(self, workload: Workload) -> SimulationResult:
-        """Simulate ``workload`` packet by packet; records match the scalar reference.
-
-        Runs the deque-merged fast loop.  If the event budget (``max_events``) is
-        exceeded, which the fast loop cannot truncate exactly because lazily
-        applied dequeues never surface as pops, the selector RNG and the trace are
-        rewound to this call's entry state and the run is replayed on the scalar
-        reference, which truncates pop for pop.
-
-        Besides the :class:`~repro.sim.metrics.SimulationResult`, the run leaves
-        ``self.final_link_state`` (per-link ``next_free``/``queued``/``trims``/
-        ``drops`` lists) and ``self.last_stats``: invariant counters the scalar
-        loop never tracked — the high-water queue occupancy over non-priority
-        admissions (``max_queued``), the number of priority enqueues past a full
-        queue (``priority_bypass``) and the per-flow in-flight high-water marks
-        (``max_in_flight``).  A replayed run leaves ``last_stats`` as ``None``
-        and no trace entries.
-        """
-        rng = getattr(self.selector, "_rng", None)
-        rng_state = rng.bit_generator.state if rng is not None else None
-        trace_len = len(self.trace) if self.trace is not None else 0
-        try:
-            return self._run_fast(workload)
-        except _EventBudgetExceeded:
-            if rng is not None:
-                rng.bit_generator.state = rng_state
-            if self.trace is not None:
-                del self.trace[trace_len:]
-        reference = PacketLevelSimulator(self.topology, self.routing,
-                                         selector=self.selector,
-                                         transport=self.transport, config=self.config)
-        result = reference.run(workload)
-        links = reference.links
-        self.last_stats = None
-        self.final_link_state = {"next_free": [link.next_free for link in links],
-                                 "queued": [link.queued for link in links],
-                                 "trims": [link.trims for link in links],
-                                 "drops": [link.drops for link in links]}
-        return result
 
     # ------------------------------------------------------------------ setup
     def _setup(self, workload: Workload):
@@ -183,13 +137,21 @@ class PacketEngine:
         pool = bank.pool
         return flows_list, totals, f_entry, f_path, f_idarr, events, counter, pool
 
-    # --------------------------------------------------------- the fast loop
-    def _run_fast(self, workload: Workload) -> SimulationResult:
-        """Deque-merged event loop: monotone sources stay FIFO, dequeues apply lazily.
+    # -------------------------------------------------------------------- run
+    def run(self, workload: Workload) -> SimulationResult:
+        """Simulate ``workload`` packet by packet; records match the scalar reference.
 
-        Raises :class:`_EventBudgetExceeded` as soon as the push counter crosses
-        ``max_events`` (the reference truncates whenever pushes outnumber the
-        budget, since every pushed event is eventually popped).
+        The deque-merged event loop keeps monotone sources in FIFOs and applies
+        dequeues lazily.  It raises ``RuntimeError`` as soon as the push counter
+        crosses ``max_events``, on exactly the runs the reference raises on.
+
+        Besides the :class:`~repro.sim.metrics.SimulationResult`, the run leaves
+        ``self.final_link_state`` (per-link ``next_free``/``queued``/``trims``/
+        ``drops`` lists) and ``self.last_stats``: invariant counters the scalar
+        loop never tracked — the high-water queue occupancy over non-priority
+        admissions (``max_queued``), the number of priority enqueues past a full
+        queue (``priority_bypass``) and the per-flow in-flight high-water marks
+        (``max_in_flight``).
         """
         cfg = self.config
         selector = self.selector
@@ -367,10 +329,11 @@ class PacketEngine:
                     src = 3
             if src == 0:
                 # every event cycle passes through the heap or the timeout FIFO,
-                # so checking the push budget on just these two sources detects
-                # truncation (incl. at termination) without a per-pop compare
+                # so checking the push budget on just these two sources catches
+                # every over-budget run (at termination at the latest) without a
+                # per-pop compare
                 if counter > max_events:
-                    raise _EventBudgetExceeded
+                    raise cfg.event_budget_error()
                 if not events:
                     break
                 heappop(events)
@@ -391,7 +354,7 @@ class PacketEngine:
                 continue
             else:
                 if counter > max_events:
-                    raise _EventBudgetExceeded
+                    raise cfg.event_budget_error()
                 to_q.popleft()
                 now, cnt, kind, fs, seq = ev
                 if seq in f_acked[fs] or f_done[fs] is not None:
@@ -529,4 +492,5 @@ class PacketEngine:
                                       "transport": self.transport.name,
                                       "events": counter,
                                       "total_trims": sum(link_trims),
-                                      "total_drops": sum(link_drops)})
+                                      "total_drops": sum(link_drops),
+                                      "unfinished_flows": f_done.count(None)})

@@ -15,8 +15,11 @@ Two implementations provide these semantics:
   verbatim as the behavioural specification
   (``tests/sim/test_packetengine_equivalence.py`` pins the engine to it
   record-for-record, event trace included).  To run it, construct
-  :class:`PacketLevelSimulator` directly; the engine itself replays a run on it
-  when the run exceeds ``max_events``.
+  :class:`PacketLevelSimulator` directly.
+
+Both raise the same ``RuntimeError`` for a run that needs more than
+``PacketSimConfig.max_events`` events, and both count in ``meta["unfinished_flows"]``
+the flows that never complete (see ``docs/experiments.md``).
 
 This module also re-exports :class:`PacketSimConfig` and
 :class:`PacketLevelSimulator` so existing imports keep working.

@@ -178,7 +178,9 @@ class PacketLevelSimulator:
             push(flow.start_time, "flow_start", flow.flow_id)
 
         processed = 0
-        while events and processed < cfg.max_events:
+        while events:
+            if processed >= cfg.max_events:
+                raise cfg.event_budget_error()
             processed += 1
             now, _, kind, payload = heapq.heappop(events)
             if kind == "flow_start":
@@ -198,6 +200,9 @@ class PacketLevelSimulator:
             elif kind == "dequeue":
                 self._handle_dequeue(payload)
 
+        # A flow whose tail-dropped retransmission is never resent (timeouts are
+        # armed for first transmissions only) never completes; its record takes
+        # the last event's time and ``unfinished_flows`` counts it.
         records = []
         for flow in workload:
             state = flows[flow.flow_id]
@@ -214,7 +219,10 @@ class PacketLevelSimulator:
                                       "transport": self.transport.name,
                                       "events": processed,
                                       "total_trims": sum(l.trims for l in self.links),
-                                      "total_drops": sum(l.drops for l in self.links)})
+                                      "total_drops": sum(l.drops for l in self.links),
+                                      "unfinished_flows": sum(
+                                          flows[flow.flow_id].completion_time is None
+                                          for flow in workload)})
 
     # ----------------------------------------------------------------- sending
     def _send_next(self, now: float, state: _FlowState, push, seq: Optional[int] = None,

@@ -336,7 +336,10 @@ class FlowLevelSimulator:
                     best_time, best_flow = t, fid
             return best_time, best_flow
 
-        while (arrival_idx < len(arrivals) or active) and events < self.config.max_events:
+        # Every event admits one arrival instant, completes one flow or applies one
+        # fault epoch, so the loop ends.  A fault epoch after the last completion is
+        # never an event.
+        while arrival_idx < len(arrivals) or active:
             events += 1
             completion_time, completing = next_completion()
             next_arrival = arrivals[arrival_idx].start_time if arrival_idx < len(arrivals) else np.inf
@@ -409,11 +412,6 @@ class FlowLevelSimulator:
             maybe_switch_paths()
             recompute_rates()
 
-        # drain any flows left when max_events was hit (the completion-time floor uses
-        # config.rate_epsilon, the same resolution next_completion applies)
-        for state in active.values():
-            records.append(self._record(state, now + state.remaining
-                                        / max(state.rate, self.config.rate_epsilon)))
         records.sort(key=lambda r: r.flow_id)
         meta = {"topology": self.topology.name,
                 "routing": getattr(self.routing, "name", type(self.routing).__name__),

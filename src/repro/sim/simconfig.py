@@ -44,7 +44,6 @@ class FlowSimConfig:
     flowlet_bytes: float = 64 * 1024.0   # bytes between flowlet path re-evaluations
     congestion_rate_fraction: float = 0.5  # "congested" = rate below this fraction of line rate
     rate_epsilon: float = 1.0            # bytes/s resolution for completion times
-    max_events: int = 5_000_000
     allocator: str = "full"   # engine rate allocator ("full" | "incremental" | "bottleneck")
     #: Optional link/switch failure-and-recovery schedule (see
     #: :mod:`repro.sim.faults`); ``None`` runs on a static topology.
@@ -64,8 +63,6 @@ class FlowSimConfig:
             raise ValueError("congestion_rate_fraction must lie in [0, 1]")
         if not 0 < self.rate_epsilon < inf:
             raise ValueError("rate_epsilon must be positive and finite")
-        if not self.max_events >= 1:
-            raise ValueError("max_events must be >= 1")
         if self.allocator not in ALLOCATORS:
             raise ValueError(
                 f"unknown allocator {self.allocator!r}; available: {ALLOCATORS}")
@@ -119,7 +116,7 @@ class PacketSimConfig:
     host_latency: float = 1e-6
     flowlet_packets: int = 8                  # packets per flowlet before re-picking a path
     rto: float = 500e-6                       # retransmission timeout for non-NDP transports
-    max_events: int = 5_000_000
+    max_events: int = 5_000_000               # a run needing more events raises RuntimeError
 
     def __post_init__(self) -> None:
         if not self.packet_bytes > self.header_bytes:
@@ -132,3 +129,8 @@ class PacketSimConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if not self.max_events >= 1:
             raise ValueError("max_events must be >= 1")
+
+    def event_budget_error(self) -> RuntimeError:
+        """The error both packet simulators raise for a run needing more than
+        ``max_events`` events."""
+        return RuntimeError(f"packet run needs more than max_events={self.max_events} events")

@@ -59,16 +59,6 @@ class TestFlowletSelector:
 
 
 class TestPacketSpray:
-    def test_sprays_flag(self):
-        assert PacketSpraySelector().sprays
-        assert not EcmpSelector().sprays
-
-    def test_uniform_weights(self):
-        w = PacketSpraySelector().spray_weights(5)
-        assert w.shape == (5,)
-        assert np.allclose(w.sum(), 1.0)
-        assert np.allclose(w, 0.2)
-
     def test_next_path_random(self):
         sel = PacketSpraySelector(seed=0)
         picks = {sel.next_path(1, 0, 6) for _ in range(100)}

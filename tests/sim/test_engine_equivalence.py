@@ -2,7 +2,8 @@
 reference simulator *record for record* — flow ids, hops, path-switch and
 congestion-episode counts exactly; completion times and throughputs to 1e-9 relative —
 across every simcommon stack, multiple topologies, and the simulator's edge paths
-(same-router flows, single-path flows, sprayed flows, the max-events drain)."""
+(same-router flows, single-path flows, sprayed flows).  Both end every run on their
+own, after one event per arrival instant, completion and applied fault epoch."""
 
 import numpy as np
 import pytest
@@ -106,6 +107,27 @@ class TestAllStacks:
         assert_equivalent(reference, engine)
 
 
+class TestRunsEnd:
+    """A flow run ends on its own: each event admits one arrival instant,
+    completes one flow or applies one fault epoch, so the input fixes the event
+    count (a fault epoch after the last completion is not an event)."""
+
+    @pytest.mark.parametrize("faulted", [False, True], ids=["static", "faulted"])
+    @pytest.mark.parametrize("kind", ["uniform", "poisson"])
+    @pytest.mark.parametrize("stack_name", STACKS)
+    def test_event_count(self, topologies, workloads, stack_name, kind, faulted):
+        topo = topologies["SF"]
+        workload = workloads["SF"][kind]
+        faults = sample_link_faults(topo, 0.1, 0.0004, 0.0012,
+                                    np.random.default_rng(11)) if faulted else None
+        instants = len({flow.start_time for flow in workload})
+        for result in run_both(topo, stack_name, workload,
+                               config=FlowSimConfig(faults=faults)):
+            assert result.meta["events"] == (instants + len(workload)
+                                             + result.meta.get("fault_events", 0))
+            assert result.meta.get("fault_events", 0) >= faulted
+
+
 class TestEdgePaths:
     def test_same_router_flows(self, topologies):
         """Endpoints on one router take the synthetic single-hop candidate."""
@@ -138,20 +160,6 @@ class TestEdgePaths:
             random_permutation(topo.num_endpoints, np.random.default_rng(3)), 128 * 1024)
         reference, engine = run_both(topo, "ndp", workload)
         assert_equivalent(reference, engine)
-
-    def test_max_events_drain(self, topologies):
-        """Hitting the event budget drains remaining flows identically."""
-        topo = topologies["SF"]
-        workload = uniform_size_workload(
-            random_permutation(topo.num_endpoints,
-                               np.random.default_rng(1)).subsample(0.2,
-                                                                   np.random.default_rng(2)),
-            512 * 1024)
-        config = FlowSimConfig(max_events=3)
-        reference, engine = run_both(topo, "fatpaths", workload, config=config)
-        assert_equivalent(reference, engine)
-        assert reference.meta["events"] == 3
-        assert len(reference) == len(workload)   # every flow still produces a record
 
     def test_ecmp_selector_static_paths(self, topologies):
         """Hash-based selector: no RNG at all, still pinned."""
@@ -266,8 +274,9 @@ class TestFaultedRuns:
         assert reference.meta["stalls"] == 15
 
     def test_no_restore_drains_identically(self, topologies, workloads):
-        """Failures that never heal: displaced flows finish on detours (or stay
-        stalled until the max-events drain) the same way in both implementations."""
+        """Failures that never heal: displaced flows finish on detours (or, stalled
+        for good, at the ``rate_epsilon`` floor) the same way in both
+        implementations."""
         topo = topologies["HX3"]
         schedule = FaultSchedule.switch_outage([1], 0.0003)
         config = FlowSimConfig(faults=schedule)

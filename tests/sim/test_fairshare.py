@@ -149,7 +149,7 @@ class TestProgressiveFillingInvariants:
            seed=st.integers(0, 300))
     @settings(max_examples=40, deadline=None)
     def test_weighted_feasibility_and_certificate(self, num_flows, num_links, seed):
-        """Weighted (packet-spray subflow) allocations stay feasible and bottlenecked:
+        """Weighted allocations stay feasible and bottlenecked:
         link load counts each flow at weight * rate, and on some saturated link of
         every flow no other flow gets a higher rate."""
         caps, paths, weights = _random_flow_set(np.random.default_rng(seed), num_links,

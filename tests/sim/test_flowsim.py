@@ -168,8 +168,6 @@ class TestMetrics:
         (FlowSimConfig, {"congestion_rate_fraction": float("nan")}),
         (FlowSimConfig, {"rate_epsilon": 0.0}),
         (FlowSimConfig, {"rate_epsilon": float("inf")}),
-        (FlowSimConfig, {"max_events": 0}),
-        (FlowSimConfig, {"max_events": -5}),
         (StreamConfig, {"window": float("nan")}),
         (StreamConfig, {"window": float("inf")}),
         (StreamConfig, {"compact_factor": float("inf")}),
@@ -186,8 +184,7 @@ class TestMetrics:
         """Zero latencies, an infinite flowlet (never switch) and the closed
         ends of the congestion fraction stay valid."""
         FlowSimConfig(per_hop_latency=0.0, host_latency=0.0,
-                      flowlet_bytes=float("inf"), congestion_rate_fraction=1.0,
-                      max_events=1)
+                      flowlet_bytes=float("inf"), congestion_rate_fraction=1.0)
         FlowSimConfig(congestion_rate_fraction=0.0)
 
 

@@ -2,13 +2,14 @@
 the scalar packet simulator *record for record* — every FlowRecord field, every meta
 counter and the full per-link serialisation schedule bit-identically — across every
 simcommon stack (both transports), multiple topologies, and the simulator's edge
-paths (same-router flows, single-path routings, sprayed flows, the max-events
-truncation that the engine replays on the reference)."""
+paths (same-router flows, single-path routings, sprayed flows, flows that never
+finish).  Both raise the same error for a run that exceeds ``max_events``."""
 
 import numpy as np
 import pytest
 
 from repro.core.loadbalance import EcmpSelector, FlowletSelector
+from repro.experiments.common import topology_rng
 from repro.experiments.simcommon import STACKS, build_stack
 from repro.routing import EcmpRouting
 from repro.sim.packetengine import PacketEngine
@@ -193,54 +194,66 @@ class TestEdgePaths:
         assert_equivalent(*results)
 
 
-class TestMaxEventsDrain:
-    """Truncation semantics depend on the exact pop sequence, which the fast loop's
-    lazy dequeues cannot reproduce — these runs must detect the budget crossing,
-    rewind the selector RNG and the trace, and replay on the scalar reference."""
+class TestMaxEventsGuard:
+    """``max_events`` is a guard, not a truncation: a run that needs more events
+    raises the same one-line error in both simulators (the reference counts pops,
+    the engine pushes), and a budget that covers the run changes nothing."""
 
-    @pytest.mark.parametrize("budget", [3, 50, 500, 2000])
-    @pytest.mark.parametrize("stack_name", ["fatpaths", "fatpaths_tcp", "ndp"])
-    def test_truncated_runs_match(self, topologies, workloads, stack_name, budget):
-        config = PacketSimConfig(max_events=budget)
+    STACK_NAMES = ["fatpaths", "fatpaths_tcp", "ndp"]
+
+    @staticmethod
+    def _events(topologies, workloads, stack_name):
+        """The event count N of the unbudgeted run, plus its two results."""
+        results = run_both(topologies["SF"], stack_name, workloads["SF"]["uniform"])
+        assert_equivalent(*results)
+        return results[0].meta["events"], results
+
+    @pytest.mark.parametrize("budget", [3, 50, -1], ids=["3", "50", "N-1"])
+    @pytest.mark.parametrize("stack_name", STACK_NAMES)
+    def test_over_budget_raises(self, topologies, workloads, stack_name, budget):
+        if budget < 0:
+            budget += self._events(topologies, workloads, stack_name)[0]
+        messages = []
+        for sim in build_both(topologies["SF"], stack_name,
+                              config=PacketSimConfig(max_events=budget)):
+            with pytest.raises(RuntimeError, match=f"max_events={budget} ") as info:
+                sim.run(workloads["SF"]["uniform"])
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+        assert "\n" not in messages[0]
+
+    @pytest.mark.parametrize("offset", [0, 1], ids=["N", "N+1"])
+    @pytest.mark.parametrize("stack_name", STACK_NAMES)
+    def test_covering_budget_changes_nothing(self, topologies, workloads, stack_name,
+                                             offset):
+        full, unbudgeted = self._events(topologies, workloads, stack_name)
         workload = workloads["SF"]["uniform"]
-        ref_sim, eng_sim = build_both(topologies["SF"], stack_name, config=config)
+        ref_sim, eng_sim = build_both(topologies["SF"], stack_name,
+                                      config=PacketSimConfig(max_events=full + offset))
         reference, engine = ref_sim.run(workload), eng_sim.run(workload)
         assert_equivalent(reference, engine)
+        assert_equivalent(unbudgeted[1], engine)
         assert_link_state_equal(eng_sim, ref_sim)
-        assert reference.meta["events"] == budget
-        # every flow still produces a record (open flows close at the drain time)
-        assert len(reference) == len(workload)
+        assert eng_sim.last_stats is not None
 
-    @pytest.mark.parametrize("offset", [-1, 0, 1], ids=["N-1", "N", "N+1"])
-    @pytest.mark.parametrize("stack_name", ["fatpaths", "fatpaths_tcp", "ndp"])
-    def test_budget_boundary(self, topologies, workloads, stack_name, offset):
-        """Budgets around the untruncated run's event count N: N - 1 truncates and
-        replays on the reference (no invariant counters), N and N + 1 finish in
-        the fast loop; all three match the reference."""
-        topo = topologies["SF"]
-        workload = workloads["SF"]["uniform"]
-        full = run_both(topo, stack_name, workload)[1].meta["events"]
-        budget = full + offset
-        ref_sim, eng_sim = build_both(topo, stack_name,
-                                      config=PacketSimConfig(max_events=budget))
-        reference, engine = ref_sim.run(workload), eng_sim.run(workload)
+
+class TestUnfinishedFlows:
+    """Lossy (TCP) transports arm a retransmission timeout for a packet's first
+    transmission only, so a tail-dropped retransmission is never resent and its
+    flow never completes.  Both simulators count such flows; header-preserving
+    (NDP) transports never drop, so none of their flows is left unfinished."""
+
+    @pytest.mark.parametrize("stack_name, unfinished",
+                             [("ecmp", 2), ("fatpaths", 0), ("ndp", 0)])
+    def test_fidelity_workload(self, topologies, stack_name, unfinished):
+        """The ``fidelity`` scenario's FT3 workload at tiny scale and seed 0."""
+        topo = topologies["FT3"]
+        rng = topology_rng(0, "FT3")
+        workload = uniform_size_workload(
+            random_permutation(topo.num_endpoints, rng).subsample(0.2, rng), 96 * 1024)
+        reference, engine = run_both(topo, stack_name, workload)
         assert_equivalent(reference, engine)
-        assert_link_state_equal(eng_sim, ref_sim)
-        assert engine.meta["events"] == min(budget, full)
-        assert (eng_sim.last_stats is None) == (offset < 0)
-
-    def test_truncated_trace_is_rewound(self, topologies, workloads):
-        """The fast loop's partial trace is discarded before the replay on the
-        reference, so the trace ends exactly as it was on entry."""
-        topo = topologies["SF"]
-        stack = build_stack(topo, "fatpaths", seed=0)
-        eng_sim = PacketEngine(topo, stack.routing, selector=stack.selector,
-                               transport=stack.transport,
-                               config=PacketSimConfig(max_events=500), seed=0)
-        entry = [(0, 0.0)]
-        eng_sim.trace = list(entry)
-        eng_sim.run(workloads["SF"]["uniform"])
-        assert eng_sim.trace == entry
+        assert engine.meta["unfinished_flows"] == unfinished
 
 
 class TestDispatch:
