@@ -66,18 +66,14 @@ class FatPathsRouting:
         return len(self.layer_set)
 
     # ------------------------------------------------------------------ paths
-    def router_paths(self, source_router: int, target_router: int,
-                     unique: bool = True) -> List[List[int]]:
+    def router_paths(self, source_router: int, target_router: int) -> List[List[int]]:
         """Candidate router paths (one per layer, deduplicated) between two routers."""
         if source_router == target_router:
             return [[source_router]]
         key = (source_router, target_router)
-        if unique and key in self._path_cache:
-            return self._path_cache[key]
-        paths = self.tables.paths(source_router, target_router, unique=unique)
-        if unique:
-            self._path_cache[key] = paths
-        return paths
+        if key not in self._path_cache:
+            self._path_cache[key] = self.tables.paths(source_router, target_router)
+        return self._path_cache[key]
 
     def endpoint_paths(self, source_endpoint: int, target_endpoint: int) -> List[List[int]]:
         """Candidate router paths between the routers hosting two endpoints."""

@@ -136,8 +136,9 @@ def registry() -> Dict[str, str]:
 
 
 def run_experiment(name: str, scale: Scale | str = Scale.TINY, seed: int = 0,
-                   **kwargs) -> ExperimentResult:
+                   topologies: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Run one experiment by name through the shared scenario pipeline."""
     from repro.experiments.scenario import run_scenario, scenario_spec
 
-    return run_scenario(scenario_spec(name), scale=Scale(scale), seed=seed, **kwargs)
+    return run_scenario(scenario_spec(name), scale=Scale(scale), seed=seed,
+                        topologies=topologies)

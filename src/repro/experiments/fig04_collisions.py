@@ -28,7 +28,7 @@ _LABELS = {"CLIQUE": "Clique (D=1)", "SF": "Slim Fly (D=2)", "DF": "Dragonfly (D
 
 def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
-    for family in ctx.active(TOPOLOGY_NAMES):
+    for family in ctx.topologies:
         topo = build(family, size_class)
         rng = ctx.rng(family)
         n = topo.num_endpoints

@@ -34,7 +34,7 @@ def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
     num_samples = ctx.scale.pick(40, 120, 250)
     ctx.meta["num_samples"] = num_samples
-    for family in ctx.active(TOPOLOGY_NAMES):
+    for family in ctx.topologies:
         topo = _build(family, size_class, ctx.seed)
         rng = ctx.rng(family)
         for length in (2, 3, 4, 5):

@@ -31,6 +31,9 @@ from repro.traffic.worstcase import worst_case_pattern
 #: Equal layer budget for all layered schemes.
 NUM_LAYERS = 9
 
+#: Fraction of the worst-case matching's pairs that communicate (the paper's 0.55).
+INTENSITY = 0.55
+
 #: Topology families of the split axis (SF-JF is the Jellyfish twin of SF).
 TOPOLOGY_NAMES = ("SF", "DF", "HX3", "XP", "FT3", "SF-JF")
 
@@ -39,8 +42,7 @@ def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
     max_routers = ctx.scale.pick(24, 40, 60)      # matching size for the worst-case pattern
     max_commodities = ctx.scale.pick(60, 120, 200)
-    intensity = float(ctx.options.get("intensity", 0.55))
-    ctx.meta["intensity"] = intensity
+    ctx.meta["intensity"] = INTENSITY
     ctx.note(
         f"All layered schemes use the same layer budget (n = {NUM_LAYERS}); the "
         f"worst-case matching is restricted to {max_routers} routers and "
@@ -48,7 +50,7 @@ def _plan(ctx: ScenarioContext):
         "constructor prioritises the router pairs stressed by the pattern (the paper's "
         "M-bounded pair processing).")
 
-    for name in ctx.active(TOPOLOGY_NAMES):
+    for name in ctx.topologies:
         if name == "SF-JF":
             topo = equivalent_jellyfish(build("SF", size_class, seed=ctx.seed),
                                         seed=ctx.seed + 1)
@@ -56,7 +58,7 @@ def _plan(ctx: ScenarioContext):
             topo = build(name, size_class, seed=ctx.seed)
         # per-family streams: the worst-case matching already used a fresh
         # per-family generator; commodity subsampling now does too
-        pattern = worst_case_pattern(topo, intensity=intensity, max_routers=max_routers,
+        pattern = worst_case_pattern(topo, intensity=INTENSITY, max_routers=max_routers,
                                      rng=np.random.default_rng(ctx.seed))
         commodities = commodities_from_pattern(topo, pattern,
                                                max_commodities=max_commodities,
@@ -96,7 +98,6 @@ SCENARIO = ScenarioSpec(
     paper_reference="Figure 9",
     plan=_plan,
     topology_names=TOPOLOGY_NAMES,
-    option_names=("intensity",),
     base_columns=("topology", "N", "commodities", "fatpaths_interference",
                   "fatpaths_random", "spain", "past", "ksp"),
     notes=(

@@ -34,7 +34,7 @@ def _plan(ctx: ScenarioContext):
     layer_counts = ctx.scale.pick([2, 5, 9], [2, 5, 9, 16], [2, 5, 9, 16, 32])
     rhos = ctx.scale.pick([0.5, 0.8], [0.5, 0.7, 0.8], [0.5, 0.7, 0.8])
     fraction = ctx.scale.pick(0.25, 0.3, 0.3)
-    for topo_name in ctx.active(TOPOLOGY_NAMES):
+    for topo_name in ctx.topologies:
         topo = build(topo_name, size_class)
         rng = np.random.default_rng(ctx.seed)
         pattern = adversarial_offdiagonal(topo.num_endpoints, topo.concentration)

@@ -43,7 +43,7 @@ def _plan(ctx: ScenarioContext):
                                 [32 * KIB, 256 * KIB, 1 * MIB, 2 * MIB])
     fraction = ctx.scale.pick(0.15, 0.2, 0.15)
     histograms = ctx.meta.setdefault("fct_histograms", {})
-    for topo_name in ctx.active(TOPOLOGY_NAMES):
+    for topo_name in ctx.topologies:
         topo = _build(topo_name, size_class, ctx.seed)
         stack = build_stack(topo, "fatpaths", seed=ctx.seed,
                             routing_cache=ctx.routing_cache)

@@ -49,7 +49,7 @@ def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
     fraction = ctx.scale.pick(0.25, 0.3, 0.25)
     sizes = ctx.scale.pick(["200K", "2M"], list(FLOW_SIZES), list(FLOW_SIZES))
-    for topo_name in ctx.active(_families(ctx.scale)):
+    for topo_name in ctx.topologies:
         if topo_name == "JF":
             base = comparable_configurations(size_class, topologies=["SF"],
                                              seed=ctx.seed)["SF"]

@@ -34,7 +34,7 @@ def _plan(ctx: ScenarioContext):
     rhos = ctx.scale.pick([0.5, 0.7, 1.0], [0.5, 0.6, 0.8, 1.0],
                           [0.5, 0.6, 0.7, 0.8, 0.9, 1.0])
     fraction = ctx.scale.pick(0.3, 0.3, 0.25)
-    for topo_name in ctx.active(_families(ctx.scale)):
+    for topo_name in ctx.topologies:
         topo = comparable_configurations(size_class, topologies=[topo_name],
                                          seed=ctx.seed)[topo_name]
         rng = np.random.default_rng(ctx.seed)

@@ -44,7 +44,7 @@ def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
     sizes = ctx.scale.pick(["200K"], ["20K", "200K", "2M"], ["20K", "200K", "2M"])
     fraction = ctx.scale.pick(0.2, 0.25, 0.2)
-    for topo_name in ctx.active(_families(ctx.scale)):
+    for topo_name in ctx.topologies:
         topo = comparable_configurations(size_class, topologies=[topo_name],
                                          seed=ctx.seed)[topo_name]
         rng = np.random.default_rng(ctx.seed)

@@ -1,12 +1,11 @@
 """Parallel experiment grids: fan independent experiment cells across cores.
 
-An experiment *grid* is the cross product of experiment names, scales and seeds (plus
-optional per-cell keyword arguments) — exactly the sweeps the paper's figures are
-built from.  Cells are independent (each builds its own topologies, layers and
-routing state), so they parallelise embarrassingly over worker processes (see
-:mod:`repro.experiments.resilient`); each worker process grows its own
-:mod:`repro.kernels` path cache, which repeated cells on the same topology then
-share.
+An experiment *grid* is the cross product of experiment names, scales and seeds —
+exactly the sweeps the paper's figures are built from.  Cells are independent (each
+builds its own topologies, layers and routing state), so they parallelise
+embarrassingly over worker processes (see :mod:`repro.experiments.resilient`); each
+worker process grows its own :mod:`repro.kernels` path cache, which repeated cells on
+the same topology then share.
 
 Experiments that iterate several topology families inside one run used to be the
 slowest cells and bound the pool's wall clock.  :func:`split_heavy_cells` fans every
@@ -27,44 +26,28 @@ whole sweep.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.experiments.common import ExperimentResult, Scale
 
 
-def splittable_families(experiment: str) -> Optional[Tuple[str, ...]]:
-    """Topology families of a splittable experiment, or ``None``.
-
-    An experiment is splittable iff its scenario spec declares a
-    ``topology_names`` axis — the contract (see ``docs/experiments.md``) that its
-    pipeline run also accepts a matching ``topologies=`` filter with per-family
-    random streams.  Derived from the registered spec itself so the splitter can
-    never drift from the scenario's own family list.
-    """
-    from repro.experiments.scenario import scenario_spec
-
-    try:
-        spec = scenario_spec(experiment)
-    except KeyError:
-        return None
-    return spec.topology_names
-
-
 @dataclass(frozen=True)
 class GridCell:
-    """One (experiment, scale, seed[, kwargs]) cell of a sweep."""
+    """One (experiment, scale, seed) cell of a sweep.
+
+    ``topologies`` selects a subset of the scenario's family axis (the
+    per-topology cells of :func:`split_heavy_cells`); ``None`` runs every family.
+    """
 
     name: str
     scale: str = "tiny"
     seed: int = 0
-    kwargs: Tuple[Tuple[str, object], ...] = ()
+    topologies: Optional[Tuple[str, ...]] = None
 
     def label(self) -> str:
         """Human-readable cell identifier used by the grid summary report."""
-        extras = dict(self.kwargs)
-        topo = extras.get("topologies")
-        suffix = f",topo={'+'.join(topo)}" if topo else ""
+        suffix = f",topo={'+'.join(self.topologies)}" if self.topologies else ""
         return f"{self.name}[scale={self.scale},seed={self.seed}{suffix}]"
 
 
@@ -96,19 +79,17 @@ class GridCellResult:
 
 
 def make_grid(names: Sequence[str], scales: Sequence[str] = ("tiny",),
-              seeds: Sequence[int] = (0,),
-              kwargs: Optional[Dict[str, object]] = None) -> List[GridCell]:
+              seeds: Sequence[int] = (0,)) -> List[GridCell]:
     """The cross product of names x scales x seeds as grid cells."""
-    fixed = tuple(sorted((kwargs or {}).items()))
-    return [GridCell(name=n, scale=str(Scale(s).value), seed=int(seed), kwargs=fixed)
+    return [GridCell(name=n, scale=str(Scale(s).value), seed=int(seed))
             for n in names for s in scales for seed in seeds]
 
 
 def split_heavy_cells(cells: Iterable[GridCell]) -> List[GridCell]:
     """Fan each splittable experiment cell into one cell per topology family.
 
-    Cells of experiments without :func:`splittable_families`, and cells that
-    already carry an explicit ``topologies`` selection, pass through unchanged.
+    Cells of experiments whose spec declares no ``topology_names`` axis, and
+    cells that already carry a ``topologies`` selection, pass through unchanged.
     Specs that narrow their axis per scale (``ScenarioSpec.families_at``) only
     spawn the families that actually run at the cell's scale — no zero-row cells.
     The finer cells keep the original order (grouped per parent cell), so summary
@@ -124,12 +105,10 @@ def split_heavy_cells(cells: Iterable[GridCell]) -> List[GridCell]:
             out.append(cell)
             continue
         families = spec.families_at(cell.scale)
-        if not families or any(key == "topologies" for key, _ in cell.kwargs):
+        if not families or cell.topologies is not None:
             out.append(cell)
             continue
-        for family in families:
-            out.append(GridCell(name=cell.name, scale=cell.scale, seed=cell.seed,
-                                kwargs=cell.kwargs + (("topologies", (family,)),)))
+        out.extend(replace(cell, topologies=(family,)) for family in families)
     return out
 
 
@@ -161,17 +140,15 @@ def combine_cell_results(results: Iterable[GridCellResult]) -> List[ExperimentRe
     subsets in family order; concatenating them reproduces the unsplit run's table
     (the split contract of the scenario pipeline's common row schema).  Rows and
     dict-valued metadata merge across cells; notes deduplicate in first-seen order;
-    failed cells are skipped (they are visible in the grid summary).  Cells that
-    differ in non-``topologies`` kwargs (distinct configurations of one
-    experiment) are kept apart, and the per-cell results are never mutated.
+    failed cells are skipped (they are visible in the grid summary), and the
+    per-cell results are never mutated.
     """
     merged: Dict[Tuple, ExperimentResult] = {}
     order: List[Tuple] = []
     for r in results:
         if r.result is None:
             continue
-        options = tuple((k, v) for k, v in r.cell.kwargs if k != "topologies")
-        key = (r.cell.name, r.cell.scale, r.cell.seed, options)
+        key = (r.cell.name, r.cell.scale, r.cell.seed)
         current = merged.get(key)
         if current is None:
             result = r.result

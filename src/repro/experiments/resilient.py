@@ -30,7 +30,7 @@ and the ``fatpaths-experiment`` CLI:
   :class:`~repro.experiments.grid.GridCellResult`.
 * **Journaled resume** — completed cells append one JSON line to a
   :class:`CellJournal` keyed by :func:`cell_fingerprint` (name, scale, seed,
-  kwargs — deliberately code-irrelevant).  Lines are written atomically
+  topologies — deliberately code-irrelevant).  Lines are written atomically
   (single ``write`` + flush + fsync) with a format version and a SHA-256 of
   their content, the loader refuses any line that fails either check (a
   truncated tail, a changed value) and lets duplicate cells resolve last-wins,
@@ -157,32 +157,18 @@ class RetryPolicy:
 
 
 # ---------------------------------------------------------------- fingerprints
-def _canonical(value):
-    """``value`` reduced to JSON-stable primitives (tuples become lists)."""
-    if isinstance(value, dict):
-        return {str(k): _canonical(v) for k, v in sorted(value.items())}
-    if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.bool_):
-        return bool(value)
-    return value
-
-
 def cell_fingerprint(cell: GridCell) -> str:
     """A stable content key for one grid cell: what it computes, not how.
 
-    Hashes the canonical JSON of ``(name, scale, seed, kwargs)`` — deliberately
-    *code-irrelevant*, so a journal written before a refactor still resumes
-    after it (the golden-row suite is what guards result drift across code
-    changes).
+    Hashes the canonical JSON of ``(name, scale, seed, topologies)`` —
+    deliberately *code-irrelevant*, so a journal written before a refactor still
+    resumes after it (the golden-row suite is what guards result drift across
+    code changes).  The selection is written as the ``kwargs`` list that cells
+    carried before they were typed, so journals of that layout keep resuming.
     """
+    selection = [] if cell.topologies is None else [["topologies", list(cell.topologies)]]
     payload = json.dumps(
-        {"name": cell.name, "scale": cell.scale, "seed": cell.seed,
-         "kwargs": [[k, _canonical(v)] for k, v in cell.kwargs]},
+        {"name": cell.name, "scale": cell.scale, "seed": cell.seed, "kwargs": selection},
         sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:32]
 
@@ -399,7 +385,7 @@ def _run_cell_attempt(cell: GridCell, attempt: int,
         if chaos is not None:
             chaos.apply(cell, attempt)
         result = run_experiment(cell.name, scale=cell.scale, seed=cell.seed,
-                                **dict(cell.kwargs))
+                                topologies=cell.topologies)
         return GridCellResult(cell=cell, result=result,
                               elapsed_seconds=time.perf_counter() - start), "ok"
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point

@@ -16,9 +16,9 @@ Run everything (tiny scale, for a quick end-to-end check)::
     fatpaths-experiment all --scale tiny
 
 Fan an experiment grid across cores — the cross product of experiments, scales and
-seeds runs as independent cells on a process pool.  With ``--jobs``, heavy
-diversity experiments are additionally split into per-topology cells (disable with
-``--no-split``) so the pool is not bounded by one slow cell::
+seeds runs as independent cells on a process pool.  With ``--jobs``, scenarios with
+a topology axis are additionally split into per-topology cells so the pool is not
+bounded by one slow cell::
 
     fatpaths-experiment fig06,tab05 --scales tiny,small --seeds 0,1,2 --jobs 8
 """
@@ -59,13 +59,13 @@ def main(argv: Optional[List[str]] = None) -> int:
       the cross product of experiments x scales x seeds as independent cells and
       print a per-cell summary.  ``--seeds`` accepts a comma list (``0,1,2``) or an
       inclusive range (``0:4``); ``--scales`` sweeps scales.  ``--jobs N`` fans the
-      cells over ``N`` worker processes (each with its own path cache), and by
-      default also splits scenarios with a topology axis into per-topology cells —
-      identical rows, finer scheduling (the simulation scenarios' batched
-      ``simulate_many`` groups fan out with them); ``--no-split`` keeps
-      whole-experiment cells.  ``--tables`` additionally prints the merged result
-      tables (split cells recombined).  Cell failures are captured per cell and
-      reported in the summary (exit code 1) instead of aborting the sweep.
+      cells over ``N`` worker processes (each with its own path cache) and also
+      splits scenarios with a topology axis into per-topology cells — identical
+      rows, finer scheduling (the simulation scenarios' batched
+      ``simulate_many`` groups fan out with them).  ``--tables`` additionally
+      prints the merged result tables (split cells recombined).  Cell failures
+      are captured per cell and reported in the summary (exit code 1) instead of
+      aborting the sweep.
 
     Grid mode runs on the fault-tolerant executor
     (:mod:`repro.experiments.resilient`): a crashed worker is replaced and only
@@ -94,9 +94,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--seeds", default=None, metavar="SPEC",
                         help="grid mode: comma list ('0,1,2') or inclusive range ('0:4') "
                              "of seeds (overrides --seed)")
-    parser.add_argument("--split", action=argparse.BooleanOptionalAction, default=None,
-                        help="grid mode: split scenarios with a topology axis into "
-                             "per-topology cells (default: on when --jobs is given)")
     parser.add_argument("--tables", action="store_true",
                         help="grid mode: also print the merged result tables "
                              "(split cells recombined per experiment)")
@@ -136,12 +133,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"unknown experiment(s): {', '.join(unknown)}", file=sys.stderr)
         return 2
 
-    # Grid mode (per-cell summary instead of full reports) when a sweep/parallel
-    # flag is given, or when splitting is explicitly requested (per-topology cells
-    # only exist in grid mode).  A lone --no-split is a no-op and keeps the full
-    # report output; plain "all" or comma lists also print every table.
+    # Grid mode (per-cell summary instead of full reports) when a sweep, parallel,
+    # table-merge or journal flag is given; plain "all" or comma lists print
+    # every table.
     grid_mode = (args.jobs is not None or args.scales is not None
-                 or args.seeds is not None or args.split is True or args.tables
+                 or args.seeds is not None or args.tables
                  or args.journal is not None or args.resume)
     if args.resume and args.journal is None:
         print("--resume requires --journal PATH", file=sys.stderr)
@@ -162,8 +158,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   "(use a comma list '0,1,2' or an inclusive range '0:4')", file=sys.stderr)
             return 2
         cells = make_grid(names, scales=scales, seeds=seeds)
-        split = args.split if args.split is not None else args.jobs is not None
-        if split:
+        if args.jobs is not None:
             cells = split_heavy_cells(cells)
         if not cells:
             print("grid is empty (no seeds selected)", file=sys.stderr)

@@ -2,13 +2,14 @@
 
 Every paper table/figure (and every new workload scenario) is described by one
 :class:`ScenarioSpec`: a declarative header (name, paper reference, topology axis,
-allowed options, row schema) plus a ``plan`` callable that expands the spec into
+row schema) plus a ``plan`` callable that expands the spec into
 *units* — either finished result rows or :class:`SimSweep` batches of
 :class:`~repro.experiments.simcommon.StackCell` cells.  :func:`run_scenario` is the
 one pipeline every spec executes through:
 
-1. resolve the topology axis (``topologies=`` filters select per-family subsets,
-   validated against the spec's family list),
+1. resolve the topology axis to the families that run (the axis, narrowed to
+   the scale's families and to a ``topologies=`` selection validated against
+   the spec's family list),
 2. iterate the plan's units, pushing every :class:`SimSweep` through the batched
    vectorized engine (:func:`repro.experiments.simcommon.simulate_stack_many`, which
    shares link spaces, candidate pools and — via ``ctx.routing_cache`` — routing
@@ -34,16 +35,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -115,6 +107,9 @@ def all_scenario_specs() -> Dict[str, "ScenarioSpec"]:
 class ScenarioContext:
     """Everything a scenario plan sees: inputs, shared caches and output hooks.
 
+    ``topologies`` holds the axis families that run, in axis order: those active
+    at ``scale`` (:meth:`ScenarioSpec.families_at`) and, for a per-topology cell,
+    selected by it; ``None`` when the spec has no topology axis.
     ``routing_cache`` deduplicates routing construction across a run's stack builds
     (pass it to :func:`repro.experiments.simcommon.build_stack`); ``note``/``meta``
     accumulate run-computed notes and metadata into the final result.
@@ -123,7 +118,6 @@ class ScenarioContext:
     scale: Scale
     seed: int
     topologies: Optional[Tuple[str, ...]]
-    options: Mapping[str, object]
     routing_cache: Dict[tuple, object] = field(default_factory=dict)
     notes: List[str] = field(default_factory=list)
     meta: Dict[str, object] = field(default_factory=dict)
@@ -137,12 +131,6 @@ class ScenarioContext:
         if family is None:
             return np.random.default_rng(self.seed)
         return topology_rng(self.seed, family)
-
-    def active(self, families: Sequence[str]) -> List[str]:
-        """``families`` (a scale-dependent subset of the axis) filtered by selection."""
-        if self.topologies is None:
-            return list(families)
-        return [name for name in families if name in self.topologies]
 
     def note(self, text: str) -> None:
         """Append a run-computed note (static notes live on the spec)."""
@@ -202,15 +190,13 @@ class ScenarioSpec:
     plan: Callable[[ScenarioContext], Iterable[Unit]]
     #: Split axis: topology families with independent per-family random streams.
     #: ``None`` means the scenario has no topology axis (not splittable, and the
-    #: ``topologies=`` option is rejected).
+    #: ``topologies=`` filter is rejected).
     topology_names: Optional[Tuple[str, ...]] = None
     #: Optional ``scale -> families`` narrowing of the axis: which of
     #: ``topology_names`` the scenario actually runs at a given scale.  The grid
     #: splitter consults it so no zero-row per-family cells are dispatched;
     #: ``None`` means every family runs at every scale.
     scale_families: Optional[Callable[[Scale], Sequence[str]]] = None
-    #: Option names accepted via ``run_scenario(**options)`` (beyond ``topologies``).
-    option_names: Tuple[str, ...] = ()
     #: Static notes (run-computed notes append via ``ctx.note``).
     notes: Tuple[str, ...] = ()
     #: Columns every result row must carry (rows may add more, e.g. histogram bins).
@@ -269,41 +255,36 @@ def _check_row(spec: ScenarioSpec, row: object) -> Row:
 
 # ------------------------------------------------------------------- pipeline
 def run_scenario(spec: ScenarioSpec, scale: Scale | str = Scale.TINY, seed: int = 0,
-                 topologies: Optional[Sequence[str]] = None,
-                 **options) -> ExperimentResult:
+                 topologies: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Execute one scenario spec through the shared pipeline.
 
     ``topologies`` selects a subset of the spec's family axis (rows are identical
-    to the matching subset of a full run — the split contract); other keyword
-    options must be declared in ``spec.option_names``.
+    to the matching subset of a full run — the split contract).
     """
     scale = Scale(scale)
-    unknown = [k for k in options if k not in spec.option_names]
-    if unknown:
-        raise TypeError(f"scenario {spec.name} accepts no option(s) {unknown}; "
-                        f"declared: {list(spec.option_names)}")
     if spec.topology_names is None:
         if topologies is not None:
             raise TypeError(f"scenario {spec.name} has no topology axis; "
                             "the topologies= filter is not applicable")
-        selected = None
+        families = None
     else:
-        selected = tuple(select_topologies(spec.topology_names, topologies))
+        selected = select_topologies(spec.topology_names, topologies)
+        active = spec.families_at(scale)
         # fail loudly on families that exist on the axis but do not run at this
         # scale (the same spirit as select_topologies: no silent zero-row runs)
-        inactive = [n for n in selected if n not in spec.families_at(scale)]
+        inactive = [n for n in selected if n not in active]
         if topologies is not None and inactive:
             raise ValueError(
                 f"scenario {spec.name} does not run topologies {inactive} at "
-                f"scale {scale.value}; active: {list(spec.families_at(scale))}")
-    ctx = ScenarioContext(scale=scale, seed=seed, topologies=selected,
-                          options=dict(options))
+                f"scale {scale.value}; active: {list(active)}")
+        families = tuple(n for n in selected if n in active)
+    ctx = ScenarioContext(scale=scale, seed=seed, topologies=families)
     from repro.experiments.simcommon import simulate_stack_many
 
     rows: List[Row] = []
     # an explicitly empty selection means "no families": skip the plan entirely
     # (some builders treat an empty topology list as "everything")
-    units = spec.plan(ctx) if selected is None or selected else ()
+    units = spec.plan(ctx) if families is None or families else ()
     for unit in units:
         if isinstance(unit, SimSweep):
             results = simulate_stack_many(unit.topology, unit.cells)
@@ -312,11 +293,10 @@ def run_scenario(spec: ScenarioSpec, scale: Scale | str = Scale.TINY, seed: int 
         else:
             rows.append(_check_row(spec, unit))
     meta: Dict[str, object] = {"scale": str(scale)}
-    if selected is not None:
-        # record only the families that actually ran at this scale, so unsplit
-        # metadata agrees with recombined split-cell metadata
-        active = spec.families_at(scale)
-        meta["topologies"] = [name for name in selected if name in active]
+    if families is not None:
+        # only the families that ran, so unsplit metadata agrees with
+        # recombined split-cell metadata
+        meta["topologies"] = list(families)
     meta.update(ctx.meta)
     return ExperimentResult(
         name=spec.name, description=spec.title, paper_reference=spec.paper_reference,

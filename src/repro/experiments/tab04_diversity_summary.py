@@ -30,12 +30,11 @@ def _plan(ctx: ScenarioContext):
     size_class = ctx.scale.size_class()
     num_samples = ctx.scale.pick(60, 150, 300)
     ctx.meta["num_samples"] = num_samples
-    include_jellyfish = bool(ctx.options.get("include_jellyfish", True))
     for short_name in ctx.topologies:
         distance = PAPER_DISTANCES[short_name]
         topo = build(short_name, size_class, seed=ctx.seed)
         variants = {short_name: topo}
-        if include_jellyfish and short_name not in ("CLIQUE",):
+        if short_name != "CLIQUE":
             variants[f"{short_name}-JF"] = equivalent_jellyfish(topo, seed=ctx.seed + 1)
         for name, variant in variants.items():
             # per-topology generator: filtered runs yield the same rows as full ones
@@ -60,7 +59,6 @@ SCENARIO = ScenarioSpec(
     paper_reference="Table IV",
     plan=_plan,
     topology_names=TOPOLOGY_NAMES,
-    option_names=("include_jellyfish",),
     base_columns=("topology", "d_prime", "k_prime", "CDP_mean_pct", "CDP_tail1_pct",
                   "PI_mean_pct", "PI_tail999_pct"),
     notes=(

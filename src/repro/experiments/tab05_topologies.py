@@ -1,8 +1,9 @@
 """Table V / Table IV (top): topology configuration parameters.
 
-Prints, for every topology in a size class, the structural parameters the paper
-tabulates: router count, endpoint count, network radix, concentration, diameter and
-edge density — verifying the fair-comparison configurations.
+Prints, for every topology in a size class and the Jellyfish equivalent of each
+(but the clique), the structural parameters the paper tabulates: router count,
+endpoint count, network radix, concentration, diameter and edge density —
+verifying the fair-comparison configurations.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ def _plan(ctx: ScenarioContext):
     configs = comparable_configurations(
         ctx.scale.size_class(),
         topologies=["SF", "DF", "HX2", "HX3", "XP", "FT3", "CLIQUE"],
-        include_jellyfish=bool(ctx.options.get("include_jellyfish", True)),
+        include_jellyfish=True,
         seed=ctx.seed)
     for name, topo in configs.items():
         row = {"short_name": name}
@@ -32,7 +33,6 @@ SCENARIO = ScenarioSpec(
     title="Topology configuration parameters per size class",
     paper_reference="Table V (and Table IV topology parameters)",
     plan=_plan,
-    option_names=("include_jellyfish",),
     base_columns=("short_name", "Nr", "N", "k_prime", "p", "k", "diameter_hint",
                   "edges", "edge_density", "measured_diameter"),
     notes=(

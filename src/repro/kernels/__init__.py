@@ -10,7 +10,7 @@ shared by every consumer through a process-wide :class:`~repro.kernels.cache.Pat
   accumulation, plus distance-matrix-driven routing helpers.
 * :mod:`repro.kernels.disjoint` — batched greedy disjoint-path counting (the paper's
   CDP measure): many (source-set, target-set) items advance one BFS level per
-  vectorized sweep, with edge- and vertex-capacity modes.
+  vectorized sweep.
 * :mod:`repro.kernels.nexthop` — vectorized random-minimal next-hop forwarding
   tables (Listing 3) built from cached distance matrices.
 * :mod:`repro.kernels.cache` — graph fingerprints, :class:`GraphKernels` (lazy cached

@@ -16,7 +16,7 @@ target-set) items per call*:
 
 * Each item is restricted to its **relevant vertex set** ``R = {v : d0(A, v) +
   d0(v, B) <= max_len}`` (distances in the unmutated graph).  The length-bound
-  pruning below never lets the search leave ``R`` in any greedy round — edge/vertex
+  pruning below never lets the search leave ``R`` in any greedy round — edge
   removal only increases distances — so the restriction is exact, and it shrinks the
   per-item state from ``N^2`` to ``|R|^2`` (a large constant factor on low-diameter
   topologies, where ``R`` is roughly the union of near-minimal paths).
@@ -35,15 +35,8 @@ target-set) items per call*:
   sweeps.  Items are independent and survivor state is copied verbatim, so results
   are provably unchanged (pinned in ``tests/kernels/``).
 
-Two capacity models are supported:
-
-``mode="edge"``
-    Unit *edge* capacities (the paper's CDP): each augmentation removes the
-    undirected edges of its path.
-``mode="vertex"``
-    Unit *vertex* capacities via implicit node splitting: each augmentation removes
-    its edges *and* deletes its interior vertices.  Counts vertex-disjoint paths, a
-    lower bound on the Menger vertex connectivity truncated at ``max_len``.
+Capacities are unit *edge* capacities (the paper's CDP): each augmentation
+removes the undirected edges of its path.
 
 Tie-breaking is deterministic and documented — level-synchronous BFS, the parent of
 a newly discovered vertex is its *smallest-index* discovered neighbour one level
@@ -73,8 +66,6 @@ Edge = Tuple[int, int]
 
 #: Per-chunk budget (entries) for the ``(B, K, K)`` dense boolean adjacency block.
 _CHUNK_ENTRY_BUDGET = 1 << 24
-
-_MODES = ("edge", "vertex")
 
 
 def _normalize_items(items) -> List[Tuple[np.ndarray, np.ndarray]]:
@@ -119,7 +110,7 @@ def _distance_rows(csr: CSRGraph,
 
 
 def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: int,
-                  bounds: Optional[np.ndarray], mode: str, want_paths: bool,
+                  bounds: Optional[np.ndarray], want_paths: bool,
                   vertex_maps: Optional[List[np.ndarray]],
                   vcounts: Optional[np.ndarray] = None) -> Tuple[np.ndarray, List[List[List[int]]]]:
     """Run the batched greedy search on one chunk of (locally indexed) items.
@@ -203,7 +194,7 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
                 break
         # ---- reconstruct and saturate the found paths, vectorized across items:
         # walk all found items back one parent step at a time (paths are at most
-        # max_len steps), then batch the edge/vertex saturation writes.
+        # max_len steps), then batch the edge saturation writes.
         found = np.flatnonzero(chosen >= 0)
         if found.size:
             target = chosen[found]
@@ -229,30 +220,21 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
                     path = [int(v) if local is None else int(local[v])
                             for v in verts[i, length[i]::-1]]
                     paths[item].append(path)
-            # Saturate the path's edge arcs (both modes; in the node-splitting
-            # construction every edge arc has unit capacity too, and without this a
-            # direct source-target edge would be rediscovered forever in vertex mode).
+            # saturate the path's edges
             for step in range(max_steps):
                 mask = length > step
                 items, u, v = found[mask], verts[mask, step], verts[mask, step + 1]
                 adjs[items, u, v] = False
                 adjs[items, v, u] = False
-            if mode == "vertex":
-                # interior vertices: steps 1 .. length-1 (exclude both endpoints)
-                for step in range(1, max_steps):
-                    mask = length > step
-                    items, w = found[mask], verts[mask, step]
-                    adjs[items, w, :] = False
-                    adjs[items, :, w] = False
         active = chosen >= 0
     return counts, paths
 
 
-def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, mode: str = "edge",
-                         prune: bool = True, bounds: Optional[np.ndarray] = None,
+def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = True,
+                         bounds: Optional[np.ndarray] = None,
                          source_bounds: Optional[np.ndarray] = None,
                          return_paths: bool = False):
-    """Greedy disjoint-path counts for many independent items in one batched call.
+    """Greedy edge-disjoint path counts for many independent items in one batched call.
 
     Parameters
     ----------
@@ -267,9 +249,6 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, mode: str = "edg
         the paper's definition excludes).
     max_len:
         Maximum path length ``l`` in hops (``>= 1``).
-    mode:
-        ``"edge"`` (paper CDP, edge-disjoint) or ``"vertex"`` (vertex-disjoint via
-        node splitting).  See the module docstring.
     prune:
         Apply length-bound pruning and relevant-set restriction (default).  Results
         are provably identical either way; ``False`` exists for the equivalence
@@ -293,8 +272,6 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, mode: str = "edg
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}")
     normalized = _normalize_items(items)
     num_items = len(normalized)
     n = csr.num_nodes
@@ -362,7 +339,7 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, mode: str = "edg
             if prune:
                 chunk_bounds[i, :verts.size] = bounds[item, verts]
         chunk_counts, chunk_paths = _greedy_chunk(
-            adjs, src, dst, max_len, chunk_bounds, mode, return_paths, maps,
+            adjs, src, dst, max_len, chunk_bounds, return_paths, maps,
             vcounts=np.asarray([m.size for m in maps], dtype=np.int64))
         counts[pos:stop] = chunk_counts
         if return_paths:

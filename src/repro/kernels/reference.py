@@ -140,16 +140,13 @@ def _shortest_qualifying_path_python(adj: List[Set[int]], sources: Set[int],
 
 def greedy_disjoint_paths_python(num_nodes: int, edges: Sequence[Edge],
                                  sources: Sequence[int], targets: Sequence[int],
-                                 max_len: int, mode: str = "edge",
-                                 return_paths: bool = False):
-    """Scalar greedy disjoint-path counting — the trusted baseline for
+                                 max_len: int, return_paths: bool = False):
+    """Scalar greedy edge-disjoint path counting — the trusted baseline for
     :func:`repro.kernels.disjoint.batch_disjoint_paths` (one item per call).
 
     Repeatedly finds a shortest qualifying path with
-    :func:`_shortest_qualifying_path_python` and saturates it: the path's edges are
-    removed in both modes, and ``mode="vertex"`` additionally deletes the path's
-    interior vertices (implicit node splitting).  Items whose source and target
-    sets intersect count zero.
+    :func:`_shortest_qualifying_path_python` and saturates it by removing the
+    path's edges.  Items whose source and target sets intersect count zero.
     """
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
@@ -173,11 +170,6 @@ def greedy_disjoint_paths_python(num_nodes: int, edges: Sequence[Edge],
             for u, v in zip(path, path[1:]):
                 adj[u].discard(v)
                 adj[v].discard(u)
-            if mode == "vertex":
-                for w in path[1:-1]:
-                    for x in adj[w]:
-                        adj[x].discard(w)
-                    adj[w].clear()
     if return_paths:
         return count, paths
     return count

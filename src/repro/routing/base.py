@@ -75,15 +75,14 @@ class LayerSetRouting(MultiPathRouting):
     This is the generic machinery shared by FatPaths (random / interference layers),
     SPAIN (merged VLAN subgraphs) and PAST-style schemes: build per-layer forwarding
     tables and report the per-layer path for every pair.  Pairs unreachable inside a
-    layer fall back to the first layer when ``fallback_to_full`` is set.
+    layer fall back to the first layer.
     """
 
     def __init__(self, topology: Topology, layer_set: LayerSet, name: str = "layered",
-                 fallback_to_full: bool = True, seed: Optional[int] = None) -> None:
+                 seed: Optional[int] = None) -> None:
         super().__init__(topology)
         self.name = name
         self.layer_set = layer_set
-        self.fallback_to_full = fallback_to_full
         self.tables: ForwardingTables = build_forwarding_tables(layer_set, seed=seed)
         self._cache: Dict[Tuple[int, int], List[List[int]]] = {}
 
@@ -95,22 +94,9 @@ class LayerSetRouting(MultiPathRouting):
         if source_router == target_router:
             return [[source_router]]
         key = (source_router, target_router)
-        if key in self._cache:
-            return self._cache[key]
-        seen = set()
-        paths: List[List[int]] = []
-        for layer in range(self.num_layers):
-            path = self.tables.path(layer, source_router, target_router,
-                                    fallback_to_full=self.fallback_to_full)
-            if path is None:
-                continue
-            tup = tuple(path)
-            if tup in seen:
-                continue
-            seen.add(tup)
-            paths.append(path)
-        self._cache[key] = paths
-        return paths
+        if key not in self._cache:
+            self._cache[key] = self.tables.paths(source_router, target_router)
+        return self._cache[key]
 
     def forwarding_entries(self) -> int:
         return self.tables.table_entries()

@@ -405,7 +405,7 @@ class SpainRouting(LayerSetRouting):
         layer_set, pair_paths = build_spain_layers(
             topology, paths_per_pair=paths_per_pair, destinations=destinations,
             seed=seed, max_layers=max_layers, return_paths=True)
-        super().__init__(topology, layer_set, name="spain", fallback_to_full=True, seed=seed)
+        super().__init__(topology, layer_set, name="spain", seed=seed)
         self._pair_paths = pair_paths
 
     def router_paths(self, source_router: int, target_router: int) -> List[List[int]]:

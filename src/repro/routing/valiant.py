@@ -47,7 +47,7 @@ class ValiantRouting(MultiPathRouting):
             candidates = [v for v in self._adj[current] if dist[v] == dist[current] - 1]
             if not candidates:
                 return None
-            current = int(self._rng.choice(candidates))
+            current = candidates[int(self._rng.integers(0, len(candidates)))]
             path.append(current)
         return path
 

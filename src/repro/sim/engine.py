@@ -66,7 +66,7 @@ equivalence tests do.
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -1075,7 +1075,6 @@ class SimCell:
     mapping: Optional[Sequence[int]] = None
     seed: int = 0
     drop_warmup: bool = False
-    meta: Dict[str, object] = field(default_factory=dict)
 
 
 def simulate_many(cells: Sequence[SimCell]) -> List[SimulationResult]:

@@ -25,7 +25,6 @@ from scipy.sparse.csgraph import connected_components
 
 
 def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np.ndarray,
-                       weights: Sequence[float] | None = None,
                        epsilon: float = 1e-12) -> np.ndarray:
     """Max-min fair rates for flows pinned to link paths.
 
@@ -37,10 +36,6 @@ def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np
         caller handles them separately.
     link_capacities:
         Capacity of each link (same unit as the returned rates, e.g. bytes/s).
-    weights:
-        Optional per-flow weights (a flow of weight w behaves like w unit flows);
-        defaults to 1.  No simulator passes them: every flow is one unit flow on
-        one path at a time.
     epsilon:
         Numerical slack when deciding link saturation.
 
@@ -53,13 +48,8 @@ def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np
     num_links = capacities.shape[0]
     if num_flows == 0:
         return np.zeros(0)
-    w = np.ones(num_flows) if weights is None else np.asarray(weights, dtype=np.float64)
-    if w.shape[0] != num_flows or (w <= 0).any():
-        raise ValueError("weights must be positive and one per flow")
-
     rows: List[int] = []
     cols: List[int] = []
-    vals: List[float] = []
     empty = np.zeros(num_flows, dtype=bool)
     for f, links in enumerate(paths_links):
         if not links:
@@ -70,20 +60,19 @@ def max_min_fair_rates(paths_links: Sequence[Sequence[int]], link_capacities: np
                 raise ValueError(f"flow {f} references unknown link {link}")
             rows.append(link)
             cols.append(f)
-            vals.append(w[f])
     rates = np.zeros(num_flows)
     rates[empty] = np.inf
-    if not vals:
+    if not rows:
         return rates
 
-    incidence = csr_matrix((vals, (rows, cols)), shape=(num_links, num_flows))
+    incidence = csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(num_links, num_flows))
     unfixed = ~empty
     remaining = capacities.astype(np.float64).copy()
 
     for _ in range(num_links + 1):
         if not unfixed.any():
             break
-        load = incidence @ unfixed.astype(np.float64)   # weighted count of unfixed flows per link
+        load = incidence @ unfixed.astype(np.float64)   # unfixed flows per link
         active_links = load > 0
         if not active_links.any():
             break

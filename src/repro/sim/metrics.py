@@ -12,7 +12,7 @@ restores them bit-identically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 import numpy as np
 
@@ -65,23 +65,9 @@ class SimulationResult:
         """Per-flow sizes in bytes (record order)."""
         return np.array([r.size_bytes for r in self.records])
 
-    def warmup_filtered(self, warmup_fraction: float = 0.5, *,
-                        start_after: Optional[float] = None,
-                        end_before: Optional[float] = None) -> "SimulationResult":
+    def warmup_filtered(self, warmup_fraction: float = 0.5) -> "SimulationResult":
         """Drop flows that start in the first ``warmup_fraction`` of the start-time window
-        (the paper drops the first half of the window for warm-up).
-
-        Explicit time bounds replace the fractional cutoff when given: records
-        with ``start_after <= start_time < end_before`` are kept (either bound
-        may be ``None`` for half-open filtering), which is what windowed stream
-        analysis needs — and, unlike the fractional form, an empty window stays
-        empty instead of falling back to all records.
-        """
-        if start_after is not None or end_before is not None:
-            kept = [r for r in self.records
-                    if (start_after is None or r.start_time >= start_after)
-                    and (end_before is None or r.start_time < end_before)]
-            return SimulationResult(records=kept, name=self.name, meta=dict(self.meta))
+        (the paper drops the first half of the window for warm-up)."""
         if not self.records or warmup_fraction <= 0:
             return self
         starts = np.array([r.start_time for r in self.records])
@@ -91,20 +77,9 @@ class SimulationResult:
             kept = self.records
         return SimulationResult(records=kept, name=self.name, meta=dict(self.meta))
 
-    def summary(self, percentiles: Sequence[float] = (1, 10, 50, 90, 99), *,
-                start_after: Optional[float] = None,
-                end_before: Optional[float] = None) -> Dict[str, float]:
-        """Mean/percentile FCT and throughput summary (see :func:`summarize_flows`).
-
-        ``start_after``/``end_before`` optionally restrict the summary to flows
-        starting inside ``[start_after, end_before)`` — the per-window view of a
-        stream — via :meth:`warmup_filtered`'s explicit-bounds form.
-        """
-        records = self.records
-        if start_after is not None or end_before is not None:
-            records = self.warmup_filtered(start_after=start_after,
-                                           end_before=end_before).records
-        return summarize_flows(records, percentiles)
+    def summary(self, percentiles: Sequence[float] = (1, 10, 50, 90, 99)) -> Dict[str, float]:
+        """Mean/percentile FCT and throughput summary (see :func:`summarize_flows`)."""
+        return summarize_flows(self.records, percentiles)
 
     def by_size_bucket(self, buckets: Sequence[float]) -> Dict[float, "SimulationResult"]:
         """Partition records by flow size (bucket = largest bound >= size)."""

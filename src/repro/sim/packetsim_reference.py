@@ -72,7 +72,6 @@ class _FlowState:
     next_seq: int = 0
     in_flight: int = 0
     acked: set = field(default_factory=set)
-    outstanding_nacks: int = 0
     packets_in_flowlet: int = 0
     num_switches: int = 0
     trims: int = 0

@@ -55,7 +55,6 @@ class _ActiveFlow:
     congestion_events: int = 0
     currently_congested: bool = False
     rate: float = 0.0
-    hops_travelled: float = 0.0
     on_detour: bool = False      # single synthetic candidate off the surviving graph
     stalled: bool = False        # routers disconnected: rate zero until a restore
 

@@ -253,16 +253,15 @@ class StreamSimulator:
             processed += 1
         return processed
 
-    def run(self, stream: Iterable, finish: bool = True) -> Optional[Dict[str, object]]:
+    def run(self, stream: Iterable) -> Dict[str, object]:
         """Consume an ordered flow iterable, simulating as arrivals are pulled.
 
         The loop pulls one arrival group ahead: all flows sharing the next
         start time are ingested together (the batch engine admits every flow
         with ``start <= now`` in one arrival event), then events are processed
-        strictly below the following group's start.  With ``finish`` (default)
-        the remaining active flows are drained to completion afterwards and
-        :meth:`summary` is returned; pass ``finish=False`` to keep the service
-        open for more pushes.
+        strictly below the following group's start.  The remaining active flows
+        are then drained to completion (:meth:`finish`) and :meth:`summary` is
+        returned.
         """
         it = iter(stream)
         pending = next(it, None)
@@ -276,9 +275,7 @@ class StreamSimulator:
             self.push(batch)
             if pending is not None:
                 self.advance(float(pending.start_time), inclusive=False)
-        if finish:
-            return self.finish()
-        return None
+        return self.finish()
 
     def finish(self) -> Dict[str, object]:
         """Drain all ingested flows to completion and close the open window."""

@@ -9,7 +9,6 @@ from repro.experiments.grid import (
     make_grid,
     run_experiment_grid,
     split_heavy_cells,
-    splittable_families,
 )
 from repro.experiments.runner import main as runner_main
 
@@ -25,35 +24,41 @@ class TestMakeGrid:
         with pytest.raises(ValueError):
             make_grid(["fig06"], scales=["huge"])
 
-    def test_kwargs_frozen_into_cells(self):
-        cells = make_grid(["fig06"], kwargs={"num_samples": 10})
-        assert cells[0].kwargs == (("num_samples", 10),)
+    def test_positional_axes(self):
+        """``make_grid(names, scales, seeds)``, as the benchmark and tools call it."""
+        cells = make_grid(["fig07"], ["tiny", "small"], [2])
+        assert cells == [GridCell("fig07", "tiny", 2), GridCell("fig07", "small", 2)]
+        assert all(c.topologies is None for c in cells)
 
 
 class TestSplitHeavyCells:
     def test_heavy_cells_fan_out_per_topology(self):
         cells = split_heavy_cells(make_grid(["fig07", "tab05"], seeds=[0]))
-        families = splittable_families("fig07")
-        assert families == ("SF", "SF-JF", "DF", "HX3")
         fig07_cells = [c for c in cells if c.name == "fig07"]
-        topos = [dict(c.kwargs)["topologies"] for c in fig07_cells]
-        assert topos == [(t,) for t in families]
+        topos = [c.topologies for c in fig07_cells]
+        assert topos == [("SF",), ("SF-JF",), ("DF",), ("HX3",)]
         # non-splittable experiments pass through unchanged
         assert [c for c in cells if c.name == "tab05"] == [GridCell(name="tab05")]
 
     def test_explicit_topology_selection_not_resplit(self):
-        cell = GridCell(name="fig07", kwargs=(("topologies", ("SF",)),))
+        cell = GridCell(name="fig07", topologies=("SF",))
         assert split_heavy_cells([cell]) == [cell]
 
     def test_splittable_families_derived_from_modules(self):
         """Families come from each module's TOPOLOGY_NAMES (no drift possible)."""
-        assert splittable_families("fig06") == ("SF", "DF", "HX3", "XP", "FT3")
-        assert splittable_families("tab04") == ("CLIQUE", "SF", "XP", "HX3", "DF", "FT3")
-        assert splittable_families("tab05") is None   # no TOPOLOGY_NAMES attr
-        assert splittable_families("nope") is None    # unknown experiment
-        # the heavy simulation experiments are splittable since PR 3
-        assert splittable_families("fig02") == ("SF", "DF", "HX3", "XP", "FT3")
-        assert splittable_families("fig11") == ("SF", "DF", "HX3", "XP", "FT3")
+        def families(name):
+            return [c.topologies for c in split_heavy_cells([GridCell(name, "small")])]
+
+        def one_per_family(*names):
+            return [(name,) for name in names]
+
+        assert families("fig06") == one_per_family("SF", "DF", "HX3", "XP", "FT3")
+        assert families("tab04") == one_per_family("CLIQUE", "SF", "XP", "HX3", "DF", "FT3")
+        assert families("tab05") == [None]   # no TOPOLOGY_NAMES attr
+        assert families("nope") == [None]    # unknown experiment
+        # the heavy simulation experiments split too
+        assert families("fig02") == one_per_family("SF", "DF", "HX3", "XP", "FT3")
+        assert families("fig11") == one_per_family("SF", "DF", "HX3", "XP", "FT3")
 
     def test_fig02_split_rows_equal_unsplit_rows(self):
         """The simulation experiments keep the splittable contract: per-family cells
@@ -134,6 +139,22 @@ class TestRunnerCLI:
 
     def test_unknown_experiment_rejected(self, capsys):
         assert runner_main(["fig99"]) == 2
+
+    def test_jobs_split_axis_scenarios_into_family_cells(self, capsys):
+        assert runner_main(["fig07", "--jobs", "2"]) == 0
+        out = capsys.readouterr().out
+        for family in ("SF", "SF-JF", "DF", "HX3"):
+            assert f"topo={family}]" in out
+        assert "4/4 cells ok" in out
+
+    @pytest.mark.parametrize("flag", ["--split", "--no-split"])
+    def test_split_flags_are_gone(self, flag, capsys):
+        """Splitting follows ``--jobs``; a script still passing the old flags
+        fails loudly instead of running a differently shaped grid."""
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(["fig07", "--jobs", "2", flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_single_experiment_still_prints_report(self, capsys):
         assert runner_main(["tab05", "--scale", "tiny"]) == 0

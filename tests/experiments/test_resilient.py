@@ -111,11 +111,20 @@ class TestRetryPolicy:
 
 class TestFingerprint:
     def test_stable_and_content_keyed(self):
-        cell = GridCell(name="fig06", scale="tiny", seed=3,
-                        kwargs=(("topologies", ("SF",)),))
+        cell = GridCell(name="fig06", scale="tiny", seed=3, topologies=("SF",))
         assert cell_fingerprint(cell) == cell_fingerprint(
-            GridCell(name="fig06", scale="tiny", seed=3,
-                     kwargs=(("topologies", ("SF",)),)))
+            GridCell(name="fig06", scale="tiny", seed=3, topologies=("SF",)))
+
+    def test_journals_of_untyped_cells_still_resume(self):
+        """Digests pinned from cells that still carried an open ``kwargs`` bag.
+
+        The split cell was then written ``kwargs=(("topologies", ("SF",)),)``;
+        a journal written by that layout resumes only if the keys are unchanged.
+        """
+        assert cell_fingerprint(GridCell("fig07", "tiny", 0)) \
+            == "64b5afe6fb86a51f0c3ed148b0ac6ff1"
+        assert cell_fingerprint(GridCell("fig07", "small", 3, topologies=("SF",))) \
+            == "13511ccb67d7baa11a7636e38f83b541"
 
     def test_every_axis_changes_the_key(self):
         base = GridCell(name="fig06", scale="tiny", seed=0)
@@ -124,7 +133,7 @@ class TestFingerprint:
                 cell_fingerprint(GridCell(name="fig06", scale="small", seed=0)),
                 cell_fingerprint(GridCell(name="fig06", scale="tiny", seed=1)),
                 cell_fingerprint(GridCell(name="fig06", scale="tiny", seed=0,
-                                          kwargs=(("topologies", ("SF",)),)))}
+                                          topologies=("SF",)))}
         assert len(keys) == 5
 
 

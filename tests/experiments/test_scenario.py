@@ -21,13 +21,12 @@ import pytest
 from test_experiments import result_of
 
 import repro.experiments
-from repro.experiments.common import run_experiment
+from repro.experiments.common import Scale, run_experiment
 from repro.experiments.grid import (
     GridCell,
     combine_cell_results,
     run_experiment_grid,
     split_heavy_cells,
-    splittable_families,
 )
 from repro.experiments.runner import main as runner_main
 from repro.experiments.scenario import (
@@ -73,7 +72,12 @@ class TestRegistryCompleteness:
 
     def test_splittable_families_come_from_specs(self):
         for name, spec in all_scenario_specs().items():
-            assert splittable_families(name) == spec.topology_names
+            cells = split_heavy_cells([GridCell(name=name, scale="small")])
+            if spec.topology_names is None:
+                assert cells == [GridCell(name=name, scale="small")]
+            else:
+                assert [c.topologies for c in cells] == [
+                    (family,) for family in spec.families_at("small")]
 
     def test_new_scenarios_are_registered_and_splittable(self):
         for name in ("incast", "shuffle"):
@@ -147,9 +151,52 @@ class TestRowSchema:
         with pytest.raises(ValueError):
             run_experiment("fig17", scale="tiny", topologies=["HX3"])
 
-    def test_declared_option_accepted(self):
-        result = run_experiment("tab05", scale="tiny", include_jellyfish=False)
-        assert all("-JF" not in row["short_name"] for row in result.rows)
+    def test_fig09_records_its_fixed_intensity(self):
+        from repro.experiments.fig09_theoretical_mat import INTENSITY
+
+        assert INTENSITY == 0.55
+        assert result_of("fig09").meta["intensity"] == INTENSITY
+
+    @pytest.mark.parametrize("name, column", [("tab04", "topology"),
+                                              ("tab05", "short_name")])
+    def test_every_family_but_the_clique_has_its_jellyfish_twin(self, name, column):
+        """Each twin row directly follows its family's row."""
+        names = [row[column] for row in result_of(name).rows]
+        families = [n for n in names if not n.endswith("-JF")]
+        expected = [[family] if family == "CLIQUE" else [family, f"{family}-JF"]
+                    for family in families]
+        assert names == [n for pair in expected for n in pair]
+
+
+def _recording_spec(seen, **axis):
+    """A spec whose plan records the families its context hands it."""
+    return ScenarioSpec(name="probe", title="t", paper_reference="r",
+                        plan=lambda ctx: seen.append(ctx.topologies) or (), **axis)
+
+
+class TestScenarioContext:
+    @pytest.mark.parametrize("scale, selection, expected", [
+        ("tiny", None, ("A", "C")),
+        ("small", None, ("A", "B", "C")),
+        ("small", ["C", "A"], ("A", "C")),
+        ("tiny", ["C"], ("C",)),
+    ])
+    def test_topologies_are_the_families_that_run(self, scale, selection, expected):
+        """The axis, narrowed to the scale's families and to the selection, in
+        axis order: what a plan iterates and what ``meta`` reports."""
+        seen = []
+        spec = _recording_spec(
+            seen, topology_names=("A", "B", "C"),
+            scale_families=lambda s: ("A", "C") if s is Scale.TINY else ("A", "B", "C"))
+        result = run_scenario(spec, scale=scale, topologies=selection)
+        assert seen == [expected]
+        assert result.meta["topologies"] == list(expected)
+
+    def test_no_axis_hands_the_plan_no_families(self):
+        seen = []
+        result = run_scenario(_recording_spec(seen), scale="tiny")
+        assert seen == [None]
+        assert "topologies" not in result.meta
 
 
 #: Scenarios that became splittable with the registry (their per-family streams
@@ -225,7 +272,7 @@ class TestSplitStability:
     def test_split_skips_scale_inactive_families(self):
         # fig17 runs only SF+DF at tiny: no zero-row worker cells are dispatched
         cells = split_heavy_cells([GridCell(name="fig17", scale="tiny", seed=0)])
-        assert [dict(c.kwargs)["topologies"] for c in cells] == [("SF",), ("DF",)]
+        assert [c.topologies for c in cells] == [("SF",), ("DF",)]
         spec = scenario_spec("fig17")
         assert spec.families_at("tiny") == ("SF", "DF")
         assert spec.families_at("small") == spec.topology_names
@@ -236,16 +283,17 @@ class TestSplitStability:
         combine_cell_results(results)
         # each per-family cell still carries only its own histogram and family
         for r in results:
-            family = dict(r.cell.kwargs)["topologies"][0]
+            family = r.cell.topologies[0]
             assert list(r.result.meta["fct_histograms"]) == [family]
             assert r.result.meta["topologies"] == [family]
 
-    def test_combine_keeps_distinct_options_apart(self):
-        cells = [GridCell(name="tab05", kwargs=(("include_jellyfish", True),)),
-                 GridCell(name="tab05", kwargs=(("include_jellyfish", False),))]
+    def test_combine_keeps_distinct_seeds_apart(self):
+        cells = split_heavy_cells([GridCell(name="fig04", scale="tiny", seed=seed)
+                                   for seed in (0, 1)])
+        assert len(cells) == 6
         combined = combine_cell_results(run_experiment_grid(cells))
-        assert len(combined) == 2
-        assert len(combined[0].rows) > len(combined[1].rows)
+        assert [c.rows for c in combined] == [
+            run_experiment("fig04", scale="tiny", seed=seed).rows for seed in (0, 1)]
 
     def test_cli_tables_flag_prints_merged_report(self, capsys):
         assert runner_main(["tab05,fig19", "--jobs", "2", "--tables"]) == 0

@@ -24,18 +24,17 @@ def _mixed_diversity_items(topo, num_pairs=40, seed=7):
     return pairs
 
 
-@pytest.mark.parametrize("mode", ["edge", "vertex"])
 @pytest.mark.parametrize("builder", [lambda: slim_fly(5), lambda: build("DF", SizeClass.TINY)])
-def test_batch_equals_item_at_a_time(builder, mode):
+def test_batch_equals_item_at_a_time(builder):
     topo = builder()
     csr = kernels_for(topo).csr
     pairs = _mixed_diversity_items(topo)
     for max_len in (2, 3, 4):
         batched, batched_paths = batch_disjoint_paths(
-            csr, pairs, max_len, mode=mode, return_paths=True)
+            csr, pairs, max_len, return_paths=True)
         for i, pair in enumerate(pairs):
             single, single_paths = batch_disjoint_paths(
-                csr, pair.reshape(1, 2), max_len, mode=mode, return_paths=True)
+                csr, pair.reshape(1, 2), max_len, return_paths=True)
             assert single[0] == batched[i]
             assert single_paths[0] == batched_paths[i]
 

@@ -85,8 +85,7 @@ class TestGeneratorEquivalence:
         expected = legacy.next_hop_sets_python(topo.num_routers, topo.edges, 3)
         assert next_hop_sets(topo, 3) == expected
 
-    @pytest.mark.parametrize("mode", ["edge", "vertex"])
-    def test_disjoint_paths_match_scalar_reference(self, topo, mode):
+    def test_disjoint_paths_match_scalar_reference(self, topo):
         """Batched greedy CDP == scalar reference, pair for pair, counts and paths."""
         n = topo.num_routers
         if n < 2:
@@ -99,13 +98,40 @@ class TestGeneratorEquivalence:
                 pairs.append((int(s), int(t)))
         max_len = (topo.diameter_hint or 2) + 1
         counts, paths = batch_disjoint_paths(
-            kernels_for(topo).csr, np.asarray(pairs), max_len, mode=mode,
-            return_paths=True)
+            kernels_for(topo).csr, np.asarray(pairs), max_len, return_paths=True)
         for (s, t), got, got_paths in zip(pairs, counts, paths):
             exp, exp_paths = legacy.greedy_disjoint_paths_python(
-                n, topo.edges, [s], [t], max_len, mode=mode, return_paths=True)
+                n, topo.edges, [s], [t], max_len, return_paths=True)
             assert got == exp
             assert got_paths == exp_paths
+
+    def test_disjoint_paths_share_no_edge(self, topo):
+        """The CDP definition checked directly, without the scalar reference: every
+        counted path is a simple walk over topology edges from ``s`` to ``t`` of at
+        most ``max_len`` hops, no undirected edge serves two paths of one pair, and
+        the greedy finds them shortest first (removing edges only lengthens paths)."""
+        n = topo.num_routers
+        if n < 2:
+            pytest.skip("needs at least two routers to form a pair")
+        edges = {frozenset(e) for e in topo.edges}
+        degree = np.bincount(np.asarray(topo.edges).ravel(), minlength=n)
+        rng = np.random.default_rng(11)
+        pairs = [(int(s), int(t)) for s, t in rng.integers(0, n, size=(16, 2)) if s != t]
+        max_len = (topo.diameter_hint or 2) + 1
+        counts, paths = batch_disjoint_paths(
+            kernels_for(topo).csr, np.asarray(pairs), max_len, return_paths=True)
+        for (s, t), count, pair_paths in zip(pairs, counts, paths):
+            assert count == len(pair_paths) <= min(degree[s], degree[t])
+            used = set()
+            for path in pair_paths:
+                assert path[0] == s and path[-1] == t
+                assert len(set(path)) == len(path) <= max_len + 1
+                hops = [frozenset(hop) for hop in zip(path, path[1:])]
+                assert all(hop in edges for hop in hops)
+                assert used.isdisjoint(hops)
+                used.update(hops)
+            lengths = [len(path) for path in pair_paths]
+            assert lengths == sorted(lengths)
 
     def test_next_hop_table_matches_scalar_reference(self, topo):
         """Vectorized next-hop tables == scalar reference, bit for bit, per seed."""
@@ -167,10 +193,9 @@ def test_random_graph_path_kernels_match_legacy(n, density, seed, max_len):
 @given(n=st.integers(min_value=2, max_value=20),
        density=st.integers(min_value=0, max_value=3),
        seed=st.integers(min_value=0, max_value=10_000),
-       max_len=st.integers(min_value=1, max_value=5),
-       mode=st.sampled_from(["edge", "vertex"]))
+       max_len=st.integers(min_value=1, max_value=5))
 @settings(max_examples=40, deadline=None)
-def test_random_graph_disjoint_paths_match_reference(n, density, seed, max_len, mode):
+def test_random_graph_disjoint_paths_match_reference(n, density, seed, max_len):
     """Batched greedy CDP on random (often degenerate) graphs: counts and concrete
     paths must match the scalar reference, with and without pruning (the distance
     -bound pruning and relevant-set restriction only skip vertices that provably
@@ -183,16 +208,15 @@ def test_random_graph_disjoint_paths_match_reference(n, density, seed, max_len, 
         sources = sorted(set(int(x) for x in rng.integers(0, n, size=rng.integers(1, 3))))
         targets = sorted(set(int(x) for x in rng.integers(0, n, size=rng.integers(1, 3))))
         items.append((sources, targets))
-    pruned, pruned_paths = batch_disjoint_paths(csr, items, max_len, mode=mode,
-                                                return_paths=True)
-    unpruned = batch_disjoint_paths(csr, items, max_len, mode=mode, prune=False)
+    pruned, pruned_paths = batch_disjoint_paths(csr, items, max_len, return_paths=True)
+    unpruned = batch_disjoint_paths(csr, items, max_len, prune=False)
     for (sources, targets), got, got_paths, got_unpruned in zip(
             items, pruned, pruned_paths, unpruned):
         if set(sources) & set(targets):
             expected, expected_paths = 0, []
         else:
             expected, expected_paths = legacy.greedy_disjoint_paths_python(
-                n, edges, sources, targets, max_len, mode=mode, return_paths=True)
+                n, edges, sources, targets, max_len, return_paths=True)
         assert got == expected
         assert got_unpruned == expected
         assert got_paths == expected_paths

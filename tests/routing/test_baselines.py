@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.config import FatPathsConfig
+from repro.core.layers import random_edge_sampling_layers
 from repro.routing import (
     EcmpRouting,
     KShortestPathsRouting,
@@ -10,6 +12,7 @@ from repro.routing import (
     SpainRouting,
     ValiantRouting,
 )
+from repro.routing.base import LayerSetRouting
 from repro.routing.comparison import (
     FEATURES,
     ROUTING_SCHEME_TABLE,
@@ -17,6 +20,7 @@ from repro.routing.comparison import (
     feature_table,
     only_fully_supporting_scheme,
 )
+from repro.kernels.cache import kernels_for
 from repro.kernels.reference import is_acyclic_python, vlan_compatible_python
 from repro.routing.spain import build_spain_layers
 
@@ -109,6 +113,71 @@ class TestValiant:
     def test_num_paths_validation(self, sf_tiny):
         with pytest.raises(ValueError):
             ValiantRouting(sf_tiny, num_paths=0)
+
+    def test_hop_draw_matches_generator_choice(self, sf_tiny):
+        """A hop drawn by index picks what ``rng.choice(candidates)`` picks and
+        leaves the generator in the same state, so VLB paths keep their stream."""
+        adjacency = sf_tiny.adjacency()
+        dist = kernels_for(sf_tiny).distance_matrix()
+        routers = range(sf_tiny.num_routers)
+        hops = [[v for v in adjacency[u] if dist[v, t] == dist[u, t] - 1]
+                for u in routers for t in routers if u != t]
+        hops += [list(range(100, 100 + n)) for n in range(1, 41)]
+        by_choice, by_index = np.random.default_rng(11), np.random.default_rng(11)
+        for candidates in hops:
+            assert int(by_choice.choice(candidates)) \
+                == candidates[int(by_index.integers(0, len(candidates)))]
+        assert by_choice.bit_generator.state == by_index.bit_generator.state
+
+    def test_paths_equal_choice_drawn_paths(self, sf_tiny):
+        """Whole VLB path sets equal those of hops drawn by ``rng.choice``: the
+        intermediate and hop draws share one stream, which stays in step."""
+
+        class ChoiceDrawnValiant(ValiantRouting):
+            def _minimal_path(self, source, target):
+                dist = self._distances_from(target)
+                path = [source]
+                while path[-1] != target:
+                    candidates = [v for v in self._adj[path[-1]]
+                                  if dist[v] == dist[path[-1]] - 1]
+                    path.append(int(self._rng.choice(candidates)))
+                return path
+
+        by_index = ValiantRouting(sf_tiny, num_paths=4, seed=5)
+        by_choice = ChoiceDrawnValiant(sf_tiny, num_paths=4, seed=5)
+        for s in range(sf_tiny.num_routers):
+            for t in range(0, sf_tiny.num_routers, 3):
+                assert by_index.router_paths(s, t) == by_choice.router_paths(s, t)
+
+
+class TestLayerSetRouting:
+    @pytest.mark.parametrize("family", ["sf_tiny", "df_tiny", "hx_tiny", "xp_tiny", "ft_tiny"])
+    def test_one_path_per_layer_with_full_layer_fallback(self, family, request):
+        """Each layer contributes its within-layer path, or the full layer's path
+        where the sparsified layer cannot reach the target; duplicates are dropped
+        in layer order.  At ``rho = 0.3`` every family needs the fallback."""
+        topo = request.getfixturevalue(family)
+        routing = LayerSetRouting(topo, random_edge_sampling_layers(
+            topo, FatPathsConfig(num_layers=5, rho=0.3, seed=0)))
+        tables = routing.tables
+        fallbacks = 0
+        for s, t in np.random.default_rng(3).integers(0, topo.num_routers, size=(60, 2)):
+            s, t = int(s), int(t)
+            if s == t:
+                assert routing.router_paths(s, t) == [[s]]
+                continue
+            expected = []
+            for layer in range(routing.num_layers):
+                path = tables.path(layer, s, t, fallback_to_full=False)
+                if path is None:
+                    fallbacks += 1
+                    path = tables.path(0, s, t, fallback_to_full=False)
+                if path not in expected:
+                    expected.append(path)
+            got = routing.router_paths(s, t)
+            assert got == expected
+            _assert_valid_paths(topo, got, s, t)
+        assert fallbacks > 0
 
 
 class TestSpain:

@@ -47,19 +47,9 @@ class TestMaxMinFair:
     def test_no_flows(self):
         assert max_min_fair_rates([], np.array([1.0])).shape == (0,)
 
-    def test_weights_consume_more_capacity(self):
-        # a weight-2 flow on the same link as a weight-1 flow: both get the same rate r,
-        # with 2r + r = capacity
-        rates = max_min_fair_rates([[0], [0]], np.array([9.0]), weights=[2.0, 1.0])
-        assert np.allclose(rates, [3.0, 3.0])
-
     def test_invalid_link_index(self):
         with pytest.raises(ValueError):
             max_min_fair_rates([[5]], np.array([1.0]))
-
-    def test_invalid_weights(self):
-        with pytest.raises(ValueError):
-            max_min_fair_rates([[0]], np.array([1.0]), weights=[0.0])
 
     def test_utilisation(self):
         paths = [[0, 1], [0]]
@@ -102,13 +92,12 @@ class TestMaxMinFair:
             assert on_saturated or rates[f] >= rates.max() - 1e-6
 
 
-def _random_flow_set(rng, num_links, num_flows, weighted=False):
+def _random_flow_set(rng, num_links, num_flows):
     caps = rng.uniform(1.0, 10.0, size=num_links)
     paths = [list(rng.choice(num_links, size=int(rng.integers(1, min(4, num_links) + 1)),
                              replace=False))
              for _ in range(num_flows)]
-    weights = rng.uniform(0.5, 3.0, size=num_flows) if weighted else None
-    return caps, paths, weights
+    return caps, paths
 
 
 class TestProgressiveFillingInvariants:
@@ -118,7 +107,7 @@ class TestProgressiveFillingInvariants:
            seed=st.integers(0, 500))
     @settings(max_examples=60, deadline=None)
     def test_no_link_over_capacity(self, num_flows, num_links, seed):
-        caps, paths, _ = _random_flow_set(np.random.default_rng(seed), num_links, num_flows)
+        caps, paths = _random_flow_set(np.random.default_rng(seed), num_links, num_flows)
         rates = max_min_fair_rates(paths, caps)
         util = utilisation_of(paths, rates, caps)
         assert (util <= 1.0 + 1e-6).all()
@@ -131,7 +120,7 @@ class TestProgressiveFillingInvariants:
         saturated and on which the flow's rate is maximal.  Raising that flow would
         then necessarily lower another flow that is no faster (the classical
         certificate: no flow can be increased without decreasing a slower one)."""
-        caps, paths, _ = _random_flow_set(np.random.default_rng(seed), num_links, num_flows)
+        caps, paths = _random_flow_set(np.random.default_rng(seed), num_links, num_flows)
         rates = max_min_fair_rates(paths, caps)
         loads = np.zeros(num_links)
         link_max_rate = np.zeros(num_links)
@@ -144,31 +133,6 @@ class TestProgressiveFillingInvariants:
             has_bottleneck = any(saturated[link] and rates[f] >= link_max_rate[link] - 1e-9
                                  for link in links)
             assert has_bottleneck, f"flow {f} could be raised without hurting a slower flow"
-
-    @given(num_flows=st.integers(2, 16), num_links=st.integers(2, 8),
-           seed=st.integers(0, 300))
-    @settings(max_examples=40, deadline=None)
-    def test_weighted_feasibility_and_certificate(self, num_flows, num_links, seed):
-        """Weighted allocations stay feasible and bottlenecked:
-        link load counts each flow at weight * rate, and on some saturated link of
-        every flow no other flow gets a higher rate."""
-        caps, paths, weights = _random_flow_set(np.random.default_rng(seed), num_links,
-                                                num_flows, weighted=True)
-        rates = max_min_fair_rates(paths, caps, weights=weights)
-        assert (rates > 0).all()
-        loads = np.zeros(num_links)
-        link_max_rate = np.zeros(num_links)
-        for f, links in enumerate(paths):
-            for link in links:
-                loads[link] += weights[f] * rates[f]
-                link_max_rate[link] = max(link_max_rate[link], rates[f])
-        assert (loads <= caps * (1.0 + 1e-6)).all()
-        for f, links in enumerate(paths):
-            saturated_bottleneck = any(
-                loads[link] >= caps[link] * (1.0 - 1e-9) - 1e-9
-                and rates[f] >= link_max_rate[link] - 1e-9
-                for link in links)
-            assert saturated_bottleneck
 
 
 class TestPooledFillMatchesReference:

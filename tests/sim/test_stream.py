@@ -15,9 +15,8 @@ Three pillars (see ``docs/streaming.md``):
   must stay proportional to the active-flow population, not the arrival count.
 
 Plus the streaming estimators (:class:`~repro.sim.metrics.P2Quantile`,
-:class:`~repro.sim.metrics.ReservoirSample`), the explicit time bounds of
-:meth:`~repro.sim.metrics.SimulationResult.warmup_filtered`/``summary``, and the
-batch engine's in-run pool compaction (``meta["pool_compactions"]``).
+:class:`~repro.sim.metrics.ReservoirSample`) and the batch engine's in-run pool
+compaction (``meta["pool_compactions"]``).
 """
 
 import math
@@ -30,12 +29,7 @@ from repro.core.mapping import random_mapping
 from repro.experiments.simcommon import build_stack
 from repro.sim.faults import sample_link_faults
 from repro.sim.flowsim import FlowSimConfig, simulate_workload
-from repro.sim.metrics import (
-    FlowRecord,
-    P2Quantile,
-    ReservoirSample,
-    SimulationResult,
-)
+from repro.sim.metrics import P2Quantile, ReservoirSample
 from repro.sim.reference import FlowLevelSimulator
 from repro.sim.stream import CHECKPOINT_VERSION, StreamConfig, StreamSimulator
 from repro.topologies import comparable_configurations
@@ -573,34 +567,3 @@ class TestReservoirSample:
         with pytest.raises(ValueError):
             ReservoirSample(0, np.random.default_rng(0))
 
-
-# ------------------------------------------------- explicit-bound warm-up API
-def _records(starts):
-    return [FlowRecord(flow_id=i, source=0, destination=1, size_bytes=1e6,
-                       start_time=s, completion_time=s + 0.01, path_hops=3,
-                       num_path_switches=0, congestion_events=0)
-            for i, s in enumerate(starts)]
-
-
-class TestExplicitWarmupBounds:
-    def test_explicit_bounds_are_half_open(self):
-        result = SimulationResult(records=_records([0.0, 0.1, 0.2, 0.3]), name="t")
-        kept = result.warmup_filtered(start_after=0.1, end_before=0.3)
-        assert [r.start_time for r in kept.records] == [0.1, 0.2]
-        lower_only = result.warmup_filtered(start_after=0.2)
-        assert [r.start_time for r in lower_only.records] == [0.2, 0.3]
-        upper_only = result.warmup_filtered(end_before=0.1)
-        assert [r.start_time for r in upper_only.records] == [0.0]
-
-    def test_empty_window_stays_empty(self):
-        """Unlike the fractional form, explicit bounds never fall back to all."""
-        result = SimulationResult(records=_records([0.0, 0.1]), name="t")
-        assert result.warmup_filtered(start_after=5.0).records == []
-        assert result.warmup_filtered(warmup_fraction=1.0).records  # fallback
-
-    def test_summary_accepts_bounds(self):
-        result = SimulationResult(records=_records([0.0, 0.1, 0.2, 0.3]), name="t")
-        bounded = result.summary(start_after=0.1, end_before=0.3)
-        assert bounded["count"] == 2
-        assert result.summary(start_after=9.0) == {"count": 0}
-        assert result.summary()["count"] == 4

@@ -91,7 +91,7 @@ def drill_resume(cells, clean, experiments: str, scale: str, jobs: int,
                  journal_path: str) -> None:
     """Forced mid-sweep abort (SIGKILL of the runner) + journaled resume."""
     command = [sys.executable, "-m", "repro.experiments.runner", experiments,
-               "--scale", scale, "--seeds", "0", "--jobs", str(jobs), "--split",
+               "--scale", scale, "--seeds", "0", "--jobs", str(jobs),
                "--journal", journal_path]
     env = dict(os.environ)
     env["PYTHONPATH"] = f"{REPO / 'src'}{os.pathsep}" + env.get("PYTHONPATH", "")
