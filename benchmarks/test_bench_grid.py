@@ -37,12 +37,15 @@ RESILIENT_OVERHEAD_CEILING = 1.15
 #: Splittable simulation scenarios swept by the pooled-vs-sequential pair.
 SCENARIOS = ("fig12", "incast")
 
-#: Seeds of the overhead gate's sweep: two, so each timed sweep is long enough
-#: that scheduler noise is small against it.
+#: Seeds of the overhead gate's sweep: four (32 cells), so each timed sweep is
+#: long enough that scheduler noise is small against it.
 OVERHEAD_SEEDS = (0, 1, 2, 3)
 
-#: Interleaved rounds of the overhead gate (the ratio compares the minima).
-OVERHEAD_ROUNDS = 5
+#: Interleaved rounds of the overhead gate (the ratio compares the minima); the
+#: executor that runs first alternates per round.  Many short rounds, rather
+#: than a few long ones, give each executor's minimum a quiet stretch of a
+#: shared, drifting host.
+OVERHEAD_ROUNDS = 12
 
 
 def _cells(scale, seeds=(0,)):
@@ -93,19 +96,28 @@ def test_bench_grid_resilient_pool(benchmark, scale):
 def test_grid_resilient_overhead(scale):
     """Resilient-executor overhead on a healthy sweep stays within the ceiling.
 
-    Interleaved min-of-5 wall-clock comparison over two seeds of the sweep:
-    per-run pool startup and scheduler noise cancel in the minimum, so the
-    ratio isolates the executor's own bookkeeping.
+    Interleaved min-of-rounds wall-clock comparison over four seeds of the
+    sweep: per-run pool startup and scheduler noise cancel in the minimum, and
+    the executor that runs first alternates per round, so neither side always
+    inherits the other's warm (or cold) machine.  The ratio isolates the
+    executor's own bookkeeping.
     """
     cells = _cells(scale, OVERHEAD_SEEDS)
     plain_times, resilient_times = [], []
-    for _ in range(OVERHEAD_ROUNDS):
+
+    def timed(run, times):
         start = time.perf_counter()
-        plain = _plain_pool(cells)
-        plain_times.append(time.perf_counter() - start)
-        start = time.perf_counter()
-        resilient = run_experiment_grid(cells, jobs=2)
-        resilient_times.append(time.perf_counter() - start)
+        results = run()
+        times.append(time.perf_counter() - start)
+        return results
+
+    for round_index in range(OVERHEAD_ROUNDS):
+        if round_index % 2:
+            resilient = timed(lambda: run_experiment_grid(cells, jobs=2), resilient_times)
+            plain = timed(lambda: _plain_pool(cells), plain_times)
+        else:
+            plain = timed(lambda: _plain_pool(cells), plain_times)
+            resilient = timed(lambda: run_experiment_grid(cells, jobs=2), resilient_times)
         assert all(r.ok for r in plain) and all(r.ok for r in resilient)
         for p, r in zip(plain, resilient):
             assert p.result.rows == r.result.rows

@@ -10,7 +10,7 @@ endpoints), one per layer".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class FatPathsRouting:
         self.config = config
         self.layer_set: LayerSet = build_layers(topology, config)
         self.tables: ForwardingTables = build_forwarding_tables(self.layer_set)
-        self._path_cache: Dict[Tuple[int, int], List[List[int]]] = {}
 
     # ------------------------------------------------------------------ basic
     @property
@@ -70,10 +69,7 @@ class FatPathsRouting:
         """Candidate router paths (one per layer, deduplicated) between two routers."""
         if source_router == target_router:
             return [[source_router]]
-        key = (source_router, target_router)
-        if key not in self._path_cache:
-            self._path_cache[key] = self.tables.paths(source_router, target_router)
-        return self._path_cache[key]
+        return self.tables.paths(source_router, target_router)
 
     def endpoint_paths(self, source_endpoint: int, target_endpoint: int) -> List[List[int]]:
         """Candidate router paths between the routers hosting two endpoints."""

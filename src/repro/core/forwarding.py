@@ -109,8 +109,8 @@ class ForwardingTables:
                 return path
         raise RuntimeError("forwarding loop detected")  # pragma: no cover - defensive
 
-    def paths(self, source: int, target: int, unique: bool = True) -> List[List[int]]:
-        """One path per layer from source to target (deduplicated when ``unique``)."""
+    def paths(self, source: int, target: int) -> List[List[int]]:
+        """One path per layer from source to target, duplicates dropped."""
         seen = set()
         out: List[List[int]] = []
         for layer in range(self.num_layers):
@@ -118,15 +118,11 @@ class ForwardingTables:
             if p is None:
                 continue
             key = tuple(p)
-            if unique and key in seen:
+            if key in seen:
                 continue
             seen.add(key)
             out.append(p)
         return out
-
-    def path_lengths(self, source: int, target: int) -> List[int]:
-        """Hop count of the per-layer path for every layer (full-layer fallback applies)."""
-        return [len(p) - 1 for p in self.paths(source, target, unique=False)]
 
     def table_entries(self) -> int:
         """Total number of forwarding entries (the hardware-resource metric of §VI-B)."""

@@ -135,17 +135,16 @@ class GraphKernels:
         """The random-minimal next-hop table for ``seed`` (read-only, cached per seed).
 
         Built by the vectorized :func:`repro.kernels.nexthop.next_hop_table` from
-        this graph's cached distance matrix.  Equal int/int-tuple seeds return the
-        same cached array, so repeated forwarding builds over identical layers cost
-        one kernel invocation (per seed) instead of one per build.  Seeds without a
-        faithful value key (``None``, ``SeedSequence`` objects) are never cached —
-        each call builds a fresh table, preserving their randomness semantics.
+        this graph's cached distance matrix.  ``seed`` is an int or a tuple of
+        ints (forwarding tables pass ``(base_seed, layer_index)``), keyed by its
+        values: an int and its 1-tuple are the same ``SeedSequence`` entropy, so
+        they share a key.  Equal seeds return the same cached array, so repeated
+        forwarding builds over identical layers cost one kernel invocation (per
+        seed) instead of one per build.
         """
-        from repro.kernels.nexthop import next_hop_table, normalize_seed_key
+        from repro.kernels.nexthop import next_hop_table
 
-        key = normalize_seed_key(seed)
-        if key is None:
-            return _readonly(next_hop_table(self.csr, self.distance_matrix(), seed))
+        key = tuple(int(s) for s in np.atleast_1d(seed))
         table = self._next_hops.get(key)
         if table is None:
             while len(self._next_hops) >= _MAX_NEXT_HOP_TABLES:

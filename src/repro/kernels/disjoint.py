@@ -110,15 +110,15 @@ def _distance_rows(csr: CSRGraph,
 
 
 def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: int,
-                  bounds: Optional[np.ndarray], want_paths: bool,
+                  bounds: np.ndarray, want_paths: bool,
                   vertex_maps: Optional[List[np.ndarray]],
                   vcounts: Optional[np.ndarray] = None) -> Tuple[np.ndarray, List[List[List[int]]]]:
     """Run the batched greedy search on one chunk of (locally indexed) items.
 
     ``adjs`` is the mutable ``(B, K, K)`` boolean adjacency block (one private copy
     per item, zero-padded beyond each item's vertex count), ``src``/``dst`` are
-    ``(B, K)`` boolean masks and ``bounds`` optionally carries admissible remaining
-    -distance lower bounds (``-1`` where the targets are unreachable).
+    ``(B, K)`` boolean masks and ``bounds`` carries admissible remaining-distance
+    lower bounds (``-1`` where the targets are unreachable).
     ``vertex_maps`` translates local to global indices for path output.
 
     Rounds are *adaptively* round-robined: whenever at least half of the block's
@@ -134,8 +134,7 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
     counts = np.zeros(num_items, dtype=np.int64)
     paths: List[List[List[int]]] = [[] for _ in range(num_items)]
     active = src.any(axis=1) & dst.any(axis=1) & ~(src & dst).any(axis=1)
-    if bounds is not None:
-        prune_out = (bounds < 0) | (bounds > max_len)
+    prune_out = (bounds < 0) | (bounds > max_len)
     #: row -> original chunk item, updated on every compaction
     orig = np.arange(num_items, dtype=np.int64)
     depth = np.empty((num_items, k), dtype=np.int64)
@@ -149,9 +148,8 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
                 k = max(1, int(vcounts[orig[keep]].max()))
             adjs = np.ascontiguousarray(adjs[keep, :k, :k])
             src, dst = src[keep, :k], dst[keep, :k]
-            if bounds is not None:
-                bounds = bounds[keep, :k]
-                prune_out = prune_out[keep, :k]
+            bounds = bounds[keep, :k]
+            prune_out = prune_out[keep, :k]
             orig = orig[keep]
             active = np.ones(live, dtype=bool)
             depth = np.empty((live, k), dtype=np.int64)
@@ -176,10 +174,9 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
             reach.fill(False)
             reach[item_of[seg_starts]] = np.bitwise_or.reduceat(
                 rows, seg_starts, axis=0)
-            new = reach & (depth < 0) & searching[:, None]
-            if bounds is not None:
-                # depth + remaining-distance bound must fit in the length budget
-                new &= ~prune_out & (bounds <= max_len - level)
+            # depth + remaining-distance bound must fit in the length budget
+            new = (reach & (depth < 0) & searching[:, None] & ~prune_out
+                   & (bounds <= max_len - level))
             if not new.any():
                 break
             depth[new] = level
@@ -230,7 +227,7 @@ def _greedy_chunk(adjs: np.ndarray, src: np.ndarray, dst: np.ndarray, max_len: i
     return counts, paths
 
 
-def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = True,
+def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *,
                          bounds: Optional[np.ndarray] = None,
                          source_bounds: Optional[np.ndarray] = None,
                          return_paths: bool = False):
@@ -249,10 +246,6 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = Tr
         the paper's definition excludes).
     max_len:
         Maximum path length ``l`` in hops (``>= 1``).
-    prune:
-        Apply length-bound pruning and relevant-set restriction (default).  Results
-        are provably identical either way; ``False`` exists for the equivalence
-        suite and for callers measuring the pruning win.
     bounds:
         Optional ``(B, N)`` per-item distances to the item's target set in the
         unmutated graph (``-1`` for unreachable).  Pass rows of the cached distance
@@ -288,20 +281,16 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = Tr
     for name, arr in (("bounds", bounds), ("source_bounds", source_bounds)):
         if arr is not None and np.asarray(arr).shape != (num_items, n):
             raise ValueError(f"{name} must have shape ({num_items}, {n})")
-    if prune:
-        if bounds is None:
-            bounds = _distance_rows(csr, [targets for _, targets in normalized])
-        if source_bounds is None:
-            source_bounds = _distance_rows(csr, [srcs for srcs, _ in normalized])
-        bounds = np.asarray(bounds)
-        source_bounds = np.asarray(source_bounds)
-        # Relevant vertex sets: the pruned search provably never leaves them.
-        relevant = ((bounds >= 0) & (source_bounds >= 0)
-                    & (source_bounds + bounds <= max_len))
-        vertex_lists = [np.flatnonzero(relevant[i]) for i in range(num_items)]
-    else:
-        everything = np.arange(n, dtype=np.int64)
-        vertex_lists = [everything] * num_items
+    if bounds is None:
+        bounds = _distance_rows(csr, [targets for _, targets in normalized])
+    if source_bounds is None:
+        source_bounds = _distance_rows(csr, [srcs for srcs, _ in normalized])
+    bounds = np.asarray(bounds)
+    source_bounds = np.asarray(source_bounds)
+    # Relevant vertex sets: the pruned search provably never leaves them.
+    relevant = ((bounds >= 0) & (source_bounds >= 0)
+                & (source_bounds + bounds <= max_len))
+    vertex_lists = [np.flatnonzero(relevant[i]) for i in range(num_items)]
     dense = csr.dense_adjacency  # memoised on the graph; sliced per item below
     # Chunk so the padded (chunk, K, K) block stays within the entry budget; item
     # order is preserved, so results are independent of the chunking.
@@ -319,7 +308,7 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = Tr
         adjs = np.zeros((size, kmax, kmax), dtype=bool)
         src = np.zeros((size, kmax), dtype=bool)
         dst = np.zeros((size, kmax), dtype=bool)
-        chunk_bounds = np.full((size, kmax), -1, dtype=np.int64) if prune else None
+        chunk_bounds = np.full((size, kmax), -1, dtype=np.int64)
         maps: List[np.ndarray] = []
         for i in range(size):
             item = pos + i
@@ -336,8 +325,7 @@ def batch_disjoint_paths(csr: CSRGraph, items, max_len: int, *, prune: bool = Tr
             sources, targets = normalized[item]
             src[i, local[sources][local[sources] >= 0]] = True
             dst[i, local[targets][local[targets] >= 0]] = True
-            if prune:
-                chunk_bounds[i, :verts.size] = bounds[item, verts]
+            chunk_bounds[i, :verts.size] = bounds[item, verts]
         chunk_counts, chunk_paths = _greedy_chunk(
             adjs, src, dst, max_len, chunk_bounds, return_paths, maps,
             vcounts=np.asarray([m.size for m in maps], dtype=np.int64))

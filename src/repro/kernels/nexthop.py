@@ -32,7 +32,7 @@ inflated the §VI-B table-entry counts).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -69,8 +69,7 @@ def slot_ranks(csr: CSRGraph, keys: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def next_hop_table(csr: CSRGraph, distances: np.ndarray, seed: SeedLike,
-                   out_dtype=np.int32) -> np.ndarray:
+def next_hop_table(csr: CSRGraph, distances: np.ndarray, seed: SeedLike) -> np.ndarray:
     """Dense random-minimal next-hop table for one graph (vectorized Listing 3).
 
     Parameters
@@ -82,8 +81,6 @@ def next_hop_table(csr: CSRGraph, distances: np.ndarray, seed: SeedLike,
         for unreachable pairs (both cached forms work and yield the same table).
     seed:
         Seed material for ``np.random.default_rng``; equal seeds give equal tables.
-    out_dtype:
-        Integer dtype of the returned table.
 
     Returns
     -------
@@ -95,7 +92,7 @@ def next_hop_table(csr: CSRGraph, distances: np.ndarray, seed: SeedLike,
     distances = np.asarray(distances)
     if distances.shape != (n, n):
         raise ValueError(f"distances must have shape ({n}, {n})")
-    table = np.full((n, n), UNREACHABLE, dtype=out_dtype)
+    table = np.full((n, n), UNREACHABLE, dtype=np.int32)
     m = csr.indices.size
     if m:
         # Normalize distances to a compact signed int with -1 for unreachable: hop
@@ -131,23 +128,6 @@ def next_hop_table(csr: CSRGraph, distances: np.ndarray, seed: SeedLike,
                 hop = by_rank[start:stop, r]
                 claim = ((dist[hop] == want) & (rows == UNREACHABLE)
                          & valid_by_rank[start:stop, r, None])
-                np.copyto(rows, hop[:, None].astype(out_dtype), where=claim)
-    np.fill_diagonal(table, np.arange(n, dtype=out_dtype))
+                np.copyto(rows, hop[:, None].astype(np.int32), where=claim)
+    np.fill_diagonal(table, np.arange(n, dtype=np.int32))
     return table
-
-
-def normalize_seed_key(seed: SeedLike) -> Optional[tuple]:
-    """A hashable cache key for ``seed``, or ``None`` when caching would be wrong.
-
-    Ints and int sequences key by their values.  ``None`` (entropy from the OS —
-    every draw differs) and ``SeedSequence`` objects (whose stream depends on
-    ``spawn_key``/``pool_size`` state beyond the entropy) return ``None``:
-    caching them could serve one frozen table for seeds that must differ, so
-    callers must treat ``None`` as "build fresh, do not cache".
-    """
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    if isinstance(seed, (tuple, list)) and all(
-            isinstance(s, (int, np.integer)) for s in seed):
-        return tuple(int(s) for s in seed)
-    return None

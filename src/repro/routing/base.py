@@ -9,7 +9,7 @@ LPs (which solve for the optimal split) consume this interface.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class LayerSetRouting(MultiPathRouting):
         self.name = name
         self.layer_set = layer_set
         self.tables: ForwardingTables = build_forwarding_tables(layer_set, seed=seed)
-        self._cache: Dict[Tuple[int, int], List[List[int]]] = {}
 
     @property
     def num_layers(self) -> int:
@@ -93,10 +92,7 @@ class LayerSetRouting(MultiPathRouting):
     def router_paths(self, source_router: int, target_router: int) -> List[List[int]]:
         if source_router == target_router:
             return [[source_router]]
-        key = (source_router, target_router)
-        if key not in self._cache:
-            self._cache[key] = self.tables.paths(source_router, target_router)
-        return self._cache[key]
+        return self.tables.paths(source_router, target_router)
 
     def forwarding_entries(self) -> int:
         return self.tables.table_entries()

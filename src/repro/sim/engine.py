@@ -42,8 +42,10 @@ What changes relative to the reference:
   no per-flow Python callbacks on the hot path.  A selector that never moves a
   flow (``PathSelector.reroutes`` is False: ECMP) skips the sweep, whose only
   effect on it would be resetting flowlet byte counters that nothing else reads.
-  Faulted and unfaulted runs share this sweep, and arrivals under a fault share
-  the re-placement chooser (survivors, else a detour, else a stall).
+  Faulted and unfaulted runs share this sweep: under a fault, one gather of the
+  failed-link mask through the same grid finds each row's surviving candidates.
+  Arrivals under a fault share the re-placement chooser (survivors, else a
+  detour, else a stall).
 * **Shared link space** — the directed-link index space of a topology is built once
   and cached on the topology's :class:`~repro.kernels.cache.GraphKernels` entry
   (:func:`link_space_for`), so the many cells of a figure sweep stop rebuilding it.
@@ -139,8 +141,8 @@ class CandidateEntry:
 
     The pair's candidates hold the consecutive global ids ``first ..
     first + num_candidates - 1`` of the bank's candidate table, which is the one
-    store of their pool offsets: ``seg_start``/``seg_len`` are views of it (router
-    links only — injection/ejection links are per-flow and added by the engine).
+    store of their pool offsets (``cand_start``/``cand_len``, router links only —
+    injection/ejection links are per-flow and added by the engine).
     ``lengths`` is the per-candidate hop count exactly as the reference computes it
     (``max(1, len(path) - 1)``); ``max_links`` is the full-path segment capacity
     (longest candidate plus injection/ejection) a flow on this pair reserves in the
@@ -148,33 +150,14 @@ class CandidateEntry:
     place.
     """
 
-    __slots__ = ("bank", "first", "num_candidates", "lengths", "max_links")
+    __slots__ = ("first", "num_candidates", "lengths", "max_links")
 
-    def __init__(self, bank: "CandidateBank", first: int, lengths: List[int],
-                 max_links: int) -> None:
+    def __init__(self, first: int, lengths: List[int], max_links: int) -> None:
         """Wrap one pair's candidates (table ids from ``first`` on)."""
-        self.bank = bank
         self.first = first
         self.num_candidates = len(lengths)
         self.lengths = lengths
         self.max_links = max_links
-
-    @property
-    def seg_start(self) -> np.ndarray:
-        """Pool start of each candidate (a view of the bank's table)."""
-        return self.bank.cand_start[self.first:self.first + self.num_candidates]
-
-    @property
-    def seg_len(self) -> np.ndarray:
-        """Link count of each candidate (a view of the bank's table)."""
-        return self.bank.cand_len[self.first:self.first + self.num_candidates]
-
-    # the offsets live in the bank's table, so the constructor inputs are the state
-    def __getstate__(self):
-        return self.bank, self.first, self.lengths, self.max_links
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
 
 
 def _grown(values: np.ndarray, size: int, fill) -> np.ndarray:
@@ -275,7 +258,7 @@ class CandidateBank:
             [link_list + link_list[:1] * (depth - len(link_list)) if link_list
              else [self.zero_link] * depth for link_list in link_lists]).T
         self.num_cands = end
-        made = CandidateEntry(self, first, lengths, max(seg_lens) + 2)
+        made = CandidateEntry(first, lengths, max(seg_lens) + 2)
         self.entries[key] = made
         return made
 
@@ -286,10 +269,7 @@ _BANKS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 def candidate_bank_for(routing, links: LinkSpace) -> CandidateBank:
     """The shared :class:`CandidateBank` of one routing scheme (per link space)."""
-    try:
-        bank = _BANKS.get(routing)
-    except TypeError:  # unhashable / non-weakrefable routing: private bank
-        return CandidateBank(links)
+    bank = _BANKS.get(routing)
     if bank is None or bank.links is not links:
         bank = CandidateBank(links)
         _BANKS[routing] = bank
@@ -297,34 +277,14 @@ def candidate_bank_for(routing, links: LinkSpace) -> CandidateBank:
 
 
 # ------------------------------------------------------------------ fault state
-class _SurvivorView:
-    """Surviving-candidate view of one router pair under the current failed set."""
-
-    __slots__ = ("entry", "survivors", "count", "ids", "lengths")
-
-    def __init__(self, entry: CandidateEntry, survivors: np.ndarray) -> None:
-        """Index ``entry``'s surviving candidates (their table ids and hop counts)."""
-        self.entry = entry
-        self.survivors = survivors            # ascending candidate indices
-        self.count = int(survivors.size)
-        self.ids = entry.first + survivors    # candidate table ids
-        self.lengths = [entry.lengths[int(i)] for i in survivors]
-
-    # pickle the constructor inputs only; the rest rederives
-    def __getstate__(self):
-        return self.entry, self.survivors
-
-    def __setstate__(self, state) -> None:
-        self.__init__(*state)
-
-
 class _FaultRuntime:
-    """Per-run fault state of the engine: failed set, survivor views, detours.
+    """Per-run fault state of the engine: the failed set and detours.
 
-    Mirrors the reference spec (:mod:`repro.sim.faults`).  Survivor views are
-    cached per router pair under the current failed set (``reuses`` vs
-    ``refilters``), and any change to the set drops them all.  Detour distances
-    come from the surviving graph's kernels
+    Mirrors the reference spec (:mod:`repro.sim.faults`).  ``failed_mask`` is
+    the one store of which links are down, indexed like the bank's link table:
+    its ``num_links + 2`` entries cover the two sentinel links, which never
+    fail.  A pair's surviving candidates are read off it (:meth:`survivors`).
+    Detour distances come from the surviving graph's kernels
     (:func:`repro.kernels.dirtyregion.faulted_kernels`), fetched at most once per
     fault epoch — BFS distances are unique, so the backwalk builds exactly the
     reference's scalar-BFS detour.
@@ -337,12 +297,8 @@ class _FaultRuntime:
         self.links = links
         self.bank = bank
         self.failed_edges: set = set()        # undirected (u < v) failed edges
-        self.failed_links: set = set()        # both directed link indices per edge
-        self.failed_mask = np.zeros(links.num_links, dtype=bool)
-        self.views: Dict[Tuple[int, int], _SurvivorView] = {}
+        self.failed_mask = np.zeros(links.num_links + 2, dtype=bool)
         self.surviving: Optional[GraphKernels] = None
-        self.refilters = 0
-        self.reuses = 0
 
     # checkpoints leave the kernels cache entry out (their code digest does not
     # cover repro.kernels); the next detour refetches it
@@ -350,8 +306,8 @@ class _FaultRuntime:
         return dict(vars(self), surviving=None)
 
     def apply(self, deltas: Sequence[Tuple[str, Tuple[int, int]]]) -> None:
-        """Apply one epoch's fail/restore deltas; a changed failed set drops every
-        survivor view and the surviving graph."""
+        """Apply one epoch's fail/restore deltas; a changed failed set rewrites
+        the mask and drops the surviving graph."""
         before = set(self.failed_edges)
         for action, edge in deltas:
             if action == "fail":
@@ -360,33 +316,18 @@ class _FaultRuntime:
                 self.failed_edges.discard(edge)
         if self.failed_edges == before:
             return
-        self.views.clear()
         self.surviving = None
         edge_index = self.links.edge_index
-        self.failed_links.clear()
         self.failed_mask[:] = False
         for u, v in self.failed_edges:
-            a, b = edge_index[(u, v)], edge_index[(v, u)]
-            self.failed_links.add(a)
-            self.failed_links.add(b)
-            self.failed_mask[a] = self.failed_mask[b] = True
+            self.failed_mask[edge_index[(u, v)]] = self.failed_mask[edge_index[(v, u)]] = True
 
-    def view(self, key: Tuple[int, int]) -> _SurvivorView:
-        """The survivor view of a resolved pair under the current failed set (cached).
-
-        The pair's candidates are its columns of the bank's link table: a
-        candidate survives when none of its links failed.
-        """
-        cached = self.views.get(key)
-        if cached is not None:
-            self.reuses += 1
-            return cached
-        entry = self.bank.entries[key]
-        cols = self.bank.hop_links[:, entry.first:entry.first + entry.num_candidates]
-        made = _SurvivorView(entry, np.flatnonzero(~self.failed_mask[cols].any(axis=0)))
-        self.refilters += 1
-        self.views[key] = made
-        return made
+    def survivors(self, entry: CandidateEntry) -> np.ndarray:
+        """Ascending indices of ``entry``'s candidates none of whose links failed
+        (read through the pair's columns of the bank's link table)."""
+        first = entry.first
+        cols = self.bank.hop_links[:, first:first + entry.num_candidates]
+        return np.flatnonzero(~self.failed_mask[cols].any(axis=0))
 
     def detour(self, rs: int, rt: int) -> Optional[List[int]]:
         """The deterministic detour router path rs -> rt on the surviving graph."""
@@ -406,12 +347,8 @@ _SLOT_ARRAYS: Tuple[Tuple[str, type, object], ...] = (
         "cand_first", "cand_start", "cand_len")),
     *((name, np.float64, 0.0) for name in (
         "start", "size", "remaining", "rate", "bytes_since_switch")),
-    ("currently_congested", np.bool_, False),
-)
-
-#: Slot arrays that exist only under a fault schedule (-1 hops: not on a detour).
-_FAULT_SLOT_ARRAYS: Tuple[Tuple[str, type, object], ...] = (
-    ("stalled", np.bool_, False), ("on_detour", np.bool_, False),
+    ("currently_congested", np.bool_, False), ("stalled", np.bool_, False),
+    # a detour's hop count; -1 while the flow rides one of its pair's candidates
     ("record_hops", np.int64, -1),
 )
 
@@ -460,9 +397,7 @@ class EngineCore:
         self.capacity = capacity
         self.count = 0          # flows ingested so far
         self.admit_idx = 0      # next slot to admit at its arrival event
-        self.faults_on = config.faults is not None
-        self.stalled = self.on_detour = self.record_hops = None
-        for name, dtype, fill in self._slot_arrays():
+        for name, dtype, fill in _SLOT_ARRAYS:
             setattr(self, name, np.full(capacity, fill, dtype=dtype))
 
         self.active = np.empty(0, dtype=np.int64)   # arrival positions, ascending
@@ -477,14 +412,14 @@ class EngineCore:
                                     self.capacities, self.line_rate)
 
         # ---- fault state (mirrors the reference spec; see repro.sim.faults)
-        self.fault_epochs = config.faults.resolve(sim.topology) if self.faults_on else []
+        self.fault_epochs = ([] if config.faults is None
+                             else config.faults.resolve(sim.topology))
         self.fault_idx = 0
         self.fault_count = 0
         self.reroutes = 0
         self.stall_count = 0
         self.order_dirty = False
-        self.faultrt: Optional[_FaultRuntime] = _FaultRuntime(
-            sim.topology, self.links, self.bank) if self.faults_on else None
+        self.faultrt = _FaultRuntime(sim.topology, self.links, self.bank)
 
     # -------------------------------------------------------------- ingestion
     def set_mapping(self, mapping: Optional[Sequence[int]]) -> None:
@@ -494,14 +429,10 @@ class EngineCore:
             raise ValueError(f"mapping must be a permutation of the {n} endpoints")
         self._remap = None if mapping is None else np.asarray(mapping, dtype=np.int64)
 
-    def _slot_arrays(self) -> Tuple[Tuple[str, type, object], ...]:
-        """The slot-array schema of this run (fault-only arrays under faults)."""
-        return _SLOT_ARRAYS + _FAULT_SLOT_ARRAYS if self.faults_on else _SLOT_ARRAYS
-
     def _resize_slots(self, rows, capacity: int) -> None:
         """Reallocate every slot array at ``capacity`` slots, holding the old
         ``rows`` (a slice or an index array) as a dense prefix."""
-        for name, dtype, fill in self._slot_arrays():
+        for name, dtype, fill in _SLOT_ARRAYS:
             kept = getattr(self, name)[rows]
             arr = np.full(capacity, fill, dtype=dtype)
             arr[:kept.size] = kept
@@ -601,12 +532,12 @@ class EngineCore:
             self.advance_to(completion_time)
             self.now = completion_time
             self.active = active[active != completing]
-            if not (self.faults_on and self.stalled[completing]):
+            if not self.stalled[completing]:
                 self.alloc.remove(completing)
             self.sink(self.make_record(completing, self.now))
         if not self.selector.reroutes:
             pass    # a static selector (ECMP) never moves a flow: no sweep
-        elif self.faults_on and self.faultrt.failed_links:
+        elif self.faultrt.failed_edges:
             self.maybe_switch_paths_faulted()
         else:
             self.maybe_switch_paths()
@@ -637,7 +568,7 @@ class EngineCore:
         """
         now = self.now
         bank, routing, selector = self.bank, self.routing, self.selector
-        faulted = self.faults_on and bool(self.faultrt.failed_links)
+        faulted = bool(self.faultrt.failed_edges)
         src_router, dst_router = self.src_router, self.dst_router
         first_new = self.admit_idx
         while self.admit_idx < self.count and self.start[self.admit_idx] <= now:
@@ -676,7 +607,7 @@ class EngineCore:
         re-evaluating episodes exactly for the refilled slots is equivalent.
         """
         active = self.active
-        alive = active if not self.faults_on else active[~self.stalled[active]]
+        alive = active[~self.stalled[active]] if self.stall_count else active
         if alive.size == 0:
             self.alloc.idle()
             return
@@ -687,49 +618,52 @@ class EngineCore:
                 congested & ~self.currently_congested[refilled]
             self.currently_congested[refilled] = congested
 
-    def maybe_switch_paths(self) -> None:
-        """Flowlet/congestion path switching: one congestion sweep, one selector call.
+    def _id_grid(self, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The multi-path flows among ``rows``, their candidate counts and id grid.
 
-        Every multi-path flow gets a row of the id grid: its candidates' table
-        ids, padded with the padding candidate ``-1``, so its current path sits
-        in column ``path_index`` (see :meth:`_switch_sweep`).
+        Each kept flow gets a row of the grid: its candidates' table ids,
+        padded with the padding candidate ``-1``, so its current path sits in
+        column ``path_index`` (see :meth:`_switch_sweep`).
         """
-        active = self.active
-        counts = self.num_candidates[active]
+        counts = self.num_candidates[rows]
         several = counts > 1
-        rows = active[several]
-        if rows.size == 0:
-            return
-        counts = counts[several]
-        cols = np.arange(counts[counts.argmax()])
+        rows, counts = rows[several], counts[several]
+        cols = np.arange(counts.max(initial=0))
         ids = np.where(cols < counts[:, None], self.cand_first[rows][:, None] + cols, -1)
-        self._switch_sweep(rows, ids, counts, self.path_index[rows])
+        return rows, counts, ids
+
+    def maybe_switch_paths(self) -> None:
+        """Flowlet/congestion path switching: one congestion sweep, one selector call."""
+        rows, counts, ids = self._id_grid(self.active)
+        if rows.size:
+            self._switch_sweep(rows, ids, counts, self.path_index[rows])
 
     def maybe_switch_paths_faulted(self) -> None:
-        """Faulted-mode switching: the same sweep over the survivor views.
+        """Faulted-mode switching: the same sweep over the surviving candidates.
 
         Mirrors the reference's survivor-aware loop: stalled and detour flows
         never switch, a pair with at most one surviving candidate is skipped,
-        and a row of the id grid lists only the pair's surviving candidates, so
-        the selector sees survivor positions, loads and lengths.
+        and a row of the id grid lists only the pair's surviving candidates, in
+        candidate order, so the selector sees survivor positions, loads and
+        lengths.  One gather of the failed-link mask through the grid finds the
+        dead candidates.
         """
         active = self.active
-        if active.size == 0:
-            return
-        rows = active[~self.stalled[active] & ~self.on_detour[active]
-                      & (self.num_candidates[active] > 1)]
+        rows, counts, ids = self._id_grid(
+            active[~self.stalled[active] & (self.record_hops[active] < 0)])
         if rows.size == 0:
             return
-        faultrt, src_router, dst_router = self.faultrt, self.src_router, self.dst_router
-        views = [faultrt.view((int(src_router[a]), int(dst_router[a]))) for a in rows]
-        counts = np.fromiter((v.count for v in views), dtype=np.int64, count=rows.size)
+        dead = (ids < 0) | self.faultrt.failed_mask[
+            self.bank.hop_links.take(ids, axis=1)].any(axis=0)
+        counts = np.count_nonzero(~dead, axis=1)
         several = counts > 1
         rows, counts = rows[several], counts[several]
         if rows.size == 0:
             return
-        ids = np.full((rows.size, int(counts.max())), -1, dtype=np.int64)
-        ids[np.arange(ids.shape[1]) < counts[:, None]] = np.concatenate(
-            [v.ids for v, keep in zip(views, several) if keep])
+        # survivors to the front in candidate order (a stable sort), then padding
+        order = np.argsort(dead[several], axis=1, kind="stable")[:, :counts.max()]
+        ids = np.where(np.arange(order.shape[1]) < counts[:, None],
+                       np.take_along_axis(ids[several], order, axis=1), -1)
         # a flow's current path survives: any flow on a failed link was re-placed
         current = self.cand_first[rows] + self.path_index[rows]
         self._switch_sweep(rows, ids, counts, (ids == current[:, None]).argmax(axis=1))
@@ -791,18 +725,19 @@ class EngineCore:
         a surviving candidate, else a detour, else none.
 
         Writes the choice (``path_index``, ``cand_start``/``cand_len``,
-        ``on_detour``, ``record_hops``) and returns True, or returns False with
-        nothing written and no selector draw when the pair is disconnected.
+        ``record_hops``) and returns True, or returns False with nothing
+        written and no selector draw when the pair is disconnected.
         """
         bank, faultrt = self.bank, self.faultrt
-        view = faultrt.view((rs, rt))
-        if view.count:
-            pos = int(self.selector.initial_path(int(self.fid[a]), view.count,
-                                                 path_lengths=view.lengths))
-            cand = int(view.ids[pos])
-            self.path_index[a] = cand - view.entry.first
+        entry = bank.entries[(rs, rt)]
+        survivors = faultrt.survivors(entry)
+        if survivors.size:
+            pos = int(self.selector.initial_path(
+                int(self.fid[a]), survivors.size,
+                path_lengths=[entry.lengths[i] for i in survivors]))
+            self.path_index[a] = index = int(survivors[pos])
+            cand = entry.first + index
             self.cand_start[a], self.cand_len[a] = bank.cand_start[cand], bank.cand_len[cand]
-            self.on_detour[a] = False
             self.record_hops[a] = -1
             return True
         detour = faultrt.detour(rs, rt)
@@ -813,7 +748,6 @@ class EngineCore:
         self.selector.initial_path(int(self.fid[a]), 1, path_lengths=[hops])
         self.cand_start[a], self.cand_len[a] = bank._append(self.links.links_of_path(detour))
         self.path_index[a] = 0
-        self.on_detour[a] = True
         self.record_hops[a] = hops
         return True
 
@@ -878,9 +812,9 @@ class EngineCore:
             else:
                 s, length = int(self.cand_start[a]), int(self.cand_len[a])
                 dead = bool(faultrt.failed_mask[bank.pool[s:s + length]].any())
-                if self.on_detour[a]:
-                    needs = dead or faultrt.view(
-                        (int(self.src_router[a]), int(self.dst_router[a]))).count > 0
+                if self.record_hops[a] >= 0:    # on a detour
+                    needs = dead or faultrt.survivors(bank.entries[
+                        (int(self.src_router[a]), int(self.dst_router[a]))]).size > 0
                 else:
                     needs = dead
             if needs:
@@ -892,9 +826,8 @@ class EngineCore:
     def make_record(self, a: int, completion_time: float) -> FlowRecord:
         """Assemble one flow's record (RTT + transport startup, as reference)."""
         config = self.config
-        if self.faults_on and self.record_hops[a] >= 0:
-            hops = int(self.record_hops[a])
-        else:
+        hops = int(self.record_hops[a])
+        if hops < 0:
             hops = int(self.bank.cand_hops[self.cand_first[a] + self.path_index[a]])
         rtt = 2 * (hops * config.per_hop_latency + config.host_latency)
         startup = self.transport.startup_delay(float(self.size[a]), rtt,
@@ -918,12 +851,10 @@ class EngineCore:
             "allocator": self.alloc.name,
             "allocator_stats": self.alloc.stats(),
             "pool_compactions": self.alloc.state.compactions}
-        if self.faults_on:
+        if self.config.faults is not None:
             meta["fault_events"] = self.fault_count
             meta["reroutes"] = self.reroutes
             meta["stalls"] = self.stall_count
-            meta["candidate_refilters"] = self.faultrt.refilters
-            meta["candidate_reuses"] = self.faultrt.reuses
         return meta
 
     # ------------------------------------------------------- streaming support
@@ -955,7 +886,7 @@ class EngineCore:
         segs: List[Optional[Tuple[np.ndarray, int]]] = []
         for a in active:
             a = int(a)
-            if self.faults_on and self.stalled[a]:
+            if self.stalled[a]:
                 segs.append(None)   # stalled: no live allocation until revived
             else:
                 segs.append((state.flow_links(a).copy(), int(state.seg_cap[a])))
@@ -991,14 +922,13 @@ class EngineCore:
         pos = int(lens.sum())
         pieces = [old_pool[np.repeat(starts - packed, lens) + np.arange(pos)]]
         bank.cand_start[:n] = packed
-        if self.faults_on:
-            for a in self.active:
-                a = int(a)
-                if self.on_detour[a]:
-                    s, length = int(self.cand_start[a]), int(self.cand_len[a])
-                    pieces.append(old_pool[s:s + length])
-                    self.cand_start[a] = pos
-                    pos += length
+        active = self.active
+        detoured = self.record_hops[active] >= 0
+        for a in active[detoured].tolist():
+            s, length = int(self.cand_start[a]), int(self.cand_len[a])
+            pieces.append(old_pool[s:s + length])
+            self.cand_start[a] = pos
+            pos += length
         freed = bank.used - pos
         new_pool = np.zeros(max(256, pos), dtype=np.int64)
         if pos:
@@ -1006,9 +936,7 @@ class EngineCore:
         bank.pool = new_pool
         bank.used = pos
         # re-point every admitted non-detour flow at its candidate's moved segment
-        moved = self.active
-        if self.faults_on:
-            moved = moved[~self.on_detour[moved]]
+        moved = active[~detoured]
         self.cand_start[moved] = bank.cand_start[self.cand_first[moved]
                                                  + self.path_index[moved]]
         return freed

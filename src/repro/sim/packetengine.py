@@ -182,6 +182,8 @@ class PacketEngine:
 
         (flows_list, totals, f_entry, f_path, f_idarr,
          events, counter, pool) = self._setup(workload)
+        # bound after set-up, like the pool: resolving entries may grow the table
+        cand_start, cand_len = self.bank.cand_start, self.bank.cand_len
         nflows = len(flows_list)
         f_total: List[int] = totals.tolist()
         f_next = [0] * nflows
@@ -252,9 +254,9 @@ class PacketEngine:
 
         def resolve_path(fs: int, cand: int) -> Tuple[List[int], int, float]:
             """Resolve + cache the full link path, its length and return latency."""
-            entry = f_entry[fs]
-            s = int(entry.seg_start[cand])
-            length = int(entry.seg_len[cand])
+            c = f_entry[fs].first + cand
+            s = int(cand_start[c])
+            length = int(cand_len[c])
             flow = flows_list[fs]
             path = ([inject_base + flow.source]
                     + pool[s:s + length].tolist()

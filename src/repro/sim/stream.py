@@ -315,7 +315,7 @@ class StreamSimulator:
         if dropped:
             self.slot_compactions += 1
             self._admit_snapshot = core.admit_idx
-            if core.faults_on:
+            if core.config.faults is not None:
                 self.bank_reclaimed += core.reclaim_bank()
         return dropped
 

@@ -140,14 +140,14 @@ class TestLayerKeyReuseAcrossTopologies:
         assert kern.next_hop_table(3 * _MAX_NEXT_HOP_TABLES - 1) is \
             kern.next_hop_table(3 * _MAX_NEXT_HOP_TABLES - 1)
 
-    def test_uncacheable_seeds_build_fresh_tables(self):
-        """None and SeedSequence seeds are never cached (their streams differ)."""
+    def test_unkeyable_seeds_are_rejected(self):
+        """Tables are keyed by the seed's int values: ``None`` (OS entropy) and a
+        ``SeedSequence`` have none, so they raise and cache nothing."""
         import numpy as np
 
         cache = PathCache()
         kern = cache.kernels(10, ring_edges(10))
-        assert kern.next_hop_table(None) is not kern.next_hop_table(None)
-        parent = np.random.SeedSequence(42)
-        child = parent.spawn(1)[0]
-        assert kern.next_hop_table(parent) is not kern.next_hop_table(child)
+        for seed in (None, np.random.SeedSequence(42)):
+            with pytest.raises(TypeError):
+                kern.next_hop_table(seed)
         assert len(kern._next_hops) == 0

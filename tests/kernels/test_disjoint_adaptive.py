@@ -57,15 +57,3 @@ def test_retirement_with_set_items_and_unreachable_padding():
     for i, item in enumerate(items):
         single = batch_disjoint_paths(csr, [item], 3)
         assert single[0] == counts[i]
-
-
-def test_unpruned_matches_pruned_with_retirement():
-    """prune=False keeps every vertex in every block (no width shrink); results
-    must still match the pruned, compacting run exactly."""
-    topo = build("DF", SizeClass.TINY)
-    csr = kernels_for(topo).csr
-    pairs = _mixed_diversity_items(topo, num_pairs=25, seed=11)
-    for max_len in (2, 4):
-        pruned = batch_disjoint_paths(csr, pairs, max_len, prune=True)
-        unpruned = batch_disjoint_paths(csr, pairs, max_len, prune=False)
-        np.testing.assert_array_equal(pruned, unpruned)

@@ -197,9 +197,9 @@ def test_random_graph_path_kernels_match_legacy(n, density, seed, max_len):
 @settings(max_examples=40, deadline=None)
 def test_random_graph_disjoint_paths_match_reference(n, density, seed, max_len):
     """Batched greedy CDP on random (often degenerate) graphs: counts and concrete
-    paths must match the scalar reference, with and without pruning (the distance
-    -bound pruning and relevant-set restriction only skip vertices that provably
-    cannot sit on any qualifying path)."""
+    paths must match the scalar reference (the distance-bound pruning and
+    relevant-set restriction only skip vertices that provably cannot sit on any
+    qualifying path)."""
     edges = random_edges(n, density * n, seed)
     csr = CSRGraph.from_edges(n, edges)
     rng = np.random.default_rng(seed)
@@ -209,16 +209,13 @@ def test_random_graph_disjoint_paths_match_reference(n, density, seed, max_len):
         targets = sorted(set(int(x) for x in rng.integers(0, n, size=rng.integers(1, 3))))
         items.append((sources, targets))
     pruned, pruned_paths = batch_disjoint_paths(csr, items, max_len, return_paths=True)
-    unpruned = batch_disjoint_paths(csr, items, max_len, prune=False)
-    for (sources, targets), got, got_paths, got_unpruned in zip(
-            items, pruned, pruned_paths, unpruned):
+    for (sources, targets), got, got_paths in zip(items, pruned, pruned_paths):
         if set(sources) & set(targets):
             expected, expected_paths = 0, []
         else:
             expected, expected_paths = legacy.greedy_disjoint_paths_python(
                 n, edges, sources, targets, max_len, return_paths=True)
         assert got == expected
-        assert got_unpruned == expected
         assert got_paths == expected_paths
 
 

@@ -179,6 +179,17 @@ class TestLayerSetRouting:
             _assert_valid_paths(topo, got, s, t)
         assert fallbacks > 0
 
+    def test_repeated_calls_return_fresh_equal_paths(self, sf_tiny):
+        """Paths are rebuilt from the forwarding tables on every call: editing a
+        returned list changes nothing a later call returns."""
+        routing = LayerSetRouting(sf_tiny, random_edge_sampling_layers(
+            sf_tiny, FatPathsConfig(num_layers=3, rho=0.7, seed=0)))
+        first = routing.router_paths(0, 10)
+        expected = [list(p) for p in first]
+        first[0].append(-1)
+        first.append([0, 10])
+        assert routing.router_paths(0, 10) == expected
+
 
 class TestSpain:
     def test_vlan_compatibility(self):

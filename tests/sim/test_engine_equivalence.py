@@ -198,18 +198,18 @@ class TestSimulateMany:
         for seq, bat in zip(sequential, batched):
             assert_equivalent(seq, bat)
 
-    def test_non_weakrefable_routing_gets_private_bank(self, topologies):
-        """Routings that cannot be weak-referenced still work (private bank)."""
+    def test_one_bank_per_routing_and_link_space(self, topologies):
+        """Every engine over one routing shares its candidate bank, so a router
+        pair is resolved once per routing; another routing gets its own bank."""
         from repro.sim.engine import candidate_bank_for, link_space_for
 
-        class SlottedRouting:
-            __slots__ = ()
-
-        links = link_space_for(topologies["SF"])
-        bank = candidate_bank_for(SlottedRouting(), links)
-        other = candidate_bank_for(SlottedRouting(), links)
-        assert bank is not other
-        assert bank.links is links
+        topo = topologies["SF"]
+        links = link_space_for(topo)
+        routing, other = (build_stack(topo, "fatpaths", seed=s).routing for s in (0, 1))
+        bank = candidate_bank_for(routing, links)
+        assert candidate_bank_for(routing, links) is bank
+        assert FlowEngine(topo, routing).bank is bank
+        assert candidate_bank_for(other, links) is not bank
 
 
 class TestFaultedRuns:
@@ -222,6 +222,39 @@ class TestFaultedRuns:
     def _fault_meta_equal(reference, engine):
         for key in ("fault_events", "reroutes", "stalls"):
             assert reference.meta[key] == engine.meta[key]
+
+    def test_survivors_read_off_the_failed_mask(self, topologies):
+        """A pair's surviving candidates are its router paths that cross no failed
+        edge, read off the failed-link mask through the bank's link table.  The
+        mask's two sentinel links never fail, so a same-router pair's empty
+        candidate always survives, and a restore revives every candidate."""
+        from repro.sim.engine import _FaultRuntime, candidate_bank_for, link_space_for
+
+        topo = topologies["SF"]
+        routing = build_stack(topo, "fatpaths", seed=0).routing
+        links = link_space_for(topo)
+        bank = candidate_bank_for(routing, links)
+        rng = np.random.default_rng(6)
+        pairs = [tuple(int(r) for r in rng.choice(topo.num_routers, 2, replace=False))
+                 for _ in range(40)] + [(3, 3)]
+        entries = {pair: bank.entry(routing, *pair) for pair in pairs}
+        edges = sorted(tuple(sorted(e)) for e in topo.edges)
+        failed = {edges[int(i)] for i in rng.choice(len(edges), len(edges) // 8,
+                                                     replace=False)}
+        faultrt = _FaultRuntime(topo, links, bank)
+        faultrt.apply([("fail", edge) for edge in sorted(failed)])
+        shrunk = 0
+        for pair, entry in entries.items():
+            paths = routing.router_paths(*pair) if pair[0] != pair[1] else [[pair[0]]]
+            expected = [i for i, path in enumerate(paths)
+                        if not any(tuple(sorted(hop)) in failed
+                                   for hop in zip(path, path[1:]))]
+            assert faultrt.survivors(entry).tolist() == expected
+            shrunk += len(expected) < entry.num_candidates
+        assert 0 < shrunk < len(pairs)
+        faultrt.apply([("restore", edge) for edge in sorted(failed)])
+        for entry in entries.values():
+            assert faultrt.survivors(entry).tolist() == list(range(entry.num_candidates))
 
     @pytest.mark.parametrize("stack_name", STACKS)
     @pytest.mark.parametrize("topo_name", TOPOLOGY_NAMES)
