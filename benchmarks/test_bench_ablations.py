@@ -1,4 +1,4 @@
-"""Ablation benchmarks for the design choices DESIGN.md calls out.
+"""Ablation benchmarks for FatPaths' design choices.
 
 * layer construction algorithm: random edge sampling vs interference-minimising;
 * load balancing: adaptive flowlets vs static ECMP hashing vs per-packet spraying;

@@ -11,7 +11,7 @@ The executor pair times the same healthy pooled sweep under a bare
 ``ProcessPoolExecutor.map`` over the resilient executor's own per-cell function
 (built here, as the baseline) and under the fault-tolerant executor
 (:mod:`repro.experiments.resilient`: owned workers holding one cell each, per-cell
-deadlines, retry bookkeeping) and asserts the resilient path stays within **1.15x** of
+deadlines, re-run bookkeeping) and asserts the resilient path stays within **1.15x** of
 plain — fault tolerance must be effectively free when nothing fails.  The pair
 is consolidated into ``BENCH_flowsim.json`` (section ``grid_executor``) by
 ``tools/bench_report.py``.
@@ -61,7 +61,7 @@ def _plain_pool(cells):
     isolates dispatch and bookkeeping."""
     run_once = functools.partial(resilient._run_cell_attempt, attempt=1, chaos=None)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        return [result for result, _ in pool.map(run_once, cells)]
+        return list(pool.map(run_once, cells))
 
 
 def test_bench_simulate_many_sequential(benchmark, scale):

@@ -1,11 +1,12 @@
 """Experiment harness: one declarative scenario per table/figure (and beyond).
 
 Every scenario module defines a :class:`~repro.experiments.scenario.ScenarioSpec`
-(``SCENARIO``) plus a thin ``run(scale=..., seed=...) -> ExperimentResult`` alias;
-all specs execute through the shared pipeline in :mod:`repro.experiments.scenario`.
-:mod:`repro.experiments.runner` provides a CLI (``fatpaths-experiment <name>``) and
-:func:`repro.experiments.registry` lists all scenarios.  EXPERIMENTS.md records the
-paper-vs-measured comparison for each of them.
+(``SCENARIO``); all specs execute through the shared pipeline in
+:mod:`repro.experiments.scenario`, and :func:`repro.experiments.run_experiment` runs
+one by name.  :mod:`repro.experiments.runner` provides a CLI
+(``fatpaths-experiment <name>``) and :func:`repro.experiments.registry` lists all
+scenarios.  ``docs/experiments.md`` maps each of them to the paper figure or table
+it reproduces.
 """
 
 from repro.experiments.common import ExperimentResult, Scale, registry, run_experiment

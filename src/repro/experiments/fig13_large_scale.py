@@ -7,7 +7,8 @@ instances while tail FCTs stay tightly bounded; DF shows the worst tail (overlap
 global links); flows on SF tend to finish slightly later than on SF-JF.
 
 This experiment uses the largest size class that is practical for the pure-Python
-simulator at each scale; EXPERIMENTS.md records the substitution.
+simulator at each scale; a note on the result and its ``N`` column record the
+substitution.
 """
 
 from __future__ import annotations
@@ -90,6 +91,6 @@ SCENARIO = ScenarioSpec(
         "FCT stays bounded; DF has the worst tail (global-link overlap); SF flows finish "
         "slightly later than SF-JF flows.",
         "Instance sizes are scaled down relative to the paper's 80k/1M endpoints "
-        "(flow-level Python simulator); see DESIGN.md substitution table.",
+        "(flow-level Python simulator); the N column gives each instance's endpoints.",
     ),
 )

@@ -56,12 +56,13 @@ class GridCellResult:
     """Outcome of one cell: the experiment result or the captured error.
 
     ``attempts`` and ``outcome`` record the resilient executor's bookkeeping
-    (see :mod:`repro.experiments.resilient`): ``"ok"``, ``"failed"``
-    (deterministic error or retries exhausted), ``"timeout"`` (wall-clock limit
-    exceeded), ``"poisoned"`` (quarantined after repeatedly crashing its
-    worker) or ``"journal"`` (skipped on resume, result restored from the
-    journal).  ``traceback`` carries the remote cell's full formatted
-    traceback (the CLI surfaces it behind ``--verbose-errors``).
+    (see :mod:`repro.experiments.resilient`): ``"ok"``, ``"failed"`` (an
+    exception raised inside the cell; it runs once), ``"timeout"`` (wall-clock
+    limit exceeded on every allowed attempt), ``"poisoned"`` (quarantined after
+    repeatedly crashing its worker) or ``"journal"`` (skipped on resume, result
+    restored from the journal).  Only a lost worker re-runs a cell.
+    ``traceback`` carries the remote cell's full formatted traceback (the CLI
+    surfaces it behind ``--verbose-errors``).
     """
 
     cell: GridCell
@@ -113,9 +114,8 @@ def split_heavy_cells(cells: Iterable[GridCell]) -> List[GridCell]:
 
 
 def run_experiment_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *,
-                        policy=None, timeout=None,
-                        journal: Optional[str] = None, resume: bool = False,
-                        chaos=None) -> List[GridCellResult]:
+                        timeout: Optional[float] = None, journal: Optional[str] = None,
+                        resume: bool = False, chaos=None) -> List[GridCellResult]:
     """Run all cells, serially or across ``jobs`` worker processes.
 
     Results come back in cell order regardless of completion order.  ``jobs=None``,
@@ -123,13 +123,14 @@ def run_experiment_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *
     process pool (one path cache per worker).
 
     Dispatch goes through :func:`repro.experiments.resilient.run_resilient_grid`:
-    the sweep survives worker crashes and hangs, transient errors retry with
-    backoff, and a ``journal`` path (with ``resume=True``) skips already-completed
-    cells — see ``docs/resilience.md``.
+    an exception inside a cell fails that cell once; a cell whose worker crashes
+    or passes its ``timeout`` (seconds, ``0`` for none; scale-aware by default)
+    re-runs on a fresh worker within a fixed budget; and a ``journal`` path (with
+    ``resume=True``) skips already-completed cells — see ``docs/resilience.md``.
     """
     from repro.experiments.resilient import run_resilient_grid
 
-    return run_resilient_grid(cells, jobs=jobs, policy=policy, timeout=timeout,
+    return run_resilient_grid(cells, jobs=jobs, timeout=timeout,
                               journal=journal, resume=resume, chaos=chaos)
 
 

@@ -1,4 +1,4 @@
-"""Fault-tolerant grid execution: owned workers, retries, journal, resume.
+"""Fault-tolerant grid execution: owned workers, timeouts, journal, resume.
 
 ``run_experiment_grid`` used to be a bare ``pool.map``: one OOM-killed or
 segfaulted worker raised :class:`~concurrent.futures.process.BrokenProcessPool`
@@ -6,28 +6,27 @@ and discarded every completed cell, a hung cell stalled the sweep forever, and a
 multi-hour sweep could not be resumed after a crash.  This module is the
 execution-layer counterpart of the *simulated* fault tolerance added by the
 failure-injection subsystem (``docs/resilience.md``): the sweep itself now
-survives worker crashes, hangs and transient errors, and can be resumed from an
-append-only journal with bit-identical results.
+survives worker crashes and hangs, and can be resumed from an append-only
+journal with bit-identical results.
 
-Four pieces, all wired through :func:`repro.experiments.grid.run_experiment_grid`
-and the ``fatpaths-experiment`` CLI:
+A cell re-runs only when it loses its worker.  Every cell is a pure function of
+``(name, scale, seed, topologies)``, so an exception raised *inside* a cell
+would repeat on a re-run: it fails that cell once (outcome ``"failed"``, the
+traceback kept), in serial and pooled mode alike.  Three pieces, all wired
+through :func:`repro.experiments.grid.run_experiment_grid` and the
+``fatpaths-experiment`` CLI:
 
 * **Crash-surviving dispatch** — the executor starts ``jobs`` worker processes
   itself, one pipe each, and hands each worker at most one cell at a time.  A
-  worker that dies therefore names the cell it held: only that cell is charged
-  against ``RetryPolicy.crash_retries`` (after which it is quarantined with
-  outcome ``"poisoned"`` instead of wedging the sweep), only that worker is
-  replaced, and every other worker keeps its cell and its warm path cache.
+  worker that dies therefore names the cell it held: only that cell goes back
+  to the queue, charged against :data:`CRASH_RETRIES` (after which it is
+  quarantined with outcome ``"poisoned"`` instead of wedging the sweep), only
+  that worker is replaced, and every other worker keeps its cell and its warm
+  path cache.
 * **Per-cell wall-clock timeouts** — scale-aware defaults
   (:data:`DEFAULT_CELL_TIMEOUTS`), enforced by killing and replacing the hung
   cell's worker alone; a cell that times out more than
-  ``RetryPolicy.timeout_retries`` times ends with outcome ``"timeout"``.
-* **Retry policy with error taxonomy** — exceptions raised *inside* a cell are
-  classified: :class:`TransientCellError` (and :data:`TRANSIENT_EXCEPTIONS`)
-  retry with exponential backoff and deterministic per-cell jitter
-  (:meth:`RetryPolicy.backoff`); everything else is deterministic and fails
-  fast.  Attempts and the final outcome are recorded on
-  :class:`~repro.experiments.grid.GridCellResult`.
+  :data:`TIMEOUT_RETRIES` times ends with outcome ``"timeout"``.
 * **Journaled resume** — completed cells append one JSON line to a
   :class:`CellJournal` keyed by :func:`cell_fingerprint` (name, scale, seed,
   topologies — deliberately code-irrelevant).  Lines are written atomically
@@ -39,9 +38,9 @@ and the ``fatpaths-experiment`` CLI:
   streams, a resumed run's combined tables are bit-identical to an
   uninterrupted run — ``tools/chaos_grid.py`` proves it under forced aborts.
 
-Chaos hooks (:class:`ChaosSpec`) inject worker SIGKILLs, hangs and transient
-errors at cell granularity so tests and the chaos harness can drive every
-recovery path deterministically.
+Chaos hooks (:class:`ChaosSpec`) inject worker SIGKILLs and hangs at cell
+granularity so tests and the chaos harness can drive every recovery path
+deterministically.
 """
 
 from __future__ import annotations
@@ -53,11 +52,10 @@ import os
 import signal
 import time
 import traceback
-import zlib
 from collections import deque
 from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -65,22 +63,11 @@ from repro.experiments.common import ExperimentResult, run_experiment
 from repro.experiments.grid import GridCell, GridCellResult
 
 
-class TransientCellError(RuntimeError):
-    """A retryable, non-deterministic cell failure.
+#: Worker crashes one cell may cause before it is quarantined as ``poisoned``.
+CRASH_RETRIES = 2
 
-    Raise this from experiment code (or inject it via :class:`ChaosSpec`) to
-    signal the executor that the failure is transient — flaky I/O, a resource
-    blip — and the cell should be retried under the
-    :class:`RetryPolicy`.  Any other exception type is treated as
-    deterministic and fails fast (re-running identical code on identical
-    inputs would fail identically).
-    """
-
-
-#: Exception types the taxonomy classifies as transient (retry); every other
-#: in-cell exception is deterministic (fail fast).  ``ConnectionError`` and
-#: ``TimeoutError`` cover flaky OS-level resources a cell may touch.
-TRANSIENT_EXCEPTIONS = (TransientCellError, ConnectionError, TimeoutError)
+#: Wall-clock timeouts one cell may hit before it ends with outcome ``timeout``.
+TIMEOUT_RETRIES = 1
 
 #: Scale-aware per-cell wall-clock timeout defaults, in seconds.  Generous on
 #: purpose: a healthy cell must never hit them — they exist to unwedge a sweep
@@ -91,69 +78,16 @@ DEFAULT_CELL_TIMEOUTS: Dict[str, float] = {
     "medium": 7200.0,
 }
 
-#: ``timeout=`` argument shape: ``None`` (scale defaults), one number for every
-#: cell, or a per-scale mapping overlaid on the defaults.
-TimeoutSpec = Union[None, float, int, Mapping[str, float]]
 
-
-def classify_error(exc: BaseException) -> str:
-    """The taxonomy bucket of an in-cell exception: ``transient`` or ``deterministic``."""
-    return "transient" if isinstance(exc, TRANSIENT_EXCEPTIONS) else "deterministic"
-
-
-def resolve_timeout(cell: GridCell, timeout: TimeoutSpec) -> float:
-    """The wall-clock limit for one cell under a ``timeout=`` specification.
+def resolve_timeout(cell: GridCell, timeout: Optional[float]) -> float:
+    """The wall-clock limit for one cell under a ``timeout=`` argument.
 
     ``None`` uses :data:`DEFAULT_CELL_TIMEOUTS` by scale; a number applies to
-    every cell (``0`` or ``inf`` disables); a mapping overrides per scale and
-    falls back to the defaults for unlisted scales.
+    every cell (``0`` or ``inf`` disables).
     """
     if timeout is None:
         return DEFAULT_CELL_TIMEOUTS.get(cell.scale, max(DEFAULT_CELL_TIMEOUTS.values()))
-    if isinstance(timeout, Mapping):
-        if cell.scale in timeout:
-            return float(timeout[cell.scale])
-        return DEFAULT_CELL_TIMEOUTS.get(cell.scale, max(DEFAULT_CELL_TIMEOUTS.values()))
-    limit = float(timeout)
-    return float("inf") if limit <= 0 else limit
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How failures retry: attempt budgets per taxonomy bucket plus backoff shape.
-
-    ``max_attempts`` bounds *transient* in-cell failures; ``crash_retries`` is
-    the number of worker crashes a cell may cause before it is quarantined as
-    poisoned; ``timeout_retries`` the number of wall-clock
-    timeouts before the cell ends with outcome ``"timeout"``.  Backoff grows
-    exponentially from ``backoff_base`` by ``backoff_factor`` up to
-    ``backoff_cap``, with multiplicative jitter in ``[0, jitter]`` drawn from a
-    deterministic per-(cell, attempt) stream — re-running a sweep reproduces
-    the exact same schedule.
-    """
-
-    max_attempts: int = 3
-    crash_retries: int = 2
-    timeout_retries: int = 1
-    backoff_base: float = 0.1
-    backoff_factor: float = 2.0
-    backoff_cap: float = 30.0
-    jitter: float = 0.5
-
-    def backoff(self, fingerprint: str, attempt: int) -> float:
-        """Delay in seconds before re-running ``fingerprint``'s attempt ``attempt + 1``.
-
-        Deterministic: the jitter stream is seeded from the cell fingerprint
-        and the attempt number, so two runs of the same sweep back off
-        identically (and distinct cells desynchronise instead of thundering
-        back in lockstep).
-        """
-        base = min(self.backoff_cap,
-                   self.backoff_base * self.backoff_factor ** max(0, attempt - 1))
-        if self.jitter <= 0 or base <= 0:
-            return base
-        rng = np.random.default_rng((zlib.crc32(fingerprint.encode("utf-8")), attempt))
-        return base * (1.0 + self.jitter * float(rng.random()))
+    return float(timeout) or float("inf")
 
 
 # ---------------------------------------------------------------- fingerprints
@@ -223,7 +157,8 @@ class CellJournal:
     the full serialized :class:`~repro.experiments.common.ExperimentResult` and a
     ``sha256`` of the rest of the line (:func:`_line_digest`).  Lines are
     written in a single ``write`` call and fsynced, so a crash can at worst
-    truncate the final line.  The loader refuses every line that does not
+    truncate the final line; the next append ends that line first, so it does
+    not swallow the new record.  The loader refuses every line that does not
     parse, has another version, or lacks or fails its checksum (counted in
     ``corrupt_lines``; the cell re-runs on resume), and lets duplicates resolve
     last-wins, which makes re-journaling a re-run cell safe.
@@ -234,6 +169,7 @@ class CellJournal:
         self.corrupt_lines = 0
         self._records: Dict[str, dict] = {}
         self._fh = None
+        self._torn_tail = False
         self._load()
 
     def _load(self) -> None:
@@ -242,6 +178,7 @@ class CellJournal:
             return
         with open(self.path, "rb") as fh:
             for raw in fh:
+                self._torn_tail = not raw.endswith(b"\n")
                 try:
                     record = json.loads(raw.decode("utf-8"))
                     fingerprint = record["fingerprint"]
@@ -291,6 +228,8 @@ class CellJournal:
             return
         if self._fh is None:
             self._fh = open(self.path, "ab")
+            if self._torn_tail:  # end a crash-truncated last line before appending
+                line = b"\n" + line
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
@@ -326,17 +265,14 @@ class ChaosSpec:
     ``kill`` SIGKILLs the worker on a cell's first attempt (one worker crash,
     then recovery); ``poison`` SIGKILLs on *every* attempt (the cell can never
     complete — it must end quarantined); ``hang`` sleeps ``hang_seconds`` on
-    the first attempt (drives the timeout path); ``transient`` raises
-    :class:`TransientCellError` on the first attempt and ``transient_always``
-    on every attempt (drives retry exhaustion).  Hooks that kill or block the
-    process are rejected in serial mode, where the "worker" is the caller.
+    the first attempt (drives the timeout path).  Every hook kills or blocks
+    the executing process, so serial mode, where the "worker" is the caller,
+    rejects them.
     """
 
     kill: Tuple[str, ...] = ()
     poison: Tuple[str, ...] = ()
     hang: Tuple[str, ...] = ()
-    transient: Tuple[str, ...] = ()
-    transient_always: Tuple[str, ...] = ()
     hang_seconds: float = 3600.0
 
     @staticmethod
@@ -344,25 +280,16 @@ class ChaosSpec:
         """True iff any pattern is a substring of the cell label."""
         return any(p in label for p in patterns)
 
-    @property
-    def needs_pool(self) -> bool:
-        """True iff any hook kills or blocks the executing process."""
-        return bool(self.kill or self.poison or self.hang)
-
     def apply(self, cell: GridCell, attempt: int) -> None:
         """Fire the configured faults for ``cell``'s ``attempt`` (1-based)."""
         label = cell.label()
         if self._matches(self.poison, label):
             os.kill(os.getpid(), signal.SIGKILL)
-        if self._matches(self.transient_always, label):
-            raise TransientCellError(f"chaos: injected transient failure in {label}")
         if attempt == 1:
             if self._matches(self.kill, label):
                 os.kill(os.getpid(), signal.SIGKILL)
             if self._matches(self.hang, label):
                 time.sleep(self.hang_seconds)
-            if self._matches(self.transient, label):
-                raise TransientCellError(f"chaos: injected transient failure in {label}")
 
 
 # -------------------------------------------------------------------- workers
@@ -374,11 +301,11 @@ def _failure(cell: GridCell, exc: BaseException, elapsed: float = 0.0) -> GridCe
 
 
 def _run_cell_attempt(cell: GridCell, attempt: int,
-                      chaos: Optional[ChaosSpec]) -> Tuple[GridCellResult, str]:
+                      chaos: Optional[ChaosSpec]) -> GridCellResult:
     """Execute one attempt of one cell (module-level so workers can import it).
 
-    Returns the cell result plus its taxonomy bucket (``"ok"``, ``"transient"``
-    or ``"deterministic"``); chaos hooks fire before the experiment runs.
+    An exception raised inside the cell becomes a ``failed`` result; chaos
+    hooks fire before the experiment runs.
     """
     start = time.perf_counter()
     try:
@@ -387,9 +314,9 @@ def _run_cell_attempt(cell: GridCell, attempt: int,
         result = run_experiment(cell.name, scale=cell.scale, seed=cell.seed,
                                 topologies=cell.topologies)
         return GridCellResult(cell=cell, result=result,
-                              elapsed_seconds=time.perf_counter() - start), "ok"
+                              elapsed_seconds=time.perf_counter() - start)
     except Exception as exc:  # noqa: BLE001 - cell isolation is the point
-        return _failure(cell, exc, time.perf_counter() - start), classify_error(exc)
+        return _failure(cell, exc, time.perf_counter() - start)
 
 
 def _worker_loop(conn, chaos: Optional[ChaosSpec]) -> None:
@@ -397,18 +324,18 @@ def _worker_loop(conn, chaos: Optional[ChaosSpec]) -> None:
 
     Returns when the executor closes its end of the pipe.  Pickling a reply
     fails before any byte is written, so an unpicklable result is answered by a
-    ``failed`` result in its place (a re-run would fail the same way).
+    ``failed`` result in its place.
     """
     while True:
         try:
             cell, attempt = conn.recv()
         except EOFError:
             return
-        reply = _run_cell_attempt(cell, attempt, chaos)
+        result = _run_cell_attempt(cell, attempt, chaos)
         try:
-            conn.send(reply)
+            conn.send(result)
         except Exception as exc:  # noqa: BLE001 - the unpicklable result fails its cell alone
-            conn.send((_failure(cell, exc, reply[0].elapsed_seconds), "deterministic"))
+            conn.send(_failure(cell, exc, result.elapsed_seconds))
 
 
 class _Worker:
@@ -447,21 +374,23 @@ class _CellState:
 
 # ------------------------------------------------------------------- executor
 def run_resilient_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *,
-                       policy: Optional[RetryPolicy] = None,
-                       timeout: TimeoutSpec = None,
+                       timeout: Optional[float] = None,
                        journal: Optional[str] = None,
                        resume: bool = False,
                        chaos: Optional[ChaosSpec] = None) -> List[GridCellResult]:
     """Run a grid fault-tolerantly; results come back in cell order.
 
-    Serial mode (``jobs`` absent or ``<= 1``) applies the retry policy and the
-    journal but cannot preempt a cell, so wall-clock timeouts (and chaos hooks
-    that kill or block the process) require worker processes.  ``resume=True``
-    with a ``journal`` path skips already-journaled cells, returning their
-    stored results with outcome ``"journal"``.
+    Serial mode (``jobs`` absent or ``<= 1``) runs each cell once in-process
+    and journals it, but cannot preempt a cell, so wall-clock timeouts (and
+    chaos hooks, which kill or block the process) require worker processes.
+    ``timeout`` is ``None`` (scale defaults) or seconds ``>= 0`` (``0`` or
+    ``inf``: no deadline).  ``resume=True`` with a ``journal`` path skips
+    already-journaled cells, returning their stored results with outcome
+    ``"journal"``.
     """
     cell_list = list(cells)
-    policy = policy or RetryPolicy()
+    if timeout is not None and not float(timeout) >= 0:  # also refuses NaN
+        raise ValueError(f"timeout must be None or seconds >= 0, got {timeout!r}")
     if resume and journal is None:
         raise ValueError("resume=True requires a journal path")
     journal_obj = CellJournal(journal) if journal is not None else None
@@ -475,77 +404,57 @@ def run_resilient_grid(cells: Iterable[GridCell], jobs: Optional[int] = None, *,
             todo.append(index)
     try:
         if jobs is None or jobs <= 1 or len(todo) <= 1:
-            _run_serial(cell_list, todo, results, policy, chaos, journal_obj)
+            _run_serial(cell_list, todo, results, chaos, journal_obj)
         else:
-            _run_pooled(cell_list, todo, results, min(jobs, len(todo)), policy,
-                        timeout, chaos, journal_obj)
+            _run_pooled(cell_list, todo, results, min(jobs, len(todo)), timeout, chaos,
+                        journal_obj)
     finally:
         if journal_obj is not None:
             journal_obj.close()
     return [results[index] for index in range(len(cell_list))]
 
 
-def _finalize(result: GridCellResult, attempts: int, outcome: str) -> GridCellResult:
-    """Stamp executor bookkeeping onto a finished cell result."""
-    result.attempts = attempts
-    result.outcome = outcome
-    return result
-
-
-def _run_serial(cell_list, todo, results, policy, chaos, journal_obj) -> None:
-    """In-process execution with retry/backoff and journaling (no preemption)."""
-    if chaos is not None and chaos.needs_pool:
-        raise ValueError("chaos kill/poison/hang hooks require a worker pool "
-                         "(jobs >= 2); serial mode would kill or block the caller")
+def _run_serial(cell_list, todo, results, chaos, journal_obj) -> None:
+    """In-process execution, one attempt per cell, with journaling (no preemption)."""
+    if chaos is not None:
+        raise ValueError("chaos hooks require a worker pool (jobs >= 2); serial "
+                         "mode would kill or block the caller")
     for index in todo:
         cell = cell_list[index]
-        attempt = 0
-        while True:
-            attempt += 1
-            result, kind = _run_cell_attempt(cell, attempt, chaos)
-            if result.ok or kind != "transient" or attempt >= policy.max_attempts:
-                break
-            time.sleep(policy.backoff(cell_fingerprint(cell), attempt))
-        results[index] = _finalize(result, attempt, "ok" if result.ok else "failed")
+        results[index] = result = _run_cell_attempt(cell, 1, None)
         if journal_obj is not None and result.ok:
-            journal_obj.record(cell, results[index])
+            journal_obj.record(cell, result)
 
 
-def _run_pooled(cell_list, todo, results, workers, policy, timeout, chaos,
-                journal_obj) -> None:
-    """Execution on ``workers`` owned processes, surviving crashes, hangs and transient errors.
+def _run_pooled(cell_list, todo, results, workers, timeout, chaos, journal_obj) -> None:
+    """Execution on ``workers`` owned processes, surviving crashes and hangs.
 
     Each worker holds at most one cell, so a worker that dies names its cell:
-    only that cell is charged against ``policy.crash_retries`` and only that
-    worker is replaced.  A cell past its deadline likewise has its own worker
-    killed and replaced; every other worker keeps its cell.
+    only that cell goes back to the queue, charged against
+    :data:`CRASH_RETRIES`, and only that worker is replaced.  A cell past its
+    deadline likewise has its own worker killed and replaced and is charged
+    against :data:`TIMEOUT_RETRIES`; every other worker keeps its cell.
     """
     state = {index: _CellState() for index in todo}
     queue = deque(todo)
-    waiting: List[Tuple[float, int]] = []   # (ready_at, index) backoff-delayed retries
     pool = [_Worker(chaos) for _ in range(workers)]
 
     def settle(index: int, result: GridCellResult, outcome: str) -> None:
-        results[index] = _finalize(result, state[index].attempts, outcome)
+        result.attempts, result.outcome = state[index].attempts, outcome
+        results[index] = result
         if journal_obj is not None and result.ok:
-            journal_obj.record(cell_list[index], results[index])
-
-    def back_off(index: int) -> None:
-        delay = policy.backoff(cell_fingerprint(cell_list[index]), state[index].attempts)
-        waiting.append((time.monotonic() + delay, index))
+            journal_obj.record(cell_list[index], result)
 
     def charge(index: int, count: int, budget: int, outcome: str, error: str) -> None:
-        """Re-run a cell whose worker was lost, or end it once ``count`` exceeds ``budget``."""
+        """Re-queue a cell whose worker was lost, or end it once ``count`` exceeds ``budget``."""
         if count > budget:
             settle(index, GridCellResult(cell=cell_list[index], error=error), outcome)
         else:
-            back_off(index)
+            queue.append(index)
 
     try:
-        while queue or waiting or any(worker.index is not None for worker in pool):
+        while queue or any(worker.index is not None for worker in pool):
             now = time.monotonic()
-            queue.extend(index for ready_at, index in waiting if ready_at <= now)
-            waiting = [(ready_at, index) for ready_at, index in waiting if ready_at > now]
             for worker in pool:
                 while worker.index is None and queue:
                     index = queue.popleft()
@@ -558,11 +467,11 @@ def _run_pooled(cell_list, todo, results, workers, policy, timeout, chaos,
                         continue
                     worker.index = index
                     worker.deadline = now + resolve_timeout(cell, timeout)
-            if not waiting and all(worker.index is None for worker in pool):
+            if all(worker.index is None for worker in pool):
                 continue  # the last queued cells failed to send: nothing to wait for
 
             # idle workers are waited on too: a ready idle pipe means its worker died
-            wake = min([w.deadline for w in pool] + [t for t, _ in waiting]) - time.monotonic()
+            wake = min(worker.deadline for worker in pool) - time.monotonic()
             ready = connection_wait([w.conn for w in pool],
                                     timeout=None if wake == float("inf") else max(0.0, wake))
             now = time.monotonic()
@@ -570,31 +479,26 @@ def _run_pooled(cell_list, todo, results, workers, policy, timeout, chaos,
                 index = worker.index
                 if worker.conn in ready:
                     try:
-                        result, kind = worker.conn.recv()
+                        result = worker.conn.recv()
                     except (EOFError, OSError):  # the worker died
                         worker.kill()
                         pool[slot] = _Worker(chaos)
                         if index is not None:
                             cell_state = state[index]
                             cell_state.crashes += 1
-                            charge(index, cell_state.crashes, policy.crash_retries, "poisoned",
+                            charge(index, cell_state.crashes, CRASH_RETRIES, "poisoned",
                                    f"WorkerCrash: cell killed its worker "
                                    f"{cell_state.crashes} times; quarantined")
                         continue
                     worker.index, worker.deadline = None, float("inf")
-                    if result.ok:
-                        settle(index, result, "ok")
-                    elif kind == "transient" and state[index].attempts < policy.max_attempts:
-                        back_off(index)
-                    else:
-                        settle(index, result, "failed")
+                    settle(index, result, "ok" if result.ok else "failed")
                 elif worker.deadline <= now:
                     worker.kill()
                     pool[slot] = _Worker(chaos)
                     cell_state = state[index]
                     cell_state.timeouts += 1
                     limit = resolve_timeout(cell_list[index], timeout)
-                    charge(index, cell_state.timeouts, policy.timeout_retries, "timeout",
+                    charge(index, cell_state.timeouts, TIMEOUT_RETRIES, "timeout",
                            f"Timeout: cell exceeded {limit:.0f}s wall clock "
                            f"{cell_state.timeouts} times")
     finally:

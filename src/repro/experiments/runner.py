@@ -70,11 +70,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     Grid mode runs on the fault-tolerant executor
     (:mod:`repro.experiments.resilient`): a crashed worker is replaced and only
     its cell re-runs, a hung cell's worker is killed at a scale-aware
-    ``--cell-timeout``, transient errors retry up to ``--retries`` times with
-    backoff, ``--journal PATH`` appends completed cells to a JSONL journal and
-    ``--resume`` skips them on a rerun (bit-identical combined tables);
-    ``--verbose-errors`` prints failed cells' remote tracebacks.  See
-    ``docs/resilience.md``.
+    ``--cell-timeout`` (seconds ``>= 0``; ``0`` disables) and the cell re-runs,
+    and an exception inside a cell fails it once.  ``--journal PATH`` appends
+    completed cells to a JSONL journal and ``--resume`` skips them on a rerun
+    (bit-identical combined tables); ``--verbose-errors`` prints failed cells'
+    remote tracebacks.  See ``docs/resilience.md``.
     """
     parser = argparse.ArgumentParser(
         prog="fatpaths-experiment",
@@ -110,9 +110,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--cell-timeout", type=float, default=None, metavar="SECONDS",
                         help="grid mode: per-cell wall-clock limit (default: "
                              "scale-aware; 0 disables)")
-    parser.add_argument("--retries", type=int, default=None, metavar="N",
-                        help="grid mode: max retries for transient cell failures "
-                             "(default: 2)")
     args = parser.parse_args(argv)
 
     if args.list or args.experiment is None:
@@ -142,6 +139,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.resume and args.journal is None:
         print("--resume requires --journal PATH", file=sys.stderr)
         return 2
+    if args.cell_timeout is not None and not args.cell_timeout >= 0:  # also NaN
+        print(f"invalid --cell-timeout: {args.cell_timeout} (use seconds >= 0; "
+              "0 disables)", file=sys.stderr)
+        return 2
     if grid_mode:
         scales = ([s for s in args.scales.split(",") if s] if args.scales
                   else [args.scale])
@@ -163,14 +164,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not cells:
             print("grid is empty (no seeds selected)", file=sys.stderr)
             return 2
-        policy = None
-        if args.retries is not None:
-            from repro.experiments.resilient import RetryPolicy
-
-            policy = RetryPolicy(max_attempts=max(1, args.retries + 1))
         start = time.perf_counter()
-        results = run_experiment_grid(cells, jobs=args.jobs, policy=policy,
-                                      timeout=args.cell_timeout,
+        results = run_experiment_grid(cells, jobs=args.jobs, timeout=args.cell_timeout,
                                       journal=args.journal, resume=args.resume)
         elapsed = time.perf_counter() - start
         summary = GridSummary(results=results)

@@ -5,8 +5,8 @@
 * :mod:`repro.sim.flowsim` — the flow-level simulation entry point: flows arrive, get
   routed over candidate paths (FatPaths layers, ECMP paths, ...), share link bandwidth
   max-min fairly, and may switch paths at flowlet boundaries or on congestion.  It
-  substitutes for the paper's htsim/OMNeT++ packet simulations (see DESIGN.md) and
-  runs on the engine below.
+  substitutes for the paper's htsim/OMNeT++ packet simulations and runs on the
+  engine below.
 * :mod:`repro.sim.engine` — the vectorized structure-of-arrays engine:
   pooled incidence, batched per-event sweeps, and the :func:`~repro.sim.engine.simulate_many`
   batched multi-cell API the simulation experiments run on.

@@ -1,4 +1,4 @@
-"""Event-driven flow-level network simulation (the htsim/OMNeT++ substitute, see DESIGN.md).
+"""Event-driven flow-level network simulation (the substitute for the paper's htsim/OMNeT++ runs).
 
 The simulator resolves, over time, how concurrently active flows share link bandwidth:
 

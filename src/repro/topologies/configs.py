@@ -49,7 +49,7 @@ def default_concentration(network_radix: int, diameter: int) -> int:
 
 # Parameter choices per class.  Chosen so that, within a class, endpoint counts are
 # within roughly +-30% of each other (the paper allows ~10%, which is not always
-# attainable with small parameter spaces; EXPERIMENTS.md records the actual Ns).
+# attainable with small parameter spaces; the tab05 scenario reports the actual Ns).
 _SPECS: Dict[Tuple[str, SizeClass], Dict[str, int]] = {
     # ---- tiny (N ~ 100-200): for tests and quick examples -------------------
     ("SF", SizeClass.TINY): {"q": 5},

@@ -160,7 +160,7 @@ class TestThroughputExperiments:
                 assert row["speedup_mean"] == pytest.approx(1.0)
         # FatPaths with non-minimal layers (rho=0.6) never loses to ECMP on mean FCT and
         # improves it somewhere on SF/DF; the larger tail gains of the paper emerge at
-        # bigger scales (see EXPERIMENTS.md).
+        # bigger scales.
         fp_rows = [r for r in result.rows if r["variant"] == "fatpaths_rho0.6"
                    and r["topology"] in ("SF", "DF")]
         assert all(r["speedup_mean"] >= 0.98 and r["speedup_p99"] >= 0.9 for r in fp_rows)

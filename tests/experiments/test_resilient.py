@@ -22,11 +22,9 @@ from repro.experiments.resilient import (
     DEFAULT_CELL_TIMEOUTS,
     CellJournal,
     ChaosSpec,
-    RetryPolicy,
-    TransientCellError,
     cell_fingerprint,
-    classify_error,
     resolve_timeout,
+    run_resilient_grid,
 )
 from repro.experiments.runner import main as runner_main
 
@@ -73,42 +71,6 @@ def _assert_combined_equal(expected, actual):
         assert a.meta == b.meta
 
 
-class TestTaxonomy:
-    def test_transient_exceptions_retryable(self):
-        assert classify_error(TransientCellError("x")) == "transient"
-        assert classify_error(ConnectionResetError("x")) == "transient"
-        assert classify_error(TimeoutError("x")) == "transient"
-
-    def test_other_exceptions_deterministic(self):
-        assert classify_error(ValueError("x")) == "deterministic"
-        assert classify_error(KeyError("x")) == "deterministic"
-
-
-class TestRetryPolicy:
-    def test_backoff_deterministic_and_bounded(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_factor=2.0,
-                             backoff_cap=1.0, jitter=0.5)
-        fp = cell_fingerprint(GridCell(name="fig06"))
-        first = policy.backoff(fp, 1)
-        assert first == policy.backoff(fp, 1)  # same cell+attempt -> same delay
-        assert 0.1 <= first <= 0.1 * 1.5
-        assert 0.2 <= policy.backoff(fp, 2) <= 0.2 * 1.5
-        # capped growth: the undithered base saturates at backoff_cap
-        assert policy.backoff(fp, 50) <= 1.0 * 1.5
-
-    def test_jitter_differs_across_cells(self):
-        policy = RetryPolicy(backoff_base=1.0, jitter=0.5)
-        a = policy.backoff(cell_fingerprint(GridCell(name="fig06")), 1)
-        b = policy.backoff(cell_fingerprint(GridCell(name="tab05")), 1)
-        assert a != b
-
-    def test_zero_jitter_is_pure_exponential(self):
-        policy = RetryPolicy(backoff_base=0.5, backoff_factor=2.0,
-                             backoff_cap=10.0, jitter=0.0)
-        assert policy.backoff("anything", 1) == 0.5
-        assert policy.backoff("anything", 3) == 2.0
-
-
 class TestFingerprint:
     def test_stable_and_content_keyed(self):
         cell = GridCell(name="fig06", scale="tiny", seed=3, topologies=("SF",))
@@ -146,11 +108,18 @@ class TestTimeouts:
         cell = GridCell(name="x", scale="tiny")
         assert resolve_timeout(cell, 12.5) == 12.5
         assert resolve_timeout(cell, 0) == float("inf")
+        assert resolve_timeout(cell, float("inf")) == float("inf")
 
-    def test_per_scale_mapping_with_default_fallback(self):
-        assert resolve_timeout(GridCell(name="x", scale="tiny"), {"tiny": 7.0}) == 7.0
-        assert resolve_timeout(GridCell(name="x", scale="small"), {"tiny": 7.0}) \
-            == DEFAULT_CELL_TIMEOUTS["small"]
+    @pytest.mark.parametrize("jobs", [None, 2])
+    @pytest.mark.parametrize("timeout", [-1.0, float("nan")])
+    def test_negative_or_nan_timeout_rejected(self, tmp_path, timeout, jobs):
+        """A negative limit would disable deadlines, a NaN one busy-poll."""
+        path = tmp_path / "j.jsonl"
+        with pytest.raises(ValueError, match="timeout must be") as info:
+            run_resilient_grid([GridCell(name="tab05"), GridCell(name="tab05", seed=1)],
+                               jobs=jobs, timeout=timeout, journal=str(path))
+        assert "\n" not in str(info.value)
+        assert not path.exists()  # refused before any cell ran
 
 
 class TestJournal:
@@ -245,32 +214,29 @@ class TestJournal:
         assert not path.exists() or not path.read_bytes()
 
 
+class TestInCellErrors:
+    @pytest.mark.parametrize("jobs", [None, pytest.param(2, marks=needs_fork)])
+    @pytest.mark.parametrize("error", [ConnectionError, TimeoutError])
+    def test_os_level_errors_fail_once(self, monkeypatch, error, jobs):
+        """An exception raised inside a cell fails it once, in either mode: cells
+        open no file or socket, so these errors would repeat like any other."""
+        def fails_at_seed_1(name, scale, seed, **kwargs):
+            if seed == 1:
+                raise error("resource blip")
+            return _stub(name)
+
+        monkeypatch.setattr(resilient, "run_experiment", fails_at_seed_1)
+        cells = [GridCell(name="tab05", seed=0), GridCell(name="tab05", seed=1)]
+        results = run_experiment_grid(cells, jobs=jobs)
+        assert results[0].ok and results[0].attempts == 1
+        assert results[1].outcome == "failed" and results[1].attempts == 1
+        assert error.__name__ in results[1].error
+        assert "Traceback (most recent call last)" in results[1].traceback
+
+
 class TestSerialResilience:
-    def test_transient_retry_recovers(self, clean_results):
-        cells = _cells()
-        chaos = ChaosSpec(transient=(cells[0].label(),))
-        results = run_experiment_grid(cells, chaos=chaos,
-                                      policy=RetryPolicy(backoff_base=0.01))
-        assert all(r.ok for r in results)
-        assert results[0].attempts == 2 and results[0].outcome == "ok"
-        assert results[1].attempts == 1
-        for want, got in zip(clean_results, results):
-            assert want.result.rows == got.result.rows
-
-    def test_retry_exhaustion_fails(self):
-        cell = GridCell(name="tab05")
-        chaos = ChaosSpec(transient_always=(cell.label(),))
-        results = run_experiment_grid(
-            [cell], chaos=chaos,
-            policy=RetryPolicy(max_attempts=2, backoff_base=0.01))
-        assert results[0].outcome == "failed"
-        assert results[0].attempts == 2
-        assert "TransientCellError" in results[0].error
-
     def test_deterministic_error_fails_fast_with_traceback(self):
-        chaos = ChaosSpec(transient=())
-        results = run_experiment_grid([GridCell(name="nope")], chaos=chaos,
-                                      policy=RetryPolicy(max_attempts=5))
+        results = run_experiment_grid([GridCell(name="nope")])
         assert results[0].outcome == "failed" and results[0].attempts == 1
         assert "KeyError" in results[0].error
         assert "Traceback (most recent call last)" in results[0].traceback
@@ -289,21 +255,20 @@ class TestPooledResilience:
     def test_worker_kill_recovers_bit_identical(self, clean_results):
         cells = _cells()
         chaos = ChaosSpec(kill=(cells[0].label(),))
-        results = run_experiment_grid(cells, jobs=2, chaos=chaos,
-                                      policy=RetryPolicy(backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos)
         assert all(r.ok for r in results), \
             [(r.cell.label(), r.error) for r in results if not r.ok]
         assert results[0].attempts > 1
         for want, got in zip(clean_results, results):
             assert want.result.rows == got.result.rows
 
-    def test_poisoned_cell_quarantined_others_complete(self):
+    def test_poisoned_cell_quarantined_others_complete(self, monkeypatch):
+        monkeypatch.setattr(resilient, "CRASH_RETRIES", 1)
         cells = _cells()
         chaos = ChaosSpec(poison=(cells[1].label(),))
-        results = run_experiment_grid(
-            cells, jobs=2, chaos=chaos,
-            policy=RetryPolicy(crash_retries=1, backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos)
         assert results[1].outcome == "poisoned" and not results[1].ok
+        assert results[1].attempts == 2
         assert "quarantined" in results[1].error
         others = [r for i, r in enumerate(results) if i != 1]
         assert all(r.ok for r in others)
@@ -313,17 +278,15 @@ class TestPooledResilience:
     def test_hang_times_out_and_retries(self):
         cells = _cells()
         chaos = ChaosSpec(hang=(cells[2].label(),), hang_seconds=60.0)
-        results = run_experiment_grid(cells, jobs=2, chaos=chaos, timeout=5.0,
-                                      policy=RetryPolicy(backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos, timeout=5.0)
         assert all(r.ok for r in results)
         assert results[2].attempts == 2
 
-    def test_hang_exhausts_timeout_budget(self):
+    def test_hang_exhausts_timeout_budget(self, monkeypatch):
+        monkeypatch.setattr(resilient, "TIMEOUT_RETRIES", 0)
         cells = _cells()[:3]
         chaos = ChaosSpec(hang=(cells[1].label(),), hang_seconds=60.0)
-        results = run_experiment_grid(
-            cells, jobs=2, chaos=chaos, timeout=4.0,
-            policy=RetryPolicy(timeout_retries=0, backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos, timeout=4.0)
         assert results[1].outcome == "timeout" and not results[1].ok
         assert "Timeout" in results[1].error
         assert results[0].ok and results[2].ok
@@ -331,8 +294,7 @@ class TestPooledResilience:
     def test_crash_reruns_only_its_own_cell(self, clean_results):
         cells = _cells()
         chaos = ChaosSpec(kill=(cells[0].label(),))
-        results = run_experiment_grid(cells, jobs=2, chaos=chaos,
-                                      policy=RetryPolicy(backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2, chaos=chaos)
         assert [r.attempts for r in results] == [2, 1, 1, 1, 1, 1]
         for want, got in zip(clean_results, results):
             assert got.outcome == "ok" and want.result.rows == got.result.rows
@@ -348,12 +310,12 @@ class TestPooledResilience:
             return real(name, scale=scale, seed=seed, **kwargs)
 
         monkeypatch.setattr(resilient, "run_experiment", slow_at_small)
+        monkeypatch.setitem(DEFAULT_CELL_TIMEOUTS, "tiny", 1.5)
         hung = GridCell(name="tab05", scale="tiny")
         slow = GridCell(name="tab05", scale="small")  # keeps the 1,800 s default limit
         results = run_experiment_grid(
-            [hung, slow], jobs=2, timeout={"tiny": 1.5},
-            chaos=ChaosSpec(hang=(hung.label(),), hang_seconds=60.0),
-            policy=RetryPolicy(backoff_base=0.01))
+            [hung, slow], jobs=2,
+            chaos=ChaosSpec(hang=(hung.label(),), hang_seconds=60.0))
         assert [r.outcome for r in results] == ["ok", "ok"]
         assert [r.attempts for r in results] == [2, 1]
 
@@ -368,7 +330,7 @@ class TestPooledResilience:
 
         monkeypatch.setattr(resilient, "run_experiment", unpicklable_at_small)
         cells = [GridCell(name="tab05", scale="small"), GridCell(name="tab05")]
-        results = run_experiment_grid(cells, jobs=2, policy=RetryPolicy(backoff_base=0.01))
+        results = run_experiment_grid(cells, jobs=2)
         assert results[0].outcome == "failed" and results[0].attempts == 1
         assert "pickle" in results[0].error.lower()
         assert results[1].ok and results[1].attempts == 1
@@ -377,15 +339,14 @@ class TestPooledResilience:
 class TestResumeEqualsUninterrupted:
     """The tentpole property: kill the pool mid-sweep, resume, get identical tables."""
 
-    def test_resume_after_crash_is_bit_identical(self, tmp_path, clean_results):
+    def test_resume_after_crash_is_bit_identical(self, tmp_path, clean_results, monkeypatch):
         cells = _cells()
         journal = str(tmp_path / "grid.jsonl")
         # pass 1: two cells (one split, one unsplit) can never complete — they
         # SIGKILL their worker on every attempt until quarantined
         chaos = ChaosSpec(poison=(cells[2].label(), cells[-1].label()))
-        first = run_experiment_grid(
-            cells, jobs=2, chaos=chaos, journal=journal,
-            policy=RetryPolicy(crash_retries=0, backoff_base=0.01))
+        monkeypatch.setattr(resilient, "CRASH_RETRIES", 0)
+        first = run_experiment_grid(cells, jobs=2, chaos=chaos, journal=journal)
         assert first[2].outcome == "poisoned"
         assert first[-1].outcome == "poisoned"
         completed = [r for r in first if r.ok]
@@ -409,6 +370,12 @@ class TestResumeEqualsUninterrupted:
         assert all(r.ok for r in second)
         assert sum(1 for r in second if r.outcome == "journal") == len(cells) - 1
         _assert_combined_equal(clean_results, second)
+        # the re-run cell's line starts after the torn one instead of gluing onto it
+        reloaded = CellJournal(journal)
+        assert reloaded.corrupt_lines == 1 and len(reloaded) == len(cells)
+        third = run_experiment_grid(cells, jobs=None, journal=journal, resume=True)
+        assert all(r.outcome == "journal" for r in third)
+        _assert_combined_equal(clean_results, third)
 
     def test_resume_with_duplicate_journal_lines(self, tmp_path, clean_results):
         cells = _cells()
@@ -459,7 +426,20 @@ class TestRunnerFlags:
         assert "-- traceback for nope" in out
         assert "Traceback (most recent call last)" in out
 
-    def test_retries_and_cell_timeout_flags_accepted(self, capsys):
-        assert runner_main(["tab05", "--seeds", "0", "--retries", "1",
-                            "--cell-timeout", "0"]) == 0
+    def test_cell_timeout_zero_accepted(self, capsys):
+        assert runner_main(["tab05", "--seeds", "0", "--cell-timeout", "0"]) == 0
         assert "1/1 cells ok" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["-1", "nan"])
+    def test_negative_or_nan_cell_timeout_rejected(self, value, capsys):
+        assert runner_main(["tab05", "--seeds", "0", "--cell-timeout", value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and "--cell-timeout" in captured.err
+
+    def test_retries_flag_is_gone(self, capsys):
+        """A cell re-runs only when it loses its worker; no flag sets a retry count."""
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(["tab05", "--seeds", "0", "--retries", "1"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

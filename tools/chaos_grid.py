@@ -5,9 +5,9 @@ Two drills over a real experiment grid, exercising every recovery path of
 :mod:`repro.experiments.resilient` end to end:
 
 * **smoke** — runs the grid on a worker pool with injected faults (one worker
-  SIGKILLed mid-cell, one cell hung until its wall-clock timeout fires, one
-  transient first-attempt failure) and asserts that every cell still completes
-  ``ok`` with rows bit-identical to a clean serial run.
+  SIGKILLed mid-cell, one cell hung until its wall-clock timeout fires) and
+  asserts that every cell still completes ``ok`` with rows bit-identical to a
+  clean serial run.
 * **resume** — launches the grid runner in a subprocess with ``--journal``,
   SIGKILLs the whole process group mid-sweep (a *real* forced abort — the
   journal may end in a truncated line), then resumes in-process with the same
@@ -39,7 +39,7 @@ from repro.experiments.grid import (  # noqa: E402
     run_experiment_grid,
     split_heavy_cells,
 )
-from repro.experiments.resilient import CellJournal, ChaosSpec, RetryPolicy  # noqa: E402
+from repro.experiments.resilient import CellJournal, ChaosSpec  # noqa: E402
 
 #: Default grid: one splittable scenario (fans into per-topology cells) plus one
 #: unsplittable one, so both cell shapes go through every drill.
@@ -64,27 +64,25 @@ def assert_tables_equal(expected, actual, context: str) -> None:
 
 
 def drill_smoke(cells, clean, jobs: int) -> None:
-    """Worker kill + hang-until-timeout + transient failure; all cells recover."""
+    """Worker kill + hang-until-timeout; all cells recover."""
     labels = [cell.label() for cell in cells]
-    assert len(labels) >= 3, "smoke drill needs at least three cells"
+    assert len(labels) >= 2, "smoke drill needs at least two cells"
     chaos = ChaosSpec(kill=(labels[0],), hang=(labels[len(labels) // 2],),
-                      transient=(labels[-1],), hang_seconds=120.0)
-    policy = RetryPolicy(backoff_base=0.05, backoff_cap=0.5)
+                      hang_seconds=120.0)
     start = time.perf_counter()
-    results = run_experiment_grid(cells, jobs=jobs, chaos=chaos, timeout=10.0,
-                                  policy=policy)
+    results = run_experiment_grid(cells, jobs=jobs, chaos=chaos, timeout=10.0)
     print(GridSummary(results=results).report())
     bad = [(r.cell.label(), r.outcome, r.error) for r in results if not r.ok]
     assert not bad, f"smoke drill left unrecovered cells: {bad}"
-    injected = {labels[0], labels[len(labels) // 2], labels[-1]}
+    injected = {labels[0], labels[len(labels) // 2]}
     retried = {r.cell.label() for r in results if r.attempts > 1}
     assert injected <= retried, \
         f"injected faults did not force retries: {injected - retried}"
     for want, got in zip(clean, results):
         assert want.result.rows == got.result.rows, \
             f"chaos run diverged from clean run on {got.cell.label()}"
-    print(f"smoke drill ok: {len(cells)} cells recovered from worker kill, "
-          f"hang and transient failure in {time.perf_counter() - start:.1f}s\n")
+    print(f"smoke drill ok: {len(cells)} cells recovered from worker kill "
+          f"and hang in {time.perf_counter() - start:.1f}s\n")
 
 
 def drill_resume(cells, clean, experiments: str, scale: str, jobs: int,
